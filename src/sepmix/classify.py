@@ -4,7 +4,8 @@ The general classifier repeats k times on the remaining index set T:
 
   1. find the smallest ball around a sample point holding at least
      ceil(3 * w_min * |S| / 4) points of T (center x, radius alpha);
-  2. beta = largest directional variance of the points in B(x, alpha);
+  2. beta = largest directional variance of the points in B(x, alpha), i.e.
+     the top eigenvalue of their covariance;
   3. march outward from alpha in steps of nu = sqrt(w_min * beta / 8) until
      one step adds no new point of T (step count s);
   4. beta' = largest directional variance within B(x, alpha + s * nu);
@@ -25,11 +26,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DiagnosticWarning,
+    EigenSolverFailed,
     EmptyPeel,
     NoGapWithinCap,
+    NonFiniteInput,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
@@ -54,8 +58,6 @@ class ClassifierConfig:
     delta: float = 0.05
     t_override: float | None = None
     step_cap: int | None = None
-    power_max_iters: int = 500
-    power_tol: float = 1e-4
 
     def __post_init__(self):
         if self.k < 1:
@@ -80,6 +82,19 @@ class PeelStep:
     beta_prime: float
     removal_radius: float
     removed: np.ndarray
+
+    def to_dict(self) -> dict:
+        """JSON-ready record: the scalars plus the removed-point count."""
+        return {
+            "center_index": self.center_index,
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "nu": self.nu,
+            "s": self.s,
+            "beta_prime": self.beta_prime,
+            "removal_radius": self.removal_radius,
+            "removed_count": int(self.removed.size),
+        }
 
 
 @dataclass
@@ -131,8 +146,12 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def _points_of(samples) -> tuple[np.ndarray, LabeledSampleSet | None]:
     if isinstance(samples, LabeledSampleSet):
-        return samples.points, samples
-    return np.asarray(samples, dtype=float), None
+        points, meta = samples.points, samples
+    else:
+        points, meta = np.asarray(samples, dtype=float), None
+    if not np.isfinite(points).all():
+        raise NonFiniteInput("points contain NaN or an infinity")
+    return points, meta
 
 
 def smallest_dense_ball(points, T, threshold: int) -> tuple[int, float]:
@@ -162,45 +181,49 @@ def _dense_ball_from_dists(dists: np.ndarray, threshold: int) -> tuple[int, floa
     return local, float(kth[local])
 
 
-def max_variance(
-    points, max_iters: int = 500, tol: float = 1e-4
-) -> tuple[float, np.ndarray]:
+def max_variance(points) -> tuple[float, np.ndarray]:
     """Largest directional variance of a point set and its direction.
 
-    Power iteration on the centered second-moment operator, applied through
-    the data matrix (the n x n matrix is never formed).  The start vector is
-    the coordinate axis of largest range with a small dense component mixed
-    in so that exactly invariant axis-aligned starts cannot lock onto a
-    subdominant eigenvector.  Stops when the residual ||Av - beta v|| drops
-    below tol * beta, which for a symmetric operator puts beta within
-    tol * beta of a true eigenvalue.
+    The exact top eigenpair of the centered covariance y^T y / m, from a dense
+    solve on the smaller side: the n x n covariance when n <= m, otherwise the
+    m x m Gram matrix y y^T / m.  Both have the same nonzero spectrum, and a
+    Gram eigenvector u maps to the direction y^T u / ||y^T u||.  Only the top
+    pair is computed.  When all points coincide the variance is exactly 0 and
+    the direction is the first axis.
+
+    Raises:
+        EigenSolverFailed: LAPACK did not converge.
     """
     points, _ = _points_of(points)
     m, n = points.shape
     if m == 0:
         raise ValueError("empty point set")
-    y = points - points.mean(axis=0)
-    ranges = np.ptp(y, axis=0) if m > 1 else np.zeros(n)
-    axis = int(np.argmax(ranges))
-    if m == 1 or ranges[axis] == 0.0:
+    if m == 1 or not np.ptp(points, axis=0).any():
         v = np.zeros(n)
-        v[axis] = 1.0
+        v[0] = 1.0
         return 0.0, v
-    v = np.full(n, 1e-6)
-    v[axis] += 1.0
-    v /= np.linalg.norm(v)
-    beta = 0.0
-    for _ in range(max_iters):
-        av = y.T @ (y @ v) / m
-        beta = float(v @ av)
-        resid = av - beta * v
-        if np.linalg.norm(resid) <= tol * max(beta, 1e-300):
-            break
-        norm = np.linalg.norm(av)
-        if norm == 0.0:  # started orthogonal to the whole spread
-            return 0.0, v
-        v = av / norm
-    return beta, v
+    y = points - points.mean(axis=0)
+    gram_side = m < n
+    g = y @ y.T if gram_side else y.T @ y
+    g /= m
+    d = g.shape[0]
+    try:
+        w, u = scipy.linalg.eigh(
+            g,
+            subset_by_index=[d - 1, d - 1],
+            driver="evr",
+            overwrite_a=True,
+            check_finite=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverFailed(
+            f"top eigenpair of a {d} x {d} matrix did not converge: {exc}"
+        ) from exc
+    v = u[:, 0]
+    if gram_side:
+        v = y.T @ v
+        v /= np.linalg.norm(v)
+    return float(w[0]), v
 
 
 def find_gap(points, T, center_index: int, alpha: float, nu: float, step_cap: int) -> int:
@@ -270,8 +293,9 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         pts = points[alive]
         dists = np.sqrt(pairwise_sq_dists(pts))
         x_loc, alpha = _dense_ball_from_dists(dists, threshold)
-        row = dists[x_loc]
-        beta, _ = max_variance(pts[row <= alpha], config.power_max_iters, config.power_tol)
+        row = dists[x_loc].copy()
+        del dists  # free the M x M matrix before the eigen solves; only row is used
+        beta, _ = max_variance(pts[row <= alpha])
         nu = math.sqrt(config.w_min * beta / 8.0)
         if nu > 0.0:
             cap = config.step_cap
@@ -284,9 +308,7 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         else:
             s = 1  # all ball points coincide; any step adds nothing
         r_gap = alpha + s * nu
-        beta_prime, _ = max_variance(
-            pts[row <= r_gap], config.power_max_iters, config.power_tol
-        )
+        beta_prime, _ = max_variance(pts[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
         removed_mask = row <= removal_radius
         if not np.any(removed_mask):

@@ -84,19 +84,7 @@ def _cmd_classify(args) -> int:
     partition = classify_general(samples, config)
     save_partition(args.out, partition.as_labels())
     if args.trace:
-        doc = [
-            {
-                "center_index": s.center_index,
-                "alpha": s.alpha,
-                "beta": s.beta,
-                "nu": s.nu,
-                "s": s.s,
-                "beta_prime": s.beta_prime,
-                "removal_radius": s.removal_radius,
-                "removed_count": int(s.removed.size),
-            }
-            for s in partition.trace.steps
-        ]
+        doc = [s.to_dict() for s in partition.trace.steps]
         Path(args.trace).write_text(json.dumps(doc, indent=2) + "\n")
     sizes = [len(c) for c in partition.clusters]
     print(f"wrote partition with cluster sizes {sizes} to {args.out}")

@@ -23,6 +23,10 @@ class TooFewSamples(SepmixError):
     """Not enough draws requested for a reliable estimate."""
 
 
+class NonFiniteInput(SepmixError):
+    """Input points contain NaN or an infinity."""
+
+
 class MissingMedianRadius(SepmixError):
     """An operation needs a median radius that has not been estimated yet."""
 
@@ -55,6 +59,10 @@ class EmptyPeel(SepmixError):
     """A peel iteration removed no points."""
 
 
+class EigenSolverFailed(SepmixError):
+    """The dense symmetric eigensolver did not converge."""
+
+
 class PairNotSeparated(SepmixError):
     """A component pair does not meet the required separation condition."""
 
@@ -73,6 +81,10 @@ class TooFewPoints(SepmixError):
 
 class InstanceTooLarge(SepmixError):
     """Exhaustive enumeration would exceed the configured subset budget."""
+
+
+class InconsistentSigma(SepmixError):
+    """The plug-in width does not reproduce the closed-form quadratic term."""
 
 
 # -- I/O and scoring ----------------------------------------------------------

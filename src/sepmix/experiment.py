@@ -235,19 +235,7 @@ def _run_trial(config: ExperimentConfig, trial: int, cache: dict) -> TrialReport
                         step_cap=config.classifier.get("step_cap"),
                     )
                     part = classify_general(samples, cc)
-                    report.extras["peels"] = [
-                        {
-                            "center_index": s.center_index,
-                            "alpha": s.alpha,
-                            "beta": s.beta,
-                            "nu": s.nu,
-                            "s": s.s,
-                            "beta_prime": s.beta_prime,
-                            "removal_radius": s.removal_radius,
-                            "removed_count": int(s.removed.size),
-                        }
-                        for s in part.trace.steps
-                    ]
+                    report.extras["peels"] = [s.to_dict() for s in part.trace.steps]
                 elif config.scenario == "classify_spherical":
                     part = classify_spherical(
                         samples, k=config.spherical["k"], t=config.spherical["t"]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NonOrthonormalRotation,
     NonPositiveEigenvalue,
     ParseError,
@@ -51,7 +52,8 @@ def save_samples(path, samples: LabeledSampleSet | np.ndarray, labels=None) -> N
 def load_samples(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a samples CSV; returns (points, labels-or-None).
 
-    Raises ParseError with the offending line (and column for bad fields).
+    Raises ParseError with the offending line (and column for bad fields),
+    and NonFiniteInput when a point coordinate is NaN or infinite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -93,6 +95,13 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray | None]:
     if not rows:
         raise ParseError("no data rows", line=2)
     points = np.asarray(rows, dtype=float)
+    finite = np.isfinite(points)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteInput(
+            f"non-finite value {points[row, col]} in data row {row + 1}, "
+            f"column {col + 1}"
+        )
     return points, (np.asarray(labels, dtype=int) if has_label else None)
 
 

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InstanceTooLarge, TooFewPoints, ZeroSigmaWarning
+from .errors import (
+    DimensionMismatch,
+    InconsistentSigma,
+    InstanceTooLarge,
+    NonFiniteInput,
+    TooFewPoints,
+    ZeroSigmaWarning,
+)
 
 _NORMALIZATIONS = ("paper", "standard")
 
@@ -200,6 +207,9 @@ def spherical_log_likelihood(
     M n / 4 (paper) or M n / 2 (standard) exactly.  When every point sits on
     its center the likelihood is unbounded: returns +inf with a
     ZeroSigmaWarning.
+
+    Raises:
+        InconsistentSigma: the plug-in sigma misses that identity.
     """
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
@@ -211,7 +221,11 @@ def spherical_log_likelihood(
         if sigma > 0.0:
             quad = cost / (2.0 * sigma * sigma)
             expected = m * n / (4.0 if normalization == "paper" else 2.0)
-            assert abs(quad - expected) <= 1e-9 * expected, (quad, expected)
+            if not abs(quad - expected) <= 1e-9 * expected:
+                raise InconsistentSigma(
+                    f"quadratic term {quad!r} differs from {expected!r} "
+                    "at the plug-in sigma"
+                )
     if sigma == 0.0:
         warnings.warn("all points coincide with centers", ZeroSigmaWarning)
         return math.inf
@@ -243,8 +257,14 @@ def fit_spherical_mixture(
     config: LocalSearchConfig | None = None,
     normalization: str = "paper",
 ) -> FitResult:
-    """Local-search k-median fit plus width, likelihood, and cluster weights."""
+    """Local-search k-median fit plus width, likelihood, and cluster weights.
+
+    Raises:
+        NonFiniteInput: a point coordinate is NaN or infinite.
+    """
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise NonFiniteInput("points contain NaN or an infinity")
     solution = kmedian_local_search(points, k, rng, config)
     sig = sigma_hat(points, solution, normalization)
     with warnings.catch_warnings():

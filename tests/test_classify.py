@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -13,8 +14,10 @@ from sepmix.classify import (
     smallest_dense_ball,
 )
 from sepmix.errors import (
+    EigenSolverFailed,
     EmptyPeel,
     NoGapWithinCap,
+    NonFiniteInput,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
@@ -137,10 +140,59 @@ def test_max_variance_matches_dense_eigensolver():
     beta, direction = max_variance(pts)
     centered = pts - pts.mean(axis=0)
     eigs = np.linalg.eigvalsh(centered.T @ centered / pts.shape[0])
-    assert beta == pytest.approx(float(eigs[-1]), rel=1e-6)
+    assert beta == pytest.approx(float(eigs[-1]), rel=1e-10)
     # direction quality: its Rayleigh quotient should match beta
     quad = float(direction @ (centered.T @ (centered @ direction))) / pts.shape[0]
-    assert quad == pytest.approx(beta, rel=1e-6)
+    assert quad == pytest.approx(beta, rel=1e-10)
+
+
+def test_max_variance_gram_side():
+    # fewer points than dimensions: solved on the m x m Gram matrix
+    rng = np.random.default_rng(4)
+    m, n = 30, 200
+    pts = rng.normal(size=(m, n)) * np.linspace(0.5, 2.0, n)
+    beta, direction = max_variance(pts)
+    centered = pts - pts.mean(axis=0)
+    eigs = np.linalg.eigvalsh(centered.T @ centered / m)
+    assert beta == pytest.approx(float(eigs[-1]), rel=1e-10)
+    assert direction.shape == (n,)
+    assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-12)
+    quad = float(np.sum((centered @ direction) ** 2)) / m
+    assert quad == pytest.approx(beta, rel=1e-10)
+
+
+@pytest.mark.parametrize("m, n", [(600, 8), (40, 300)])
+def test_max_variance_near_degenerate_top(m, n):
+    # top three covariance eigenvalues within 0.01% of each other, as on the
+    # concentric pair's balls; the covariance is built exactly as R diag R^T
+    rng = np.random.default_rng(7)
+    lam = np.full(min(m - 1, n), 0.5)
+    lam[:3] = [1.0 + 1e-4, 1.0 + 0.5e-4, 1.0]
+    z = rng.normal(size=(m, lam.size))
+    q, _ = np.linalg.qr(z - z.mean(axis=0))  # orthonormal, orthogonal to ones
+    r, _ = np.linalg.qr(rng.normal(size=(n, lam.size)))
+    pts = (q * np.sqrt(m * lam)) @ r.T + 50.0
+    beta, direction = max_variance(pts)
+    assert beta == pytest.approx(lam[0], rel=1e-10)
+    assert abs(float(direction @ r[:, 0])) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_max_variance_solver_failure_is_named(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+    pts = np.random.default_rng(8).normal(size=(20, 3))
+    with pytest.raises(EigenSolverFailed):
+        max_variance(pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_rejects_non_finite_points(bad):
+    pts = np.random.default_rng(9).normal(size=(40, 3))
+    pts[7, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        classify_general(pts, ClassifierConfig(k=1, w_min=1.0, t_override=10.0))
 
 
 def test_max_variance_translation_invariant():

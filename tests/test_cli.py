@@ -11,7 +11,7 @@ pytestmark = pytest.mark.filterwarnings(
 from sepmix.io import load_samples, save_params, save_samples
 from sepmix.model import Mixture, make_gaussian
 from sepmix.scoring import partition_compare
-from sepmix.classify import Partition
+from sepmix.classify import ClassifierConfig, Partition, classify_general
 
 
 def _gen(tmp_path, count=400, n=8, k=2, seed=0, labels=True):
@@ -107,6 +107,21 @@ def test_classify_round_trip(tmp_path, capsys):
         assert set(step) == {"center_index", "alpha", "beta", "nu", "s",
                              "beta_prime", "removal_radius", "removed_count"}
         assert step["removed_count"] > 0
+
+
+def test_classify_trace_is_peel_step_records(tmp_path):
+    _, samples = _gen(tmp_path, count=400, seed=3)
+    trace = tmp_path / "trace.json"
+    rc = main(["classify", "--samples", str(samples), "--k", "2",
+               "--wmin", "0.5", "--t", "10",
+               "--out", str(tmp_path / "partition.csv"), "--trace", str(trace)])
+    assert rc == 0
+    points, _ = load_samples(samples)
+    part = classify_general(points, ClassifierConfig(k=2, w_min=0.5, t_override=10.0))
+    steps = json.loads(trace.read_text())
+    assert steps == [s.to_dict() for s in part.trace.steps]
+    assert list(steps[0]) == ["center_index", "alpha", "beta", "nu", "s",
+                              "beta_prime", "removal_radius", "removed_count"]
 
 
 def test_classify_spherical_round_trip(tmp_path):

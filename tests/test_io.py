@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepmix.errors import ParseError, SchemaError
+from sepmix.errors import NonFiniteInput, ParseError, SchemaError
 from sepmix.io import (
     load_params,
     load_partition,
@@ -73,6 +73,14 @@ def test_load_samples_bad_float_names_column(tmp_path):
         load_samples(path)
     assert err.value.line == 2
     assert err.value.column == 2
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_load_samples_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "s.csv"
+    path.write_text(f"dim_0,dim_1\n1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(NonFiniteInput, match="data row 2, column 2"):
+        load_samples(path)
 
 
 def test_load_samples_empty_file(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import sepmix.kmedian
 from sepmix.errors import (
     DimensionMismatch,
+    InconsistentSigma,
     InstanceTooLarge,
+    NonFiniteInput,
     TooFewPoints,
     ZeroSigmaWarning,
 )
@@ -209,6 +212,16 @@ def test_log_likelihood_quadratic_term_identity():
         assert quad == pytest.approx(m * n / 4.0, rel=1e-9)
 
 
+def test_log_likelihood_rejects_inconsistent_plug_in_sigma(monkeypatch):
+    rng = np.random.default_rng(15)
+    pts = rng.normal(size=(12, 3))
+    sol = kmedian_local_search(pts, 2, rng)
+    right = sigma_hat(pts, sol)
+    monkeypatch.setattr(sepmix.kmedian, "sigma_hat", lambda *a, **kw: 1.1 * right)
+    with pytest.raises(InconsistentSigma):
+        spherical_log_likelihood(pts, sol)
+
+
 def test_log_likelihood_fixed_sigma_hand_value():
     # one 1-D point sitting on its center, width pinned to 1
     pts = _col([0.0])
@@ -309,6 +322,15 @@ def test_fit_weights_sum_to_one():
     assert isinstance(fit, FitResult)
     assert fit.weights.sum() == pytest.approx(1.0)
     assert np.all(fit.weights >= 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_points(bad):
+    rng = np.random.default_rng(22)
+    pts = rng.normal(size=(20, 2))
+    pts[3, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        fit_spherical_mixture(pts, 2, rng)
 
 
 def test_fit_k1_center_minimizes_total_distance():
