@@ -33,11 +33,10 @@ from .errors import (
     EigenSolverFailed,
     EmptyPeel,
     NoGapWithinCap,
-    NonFiniteInput,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
-from .model import LabeledSampleSet
+from .model import LabeledSampleSet, _points_of
 from .separation import schedule_t
 
 _STEP_CAP_MAX = 1_000_000
@@ -144,16 +143,6 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def _points_of(samples) -> tuple[np.ndarray, LabeledSampleSet | None]:
-    if isinstance(samples, LabeledSampleSet):
-        points, meta = samples.points, samples
-    else:
-        points, meta = np.asarray(samples, dtype=float), None
-    if not np.isfinite(points).all():
-        raise NonFiniteInput("points contain NaN or an infinity")
-    return points, meta
-
-
 def smallest_dense_ball(points, T, threshold: int) -> tuple[int, float]:
     """Smallest ball centered on a point of T holding >= threshold points of T.
 
@@ -196,8 +185,6 @@ def max_variance(points) -> tuple[float, np.ndarray]:
     """
     points, _ = _points_of(points)
     m, n = points.shape
-    if m == 0:
-        raise ValueError("empty point set")
     if m == 1 or not np.ptp(points, axis=0).any():
         v = np.zeros(n)
         v[0] = 1.0

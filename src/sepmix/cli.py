@@ -12,7 +12,12 @@ import numpy as np
 
 from .classify import ClassifierConfig, classify_general, classify_spherical
 from .errors import SepmixError
-from .experiment import ExperimentConfig, run_experiment, run_validation_suite
+from .experiment import (
+    SUITES,
+    ExperimentConfig,
+    run_experiment,
+    run_validation_suite,
+)
 from .io import load_params, load_samples, save_params, save_partition, save_samples
 from .kmedian import fit_spherical_mixture, kmedian_exhaustive
 from .model import LabeledSampleSet, median_radius, sample_mixture
@@ -48,10 +53,7 @@ def _cmd_check_sep(args) -> int:
     mixture = load_params(args.params)
     rng = np.random.default_rng(args.seed)
     for comp in mixture.components:
-        if comp.is_spherical():
-            median_radius(comp, method="exact")
-        else:
-            median_radius(comp, rng, num_samples=args.radius_samples, method="mc")
+        median_radius(comp, rng, num_samples=args.radius_samples)
     config = SeparationConfig(t=args.t, mode=args.mode)
     report = separation_margin(mixture, config)
     k = mixture.k
@@ -137,11 +139,7 @@ def _cmd_validate(args) -> int:
     if args.config:
         options = json.loads(Path(args.config).read_text())
     rng = np.random.default_rng(args.seed)
-    suites = (
-        ["lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = SUITES if args.suite == "all" else [args.suite]
     reports = [run_validation_suite(s, options.get(s, options), rng) for s in suites]
     doc = {
         "seed": args.seed,
@@ -237,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("validate", help="run Monte Carlo concentration suites")
-    p.add_argument(
-        "--suite",
-        choices=["lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12", "all"],
-        required=True,
-    )
+    p.add_argument("--suite", choices=[*SUITES, "all"], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="suite options JSON")
     p.add_argument("--out", help="report JSON path")

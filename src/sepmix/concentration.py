@@ -26,11 +26,7 @@ from .errors import (
     TooFewSamples,
 )
 from .model import GaussianParams, sample
-from .separation import SeparationConfig, pair_margin
-
-# Coefficients of the cross-distance lower bound between separated components.
-CROSS_C1 = 60.0
-CROSS_C2 = 30.0
+from .separation import _PRACTICAL_CONSTANTS, SeparationConfig, pair_margin
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,12 @@ def cross_pair_check(
     margin = pair_margin(r_i, s_i, r_j, s_j, d2_centers, SeparationConfig(t=t, mode="paper"))
     if margin < 0:
         raise PairNotSeparated(f"margin {margin:.4g} < 0 at t={t}")
+    # the cross-distance lower bound uses the practical separation constants
+    c1, c2 = _PRACTICAL_CONSTANTS
     bound = (
         2.0 * min(r_i, r_j) ** 2
-        + CROSS_C1 * t * (s_i + s_j) * (r_i + r_j)
-        + CROSS_C2 * t * t * (s_i * s_i + s_j * s_j)
+        + c1 * t * (s_i + s_j) * (r_i + r_j)
+        + c2 * t * t * (s_i * s_i + s_j * s_j)
     )
     n = params_i.dim
     spherical = params_i.is_spherical() and params_j.is_spherical()

@@ -39,6 +39,7 @@ from .model import (
     Mixture,
     make_gaussian,
     median_radius,
+    random_rotation,
     sample_concentric_spherical_embedded,
     sample_mixture,
 )
@@ -46,6 +47,7 @@ from .separation import SeparationConfig, plant_separated_mixture
 from .io import load_params, load_samples
 
 SCENARIOS = ("classify_general", "classify_spherical", "fit", "validate")
+SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
 
 
 @dataclass
@@ -166,10 +168,7 @@ def _build_samples(config: ExperimentConfig, rng, seed, cache: dict) -> LabeledS
             if src.get("estimate_radii", False):
                 radius_rng = np.random.default_rng(config.master_seed)
                 for comp in cache["mixture"].components:
-                    if comp.is_spherical():
-                        median_radius(comp, method="exact")
-                    else:
-                        median_radius(comp, radius_rng, method="mc")
+                    median_radius(comp, radius_rng)
         return sample_mixture(cache["mixture"], rng, config.sample_size, seed=seed)
     if kind == "mixture":
         return sample_mixture(src["object"], rng, config.sample_size, seed=seed)
@@ -339,20 +338,19 @@ def _write_artifacts(result: ExperimentResult) -> None:
 
 def _spherical_component(n: int, sigma: float = 1.0):
     comp = make_gaussian(np.zeros(n), np.full(n, sigma * sigma))
-    median_radius(comp, method="exact")
+    median_radius(comp)
     return comp
 
 
-def _eccentric_component(n: int, rng, top: float = 100.0, rotate: bool = False):
+def _eccentric_component(n: int, rng=None, top: float = 100.0, rotate: bool = False):
+    """N(0, diag(top, 1, ..., 1)), Haar-rotated when ``rotate``.  Its median
+    radius is estimated from ``rng``; without an rng it is left unset."""
     lam = np.ones(n)
     lam[0] = top
-    rot = None
-    if rotate:
-        from .model import random_rotation
-
-        rot = random_rotation(n, rng)
+    rot = random_rotation(n, rng) if rotate else None
     comp = make_gaussian(np.zeros(n), lam, rot)
-    median_radius(comp, rng, method="mc")
+    if rng is not None:
+        median_radius(comp, rng)
     return comp
 
 
@@ -418,7 +416,11 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
         t_values = options.get("t_values", [1.0, 2.0])
         for t in t_values:
             for shape, n in (("spherical", 32), ("eccentric", 16)):
-                spec = (1.0, 1.0) if shape == "spherical" else _eccentric_spectrum(n)
+                spec = (
+                    (1.0, 1.0)
+                    if shape == "spherical"
+                    else _eccentric_component(n).eigenvalues
+                )
                 mix = plant_separated_mixture(
                     n=n,
                     k=2,
@@ -480,9 +482,3 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
         "rows": rows,
         "all_pass": bool(all(r["passed"] for r in rows)),
     }
-
-
-def _eccentric_spectrum(n: int) -> np.ndarray:
-    lam = np.ones(n)
-    lam[0] = 100.0
-    return lam

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import pairwise_sq_dists
 from .errors import (
     DimensionMismatch,
     InconsistentSigma,
     InstanceTooLarge,
-    NonFiniteInput,
     TooFewPoints,
     ZeroSigmaWarning,
 )
+from .model import _points_of
 
 _NORMALIZATIONS = ("paper", "standard")
 
@@ -63,23 +64,15 @@ def kmedian_cost(points, centers) -> float:
     then recomputed from explicit differences, so a point sitting exactly on
     a center contributes exactly zero.
     """
-    points = np.asarray(points, dtype=float)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    points, _ = _points_of(points)
+    centers, _ = _points_of(np.atleast_2d(centers))
     if centers.shape[1] != points.shape[1]:
         raise DimensionMismatch(
             f"centers have dim {centers.shape[1]}, points {points.shape[1]}"
         )
-    nearest = np.argmin(_sq_to_centers(points, centers), axis=1)
+    nearest = np.argmin(pairwise_sq_dists(points, centers), axis=1)
     diff = points - centers[nearest]
     return float(np.einsum("ij,ij->", diff, diff))
-
-
-def _sq_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    pp = np.einsum("ij,ij->i", points, points)
-    cc = np.einsum("ij,ij->i", centers, centers)
-    d2 = pp[:, None] + cc[None, :] - 2.0 * (points @ centers.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def _solution_from_indices(points, d2_full, idx) -> KMedianSolution:
@@ -107,14 +100,14 @@ def kmedian_local_search(
     (1 - improvement_factor / k); otherwise the search stops.  The objective
     is nonincreasing round to round.
     """
-    points = np.asarray(points, dtype=float)
+    points, _ = _points_of(points)
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
     if k < 1:
         raise ValueError("k must be >= 1")
     config = config or LocalSearchConfig()
-    d2 = _sq_to_centers(points, points)
+    d2 = pairwise_sq_dists(points)
 
     chosen = [int(rng.integers(m))]
     nearest = d2[:, chosen[0]].copy()
@@ -153,16 +146,19 @@ def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianS
 
     Raises:
         TooFewPoints: fewer points than centers.
+        ValueError: k < 1.
         InstanceTooLarge: C(M, k) exceeds ``max_subsets``.
     """
-    points = np.asarray(points, dtype=float)
+    points, _ = _points_of(points)
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     total = math.comb(m, k)
     if total > max_subsets:
         raise InstanceTooLarge(f"C({m}, {k}) = {total} > {max_subsets}")
-    d2 = _sq_to_centers(points, points)
+    d2 = pairwise_sq_dists(points)
     best_cost, best_idx = math.inf, None
     combos = itertools.combinations(range(m), k)
     chunk_size = max(1, min(8192, total))
@@ -263,8 +259,6 @@ def fit_spherical_mixture(
         NonFiniteInput: a point coordinate is NaN or infinite.
     """
     points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise NonFiniteInput("points contain NaN or an infinity")
     solution = kmedian_local_search(points, k, rng, config)
     sig = sigma_hat(points, solution, normalization)
     with warnings.catch_warnings():

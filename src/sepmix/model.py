@@ -20,6 +20,7 @@ from .errors import (
     DiagnosticWarning,
     DimensionMismatch,
     MissingMedianRadius,
+    NonFiniteInput,
     NonOrthonormalRotation,
     NonPositiveEigenvalue,
     SampleBalanceWarning,
@@ -127,7 +128,11 @@ def sample(params: GaussianParams, rng: np.random.Generator, count: int) -> np.n
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    z = rng.standard_normal((count, params.dim))
+    return _from_standard_normal(params, rng.standard_normal((count, params.dim)))
+
+
+def _from_standard_normal(params: GaussianParams, z: np.ndarray) -> np.ndarray:
+    """Map standard normal rows z to center + (z * sqrt(eigenvalues)) @ R^T."""
     dev = z * np.sqrt(params.eigenvalues)
     if params.rotation is not None:
         dev = dev @ params.rotation.T
@@ -174,7 +179,8 @@ def median_radius(
     interval attached.
 
     Args:
-        method: "auto" (closed path when spherical), "exact", or "mc".
+        method: "auto" (closed path when spherical, Monte Carlo otherwise),
+            "exact", or "mc".  Every caller inside the package uses "auto".
 
     Returns:
         (radius, halfwidth); both are also cached on ``params``.
@@ -184,9 +190,9 @@ def median_radius(
     if method == "exact" or (method == "auto" and params.is_spherical()):
         if not params.is_spherical():
             raise ValueError("exact path requires a spherical component")
-        sigma = math.sqrt(float(params.eigenvalues[0]))
-        n = params.dim
-        radius = sigma * math.sqrt(2.0 * float(gammaincinv(n / 2.0, 0.5)))
+        radius = spherical_median_radius(
+            math.sqrt(float(params.eigenvalues[0])), params.dim
+        )
         halfwidth = 0.0
     else:
         if rng is None:
@@ -218,9 +224,7 @@ def sample_covariance_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     All-identical rows yield the zero matrix and a DegenerateSample warning;
     the fit is still returned.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise DimensionMismatch("points must be a nonempty M x n matrix")
+    points, _ = _points_of(points)
     mean = points.mean(axis=0)
     centered = points - mean
     cov = centered.T @ centered / points.shape[0]
@@ -290,6 +294,32 @@ class LabeledSampleSet:
         return self.points.shape[1]
 
 
+def _points_of(samples) -> tuple[np.ndarray, LabeledSampleSet | None]:
+    """The boundary check on a point set: (float M x n matrix, metadata or None).
+
+    Raises:
+        DimensionMismatch: not a 2-D matrix with at least one row and column.
+        NonFiniteInput: a coordinate is NaN or infinite.
+    """
+    if isinstance(samples, LabeledSampleSet):
+        points, meta = np.asarray(samples.points, dtype=float), samples
+    else:
+        points, meta = np.asarray(samples, dtype=float), None
+    if points.ndim != 2 or points.size == 0:
+        raise DimensionMismatch(
+            f"points must be a nonempty M x n matrix, got shape {points.shape}"
+        )
+    if not np.isfinite(points).all():
+        raise NonFiniteInput("points contain NaN or an infinity")
+    return points, meta
+
+
+def _draw_labels(weights: np.ndarray, rng: np.random.Generator, count: int):
+    """Component labels by inverse CDF on one block of ``count`` uniforms."""
+    labels = np.searchsorted(np.cumsum(weights), rng.random(count), side="right")
+    return np.minimum(labels, weights.shape[0] - 1)  # guard the u == 1.0 edge
+
+
 def sample_mixture(
     mixture: Mixture,
     rng: np.random.Generator,
@@ -306,19 +336,13 @@ def sample_mixture(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    cum = np.cumsum(mixture.weights)
-    labels = np.searchsorted(cum, rng.random(count), side="right")
-    labels = np.minimum(labels, mixture.k - 1)  # guard the u == 1.0 edge
+    labels = _draw_labels(mixture.weights, rng, count)
     z = rng.standard_normal((count, mixture.dim))
     points = np.empty_like(z)
     for j, comp in enumerate(mixture.components):
         rows = labels == j
-        if not np.any(rows):
-            continue
-        dev = z[rows] * np.sqrt(comp.eigenvalues)
-        if comp.rotation is not None:
-            dev = dev @ comp.rotation.T
-        points[rows] = comp.center + dev
+        if np.any(rows):
+            points[rows] = _from_standard_normal(comp, z[rows])
     counts = np.bincount(labels, minlength=mixture.k)
     lo = 0.9 * mixture.weights * count
     hi = 1.1 * mixture.weights * count
@@ -381,11 +405,7 @@ def sample_concentric_spherical_embedded(
         raise ValueError("weights must sum to 1")
     if ambient_dim < count:
         raise ValueError("embedding needs ambient_dim >= count")
-    k = sigmas.shape[0]
-    cum = np.cumsum(weights)
-    labels = np.minimum(
-        np.searchsorted(cum, rng.random(count), side="right"), k - 1
-    )
+    labels = _draw_labels(weights, rng, count)
     a = np.tril(rng.standard_normal((count, count)), k=-1)
     dof = ambient_dim - np.arange(count)
     np.fill_diagonal(a, np.sqrt(rng.chisquare(dof)))

@@ -175,10 +175,7 @@ def plant_separated_mixture(
     for spec in specs:
         lam, rot = _component_from_shape(n, spec, rng)
         comp = make_gaussian(np.zeros(n), lam, rot)
-        if comp.is_spherical():
-            median_radius(comp, method="exact")
-        else:
-            median_radius(comp, rng, num_samples=radius_samples, method="mc")
+        median_radius(comp, rng, num_samples=radius_samples)
         comps.append(comp)
     if weights is None:
         weights = np.full(k, 1.0 / k)

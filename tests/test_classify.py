@@ -195,6 +195,23 @@ def test_classify_rejects_non_finite_points(bad):
         classify_general(pts, ClassifierConfig(k=1, w_min=1.0, t_override=10.0))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: classify_general(p, ClassifierConfig(k=1, w_min=1.0, t_override=10.0)),
+        lambda p: classify_spherical(p, k=1, t=1.0),
+        lambda p: smallest_dense_ball(p, [0], 1),
+        max_variance,
+        lambda p: find_gap(p, [0], 0, 0.0, 1.0, 10),
+    ],
+    ids=["general", "spherical", "dense_ball", "max_variance", "find_gap"],
+)
+def test_entry_points_reject_malformed_points(entry, bad_points):
+    points, error = bad_points
+    with pytest.raises(error):
+        entry(points)
+
+
 def test_max_variance_translation_invariant():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(80, 4))

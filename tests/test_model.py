@@ -313,6 +313,12 @@ def test_covariance_fit_degenerate_rows_warn():
     assert mean == pytest.approx(np.ones(3))
 
 
+def test_covariance_fit_rejects_malformed_points(bad_points):
+    points, error = bad_points
+    with pytest.raises(error):
+        sample_covariance_fit(points)
+
+
 def test_covariance_fit_recovers_known_gaussian():
     rng = np.random.default_rng(29)
     rot = random_rotation(4, rng)
@@ -392,6 +398,21 @@ def test_sample_mixture_points_match_labels():
         np.linalg.norm(out.points[:, None, :] - centers[None], axis=2), axis=1
     )
     assert np.array_equal(nearest, out.labels)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sample_mixture_single_component_matches_sample(seed):
+    # the mixture sampler draws the labels' uniforms first, then the same
+    # normal block ``sample`` draws, and maps it through the same transform
+    rng = np.random.default_rng(40)
+    comp = make_gaussian(
+        rng.normal(size=3), rng.uniform(0.5, 4.0, size=3), random_rotation(3, rng)
+    )
+    m = 60
+    r = np.random.default_rng(seed)
+    r.random(m)
+    got = sample_mixture(Mixture([comp], [1.0]), np.random.default_rng(seed), m).points
+    assert got.tobytes() == sample(comp, r, m).tobytes()
 
 
 def test_sample_mixture_balance_warning_fires():
