@@ -80,7 +80,9 @@ class TooFewPoints(SepmixError):
 
 
 class InstanceTooLarge(SepmixError):
-    """Exhaustive enumeration would exceed the configured subset budget."""
+    """An instance exceeds what can be computed: exhaustive enumeration over
+    more subsets than the configured budget, or a pairwise distance matrix
+    larger than physical memory."""
 
 
 class InconsistentSigma(SepmixError):
@@ -125,3 +127,7 @@ class SampleBalanceWarning(UserWarning):
 
 class DiagnosticWarning(UserWarning):
     """A theory-derived runtime bracket was violated; results may degrade."""
+
+
+class LocalSearchCapWarning(UserWarning):
+    """The k-median local search hit its round cap while still improving."""

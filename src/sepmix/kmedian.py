@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import pairwise_sq_dists
+from .classify import _block_rows, pairwise_sq_dists
 from .errors import (
     DimensionMismatch,
     InconsistentSigma,
     InstanceTooLarge,
+    LocalSearchCapWarning,
     TooFewPoints,
     ZeroSigmaWarning,
 )
@@ -98,7 +99,22 @@ def kmedian_local_search(
     Each round evaluates every (current center, candidate point) swap and
     applies the best one as long as it improves the objective by the factor
     (1 - improvement_factor / k); otherwise the search stops.  The objective
-    is nonincreasing round to round.
+    is nonincreasing round to round.  Among equal swap costs the first out
+    position, then the lowest candidate index, wins.
+
+    Swap costs come from each point j's nearest-center distance d1_j, that
+    center's position near_j and the second-nearest distance d2nd_j (FastPAM1,
+    Schubert & Rousseeuw 2019): swapping position i out and point c in costs
+
+        sum_j min(d1_j, D_jc)
+          + sum_{j: near_j = i} [min(d2nd_j, D_jc) - min(d1_j, D_jc)],
+
+    exactly, whichever center a tie in d1_j is given to.  A round is then two
+    passes over the distance matrix D, whatever k is.
+
+    Warns:
+        LocalSearchCapWarning: ``max_rounds`` ran out while the last round
+            still improved the objective.
     """
     points, _ = _points_of(points)
     m = points.shape[0]
@@ -120,25 +136,56 @@ def kmedian_local_search(
     cost = float(d2[:, current].min(axis=1).sum())
     shrink = 1.0 - config.improvement_factor / k
     for _ in range(config.max_rounds):
+        swap_costs = _swap_costs(d2, current)
+        swap_costs[:, current] = np.inf
         best_cost, best_pair = cost, None
-        in_set = np.zeros(m, dtype=bool)
-        in_set[current] = True
         for out_pos in range(k):
-            keep = np.delete(current, out_pos)
-            base = d2[:, keep].min(axis=1) if keep.size else np.full(m, np.inf)
-            # cost after swapping in candidate c is sum(min(base, d2[:, c]))
-            cand_costs = np.minimum(base[:, None], d2).sum(axis=0)
-            cand_costs[in_set] = np.inf
-            c = int(np.argmin(cand_costs))
-            if cand_costs[c] < best_cost:
-                best_cost, best_pair = float(cand_costs[c]), (out_pos, c)
+            c = int(np.argmin(swap_costs[out_pos]))
+            if swap_costs[out_pos, c] < best_cost:
+                best_cost, best_pair = float(swap_costs[out_pos, c]), (out_pos, c)
         if best_pair is None or best_cost > shrink * cost:
             break
         current = current.copy()
         current[best_pair[0]] = best_pair[1]
         current.sort()
         cost = best_cost
+    else:
+        warnings.warn(
+            f"local search stopped at max_rounds={config.max_rounds} while "
+            "still improving",
+            LocalSearchCapWarning,
+        )
     return _solution_from_indices(points, d2, current)
+
+
+def _swap_costs(d2: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Objective after each single swap: entry (i, c) swaps current[i] for c.
+
+    ``d2`` is the symmetric M x M squared distance matrix.  Evaluated from
+    nearest and second-nearest center distances, in row blocks so that no
+    M x M temporary is formed.
+    """
+    m, k = d2.shape[0], current.size
+    to_centers = d2[:, current]
+    near = np.argmin(to_centers, axis=1)
+    d1 = to_centers[np.arange(m), near]
+    if k == 1:
+        d2nd = np.full(m, np.inf)
+    else:
+        d2nd = np.partition(to_centers, 1, axis=1)[:, 1]
+    owner = np.zeros((m, k))
+    owner[np.arange(m), near] = 1.0
+    kept = np.zeros(m)  # sum_j min(d1_j, D_jc), the cost when j keeps its center
+    lost = np.zeros((k, m))  # the correction for points whose center leaves
+    step = _block_rows(m)
+    for lo in range(0, m, step):
+        blk = d2[lo : lo + step]
+        kept_blk = np.minimum(d1[lo : lo + step, None], blk)
+        kept += kept_blk.sum(axis=0)
+        moved = np.minimum(d2nd[lo : lo + step, None], blk)
+        moved -= kept_blk
+        lost += owner[lo : lo + step].T @ moved
+    return kept + lost
 
 
 def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianSolution:
@@ -174,16 +221,37 @@ def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianS
     return _solution_from_indices(points, d2, best_idx)
 
 
+def _fitted_points(points, solution: KMedianSolution) -> np.ndarray:
+    """The boundary check on points paired with the solution fitted to them.
+
+    Raises:
+        DimensionMismatch: malformed points, or a point count other than the
+            solution's.
+        NonFiniteInput: a coordinate is NaN or infinite.
+    """
+    points, _ = _points_of(points)
+    if points.shape[0] != solution.assignment.shape[0]:
+        raise DimensionMismatch(
+            f"{points.shape[0]} points, but the solution assigns "
+            f"{solution.assignment.shape[0]}"
+        )
+    return points
+
+
 def sigma_hat(points, solution: KMedianSolution, normalization: str = "paper") -> float:
     """Maximum-likelihood spherical width for a fixed assignment.
 
     paper:    sigma^2 = 2 * objective / (M * n)
     standard: sigma^2 = objective / (M * n)
+
+    Raises:
+        DimensionMismatch: the points are malformed or are not as many as the
+            solution assigns.
+        NonFiniteInput: a coordinate is NaN or infinite.
     """
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
+    m, n = _fitted_points(points, solution).shape
     scale = 2.0 if normalization == "paper" else 1.0
     return math.sqrt(scale * solution.objective / (m * n))
 
@@ -206,11 +274,13 @@ def spherical_log_likelihood(
 
     Raises:
         InconsistentSigma: the plug-in sigma misses that identity.
+        DimensionMismatch: the points are malformed or are not as many as the
+            solution assigns.
+        NonFiniteInput: a coordinate is NaN or infinite.
     """
     if normalization not in _NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-    points = np.asarray(points, dtype=float)
-    m, n = points.shape
+    m, n = _fitted_points(points, solution).shape
     cost = solution.objective
     if sigma is None:
         sigma = sigma_hat(points, solution, normalization)

@@ -144,6 +144,10 @@ def log_density(params: GaussianParams, x) -> np.ndarray | float:
 
     Evaluated in spectral form: no inverse or determinant of the dense
     covariance is ever formed.
+
+    Raises:
+        DimensionMismatch: x does not have the component's dimension.
+        NonFiniteInput: a coordinate is NaN or infinite.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -152,6 +156,8 @@ def log_density(params: GaussianParams, x) -> np.ndarray | float:
         raise DimensionMismatch(
             f"points have dim {pts.shape[1]}, component has dim {params.dim}"
         )
+    if not np.isfinite(pts).all():
+        raise NonFiniteInput("points contain NaN or an infinity")
     y = pts - params.center
     if params.rotation is not None:
         y = y @ params.rotation  # coordinates along eigenvectors

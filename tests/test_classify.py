@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +18,7 @@ from sepmix.classify import (
 from sepmix.errors import (
     EigenSolverFailed,
     EmptyPeel,
+    InstanceTooLarge,
     NoGapWithinCap,
     NonFiniteInput,
     ResidualPointsAfterKPeels,
@@ -61,6 +64,39 @@ def test_pairwise_sq_dists_clips_negative_roundoff():
     pts = np.full((3, 2), 1e8)
     d2 = pairwise_sq_dists(pts)
     assert np.all(d2 >= 0.0)
+
+
+def _one_line_sq_dists(a, b=None):
+    """The Gram expansion written as one expression, temporaries and all."""
+    b = a if b is None else b
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+@pytest.mark.parametrize(
+    "rows, cols, n, offset",
+    [(1500, None, 4, 0.0), (1100, 1300, 3, 0.0), (700, None, 6, 1e6), (5, 2000, 2, 3e4)],
+    ids=["square", "rectangular", "far-offset", "wide"],
+)
+def test_pairwise_sq_dists_bytes_match_one_line_expansion(rows, cols, n, offset):
+    # several row blocks each, so block seams are covered
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, n)) + offset
+    b = None if cols is None else rng.normal(size=(cols, n)) + offset
+    have = pairwise_sq_dists(a, b)
+    want = _one_line_sq_dists(a, b)
+    assert have.shape == want.shape
+    assert have.tobytes() == want.tobytes()
+
+
+def test_pairwise_sq_dists_refuses_matrix_beyond_physical_memory():
+    # zero-stride rows: 10**6 points that occupy 16 bytes
+    huge = np.broadcast_to(np.zeros(2), (10**6, 2))
+    with pytest.raises(InstanceTooLarge, match="physical memory"):
+        pairwise_sq_dists(huge)
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +489,90 @@ def test_spherical_ambient_dim_override():
     )
     part = classify_spherical(s, k=2, t=5.0)
     assert partition_compare(part, s.labels).exact_match
+
+
+def _reference_spherical(points, k, t):
+    """classify_spherical as a rooted copy of the whole distance matrix and
+    one live submatrix per peel; returns the clusters."""
+    m_total, n = points.shape
+    factor = 1.0 + 3.0 * t / math.sqrt(n)
+    dists = np.sqrt(pairwise_sq_dists(points))
+    alive = np.arange(m_total)
+    clusters = []
+    for _ in range(k):
+        if alive.size == 0:
+            raise EmptyPeel("no points left to peel")
+        if alive.size == 1:
+            clusters.append(alive.copy())
+            alive = alive[:0]
+            continue
+        sub = dists[np.ix_(alive, alive)]
+        np.fill_diagonal(sub, np.inf)
+        flat = int(np.argmin(sub))
+        i_loc = flat // alive.size
+        radius = float(sub.flat[flat]) * factor
+        removed_mask = dists[alive[i_loc]][alive] <= radius
+        clusters.append(alive[removed_mask])
+        alive = alive[~removed_mask]
+    if alive.size:
+        raise ResidualPointsAfterKPeels(f"{alive.size} points remain after {k} peels")
+    return clusters
+
+
+def _peel_outcome(run):
+    try:
+        return [c.tolist() for c in run()]
+    except (EmptyPeel, ResidualPointsAfterKPeels) as exc:
+        return type(exc).__name__
+
+
+def _assert_spherical_matches_reference(pts, t):
+    # every k up to the first that leaves no residual points, so each peel
+    # of the sequence is compared, not only the final partition
+    for k in range(1, pts.shape[0] + 1):
+        want = _peel_outcome(lambda: _reference_spherical(pts, k, t))
+        have = _peel_outcome(lambda: classify_spherical(pts, k=k, t=t).clusters)
+        assert have == want, k
+        if want != "ResidualPointsAfterKPeels":
+            break
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=40),
+    n=st.integers(min_value=1, max_value=4),
+    t=st.floats(min_value=0.01, max_value=20.0),
+    lattice=st.booleans(),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_spherical_matches_reference_loop(seed, m, n, t, lattice, offset):
+    rng = np.random.default_rng(seed)
+    if lattice:  # integer points: exact distances, many tied and repeated
+        pts = rng.integers(-2, 3, size=(m, n)).astype(float)
+    else:
+        blobs = rng.normal(scale=10.0, size=(int(rng.integers(1, 5)), n))
+        pts = blobs[rng.integers(0, blobs.shape[0], size=m)] + rng.normal(size=(m, n))
+    # far from the origin the Gram roundoff leaves nonzero self-distances
+    _assert_spherical_matches_reference(pts + offset, t)
+
+
+def test_spherical_matches_reference_on_grid_with_repeats():
+    grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+    pts = np.vstack([grid, grid[::5], 10.0 * grid[:7]])
+    for t in (0.05, 0.2, 1.0, 3.0):
+        _assert_spherical_matches_reference(pts, t)
+
+
+def test_spherical_removal_ball_tests_the_centers_own_entry():
+    # far from the origin the Gram roundoff leaves point 0's own squared
+    # distance positive while its near-duplicate's clips to 0, so the
+    # radius-0 ball around point 0 removes point 1 but not point 0 itself
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(10, 4)) * 1e3 + rng.normal(size=4) * 1e7
+    pts[1] = pts[0] + rng.normal(size=4) * 1e-6
+    d2 = pairwise_sq_dists(pts)
+    assert d2[0, 0] > 0.0 == d2[0, 1]
+    _assert_spherical_matches_reference(pts, 1.0)
+    with pytest.raises(ResidualPointsAfterKPeels):
+        classify_spherical(pts, k=3, t=1.0)

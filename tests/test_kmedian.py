@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import sepmix.kmedian
+from sepmix.classify import pairwise_sq_dists
 from sepmix.errors import (
     DimensionMismatch,
     InconsistentSigma,
     InstanceTooLarge,
+    LocalSearchCapWarning,
     NonFiniteInput,
     TooFewPoints,
     ZeroSigmaWarning,
@@ -109,10 +112,11 @@ def test_local_search_no_worse_than_seeding():
         [rng_pts.normal(size=(30, 2)), rng_pts.normal(size=(30, 2)) + 12.0]
     )
     sol = kmedian_local_search(pts, 2, np.random.default_rng(8))
-    seeded_only = kmedian_local_search(
-        pts, 2, np.random.default_rng(8),
-        LocalSearchConfig(max_rounds=1, improvement_factor=1e-3),
-    )
+    with pytest.warns(LocalSearchCapWarning):
+        seeded_only = kmedian_local_search(
+            pts, 2, np.random.default_rng(8),
+            LocalSearchConfig(max_rounds=1, improvement_factor=1e-3),
+        )
     assert sol.objective <= seeded_only.objective + 1e-9
 
 
@@ -131,6 +135,125 @@ def test_local_search_scale_equivariance(seed, scale):
         tied = kmedian_cost(pts, pts[b.center_indices])
         assert tied == pytest.approx(a.objective, rel=1e-12)
     assert b.objective == pytest.approx(scale * scale * a.objective, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# swap costs against the direct evaluation
+# ---------------------------------------------------------------------------
+
+
+def _reference_local_search(points, k, rng, config=LocalSearchConfig()):
+    """kmedian_local_search with one M x M temporary per out-position;
+    returns the sorted center indices."""
+    m = points.shape[0]
+    d2 = pairwise_sq_dists(points)
+    chosen = [int(rng.integers(m))]
+    nearest = d2[:, chosen[0]].copy()
+    while len(chosen) < k:
+        far = int(np.argmax(nearest))
+        chosen.append(far)
+        np.minimum(nearest, d2[:, far], out=nearest)
+    current = np.array(sorted(chosen), dtype=int)
+    cost = float(d2[:, current].min(axis=1).sum())
+    shrink = 1.0 - config.improvement_factor / k
+    for _ in range(config.max_rounds):
+        best_cost, best_pair = cost, None
+        in_set = np.zeros(m, dtype=bool)
+        in_set[current] = True
+        for out_pos in range(k):
+            keep = np.delete(current, out_pos)
+            base = d2[:, keep].min(axis=1) if keep.size else np.full(m, np.inf)
+            cand_costs = np.minimum(base[:, None], d2).sum(axis=0)
+            cand_costs[in_set] = np.inf
+            c = int(np.argmin(cand_costs))
+            if cand_costs[c] < best_cost:
+                best_cost, best_pair = float(cand_costs[c]), (out_pos, c)
+        if best_pair is None or best_cost > shrink * cost:
+            break
+        current = current.copy()
+        current[best_pair[0]] = best_pair[1]
+        current.sort()
+        cost = best_cost
+    return current
+
+
+def _direct_swap_costs(d2, current):
+    rows = []
+    for out_pos in range(current.size):
+        keep = np.delete(current, out_pos)
+        base = d2[:, keep].min(axis=1) if keep.size else np.full(d2.shape[0], np.inf)
+        rows.append(np.minimum(base[:, None], d2).sum(axis=0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_swap_costs_match_direct_evaluation(k):
+    rng = np.random.default_rng(30 + k)
+    pts = rng.normal(size=(90, 3))
+    pts[60:75] = pts[:15]  # duplicate points
+    lattice = rng.integers(-2, 3, size=(40, 2)).astype(float)  # exact ties
+    for points in (pts, lattice):
+        d2 = pairwise_sq_dists(points)
+        for _ in range(5):
+            current = np.sort(rng.choice(points.shape[0], size=k, replace=False))
+            np.testing.assert_allclose(
+                sepmix.kmedian._swap_costs(d2, current),
+                _direct_swap_costs(d2, current),
+                rtol=1e-12,
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=4, max_value=40),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    lattice=st.booleans(),
+)
+def test_local_search_matches_reference_loop(seed, m, n, k, lattice):
+    rng = np.random.default_rng(seed)
+    if lattice:  # integer points: exact, so even ties must break the same way
+        pts = rng.integers(-2, 3, size=(m, n)).astype(float)
+    else:
+        pts = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0)
+    have = kmedian_local_search(pts, k, np.random.default_rng(seed + 1))
+    want = _reference_local_search(pts, k, np.random.default_rng(seed + 1))
+    if lattice or np.array_equal(have.center_indices, want):
+        assert have.center_indices.tolist() == want.tolist()
+    else:
+        # summation order may only break a genuine tie differently
+        tied = kmedian_cost(pts, pts[want])
+        assert have.objective == pytest.approx(tied, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# round cap
+# ---------------------------------------------------------------------------
+
+
+def _two_cluster_points():
+    rng = np.random.default_rng(7)
+    return np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 12.0])
+
+
+def test_local_search_warns_when_cap_cuts_an_improving_search():
+    pts = _two_cluster_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LocalSearchCapWarning)
+        full = kmedian_local_search(pts, 2, np.random.default_rng(8))
+    with pytest.warns(LocalSearchCapWarning, match="max_rounds=1"):
+        capped = kmedian_local_search(
+            pts, 2, np.random.default_rng(8), LocalSearchConfig(max_rounds=1)
+        )
+    assert capped.objective > full.objective  # the search needed a second round
+
+
+def test_local_search_silent_when_first_round_finds_no_swap():
+    pts = np.random.default_rng(9).normal(size=(4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LocalSearchCapWarning)
+        kmedian_local_search(pts, 4, np.random.default_rng(0), LocalSearchConfig(max_rounds=1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +352,24 @@ def test_log_likelihood_rejects_inconsistent_plug_in_sigma(monkeypatch):
     monkeypatch.setattr(sepmix.kmedian, "sigma_hat", lambda *a, **kw: 1.1 * right)
     with pytest.raises(InconsistentSigma):
         spherical_log_likelihood(pts, sol)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [sigma_hat, spherical_log_likelihood],
+    ids=["sigma_hat", "log_likelihood"],
+)
+def test_likelihood_terms_check_points_against_solution(entry):
+    pts = np.random.default_rng(16).normal(size=(6, 2))
+    sol = kmedian_exhaustive(pts, 2)
+    with pytest.raises(DimensionMismatch):
+        entry(pts[:, 0], sol)  # 1-D
+    with pytest.raises(DimensionMismatch):
+        entry(pts[:5], sol)  # not the points the solution was fitted on
+    bad = pts.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        entry(bad, sol)
 
 
 def test_log_likelihood_fixed_sigma_hand_value():

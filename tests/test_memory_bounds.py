@@ -1,0 +1,54 @@
+"""Peak-memory guards for the M x M kernels.
+
+Each kernel may hold the one M x M squared distance matrix it builds, plus
+temporaries far smaller than it.  A second M x M temporary, such as an
+unblocked Gram expansion or a rooted copy of the matrix, lifts the peak to
+2 M^2 * 8 bytes or more and fails these tests.  numpy reports its data
+buffers to tracemalloc, so the traced peak covers every array allocated.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sepmix.classify import classify_spherical, pairwise_sq_dists
+from sepmix.kmedian import kmedian_local_search
+
+M, N = 3000, 8
+LIMIT = 1.35 * M * M * 8
+
+
+@pytest.fixture(scope="module")
+def three_clusters():
+    rng = np.random.default_rng(5)
+    centers = np.zeros((3, N))
+    centers[1, 0] = centers[2, 1] = 1e3
+    return rng.normal(size=(M, N)) + centers[np.arange(M) % 3]
+
+
+def _traced_peak(call) -> int:
+    """Peak traced bytes above the level at the call's start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pts: pairwise_sq_dists(pts),
+        lambda pts: classify_spherical(pts, k=3, t=100.0),
+        lambda pts: kmedian_local_search(pts, 3, np.random.default_rng(1)),
+    ],
+    ids=["pairwise_sq_dists", "classify_spherical", "kmedian_local_search"],
+)
+def test_peak_stays_near_one_distance_matrix(call, three_clusters):
+    peak = _traced_peak(lambda: call(three_clusters))
+    assert peak <= LIMIT, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"

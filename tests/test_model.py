@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from sepmix.errors import (
     DegenerateSample,
     DimensionMismatch,
+    NonFiniteInput,
     NonOrthonormalRotation,
     NonPositiveEigenvalue,
     TooFewSamples,
@@ -167,6 +168,13 @@ def test_log_density_dimension_mismatch():
     g = make_gaussian([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         log_density(g, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_density_rejects_non_finite_points(bad):
+    g = make_gaussian([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(NonFiniteInput):
+        log_density(g, [[0.0, 0.0], [bad, 0.0]])
 
 
 @pytest.mark.parametrize("n,eigs", [(1, [0.7]), (2, [1.3, 0.4])])
