@@ -15,6 +15,14 @@ Every quantity above depends on the points only through pairwise distances
 and subset covariance spectra, so the output is invariant under rigid
 motions and (up to index relabeling) under point order.
 
+classify_general centers the points on their mean and forms their squared
+distance matrix once.  Each peel reads the live rows and columns of that
+matrix in row blocks: the dense ball ranks squared entries and roots only
+the per-row order statistics and the center's row.  A ball with fewer
+points than dimensions takes its centered Gram matrix from its block of the
+same matrix by double-centering, -1/2 J D J / m; a larger ball solves its
+n x n covariance.
+
 The spherical warm-up instead removes, k times, the ball of radius
 |x0 - y0| * (1 + 3 t / sqrt(n)) around the closest remaining pair (x0, y0).
 """
@@ -195,14 +203,31 @@ def smallest_dense_ball(points, T, threshold: int) -> tuple[int, float]:
         raise ValueError("threshold must be >= 1")
     if threshold > T.size:
         raise ThresholdTooLarge(f"threshold {threshold} > |T| = {T.size}")
-    dists = np.sqrt(pairwise_sq_dists(points[T]))
-    local, alpha = _dense_ball_from_dists(dists, threshold)
+    d2 = pairwise_sq_dists(points[T])
+    local, alpha = _dense_ball(d2, np.arange(T.size), threshold)
     return int(T[local]), alpha
 
 
-def _dense_ball_from_dists(dists: np.ndarray, threshold: int) -> tuple[int, float]:
-    kth = np.partition(dists, threshold - 1, axis=1)[:, threshold - 1]
-    local = int(np.argmin(kth))  # first minimum = lowest index
+def _dense_ball(d2: np.ndarray, alive: np.ndarray, threshold: int) -> tuple[int, float]:
+    """Densest ball over the live rows and columns of a squared distance matrix.
+
+    Each live row's threshold-th smallest squared entry over the live columns
+    is found in row blocks of about _BLOCK_BYTES; only those |alive| order
+    statistics are rooted.  The square root is monotone, so they equal the
+    order statistics of the rooted rows.  Returns (position in ``alive`` of
+    the center, radius alpha), ties in the rooted radius to the lowest
+    position.
+    """
+    kth = np.empty(alive.size)
+    every = alive.size == d2.shape[1]
+    step = _block_rows(alive.size)
+    for lo in range(0, alive.size, step):
+        rows = alive[lo : lo + step]
+        blk = d2[rows] if every else d2[np.ix_(rows, alive)]
+        blk.partition(threshold - 1, axis=1)
+        kth[lo : lo + step] = blk[:, threshold - 1]
+    np.sqrt(kth, out=kth)
+    local = int(np.argmin(kth))  # first minimum = lowest position
     return local, float(kth[local])
 
 
@@ -221,7 +246,7 @@ def max_variance(points) -> tuple[float, np.ndarray]:
     """
     points, _ = _points_of(points)
     m, n = points.shape
-    if m == 1 or not np.ptp(points, axis=0).any():
+    if _coincident(points, np.arange(m)):
         v = np.zeros(n)
         v[0] = 1.0
         return 0.0, v
@@ -229,6 +254,34 @@ def max_variance(points) -> tuple[float, np.ndarray]:
     gram_side = m < n
     g = y @ y.T if gram_side else y.T @ y
     g /= m
+    w, v = _top_eigenpair(g)
+    if gram_side:
+        v = y.T @ v
+        v /= np.linalg.norm(v)
+    return w, v
+
+
+def _coincident(points: np.ndarray, rows: np.ndarray) -> bool:
+    """True when the points indexed by ``rows`` are all equal.
+
+    Their variance is then exactly 0.  Row blocks of about _BLOCK_BYTES are
+    compared with the first point, stopping at the first block that holds
+    another point, so spread-out points cost one block.
+    """
+    first = points[rows[0]]
+    step = _block_rows(points.shape[1])
+    for lo in range(1, rows.size, step):
+        if (points[rows[lo : lo + step]] != first).any():
+            return False
+    return True
+
+
+def _top_eigenpair(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of the symmetric ``g`` (overwritten).
+
+    Raises:
+        EigenSolverFailed: LAPACK did not converge.
+    """
     d = g.shape[0]
     try:
         w, u = scipy.linalg.eigh(
@@ -242,11 +295,39 @@ def max_variance(points) -> tuple[float, np.ndarray]:
         raise EigenSolverFailed(
             f"top eigenpair of a {d} x {d} matrix did not converge: {exc}"
         ) from exc
-    v = u[:, 0]
-    if gram_side:
-        v = y.T @ v
-        v /= np.linalg.norm(v)
-    return float(w[0]), v
+    return float(w[0]), u[:, 0]
+
+
+def _gram_from_sq_dists(d2: np.ndarray) -> np.ndarray:
+    """Centered Gram matrix y y^T / m of m points from their squared distances.
+
+    Classical double-centering (Gower 1966): -1/2 J D J / m with
+    J = I - 11^T / m, in O(m^2) instead of the O(m^2 n) product.  Overwrites
+    and returns the symmetric m x m matrix ``d2``.
+    """
+    m = d2.shape[0]
+    r = d2.mean(axis=1)
+    d2 -= r[:, None]
+    d2 -= r[None, :]
+    d2 += r.mean()
+    d2 *= -0.5 / m
+    return d2
+
+
+def _ball_variance(points: np.ndarray, d2: np.ndarray, ball: np.ndarray) -> float:
+    """Top covariance eigenvalue of the points indexed by ``ball``.
+
+    ``d2`` holds the squared distances between all rows of ``points``.  A ball
+    of at least as many points as dimensions goes to max_variance, which
+    solves the n x n covariance.  A smaller ball's Gram matrix is
+    double-centered from its block of ``d2``.  Coincident points give exactly
+    0 on both sides.
+    """
+    if ball.size >= points.shape[1]:
+        return max_variance(points[ball])[0]
+    if _coincident(points, ball):
+        return 0.0
+    return _top_eigenpair(_gram_from_sq_dists(d2[np.ix_(ball, ball)]))[0]
 
 
 def find_gap(points, T, center_index: int, alpha: float, nu: float, step_cap: int) -> int:
@@ -284,6 +365,17 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
     partition itself; generation metadata feeds warn-only diagnostics) or a
     plain M x n matrix.
 
+    The points are centered on their mean, which keeps the Gram expansion
+    free of cancellation far from the origin, and their M x M squared
+    distance matrix is formed once.  No peel copies it: the dense ball takes
+    each live row's threshold-th smallest squared entry over the live
+    columns, in row blocks, and roots only those order statistics and the
+    center's row.  beta and beta' of a ball with fewer points m than
+    dimensions n come from the ball's m x m Gram matrix, double-centered
+    from its block of the squared matrix (Gower 1966); a ball with m >= n
+    goes to max_variance, which solves the n x n covariance.  A ball of
+    coincident points has beta exactly 0 on both sides.
+
     Raises:
         ThresholdTooLarge: a peel finds fewer live points than the threshold.
         NoGapWithinCap: step 3 exhausts its cap.
@@ -305,6 +397,8 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         )
     log_term = math.log(m_total / config.delta) + 1.0
     trace = PeelTrace(threshold=threshold, t=t, delta=config.delta)
+    points = points - points.mean(axis=0)
+    d2 = pairwise_sq_dists(points)
     alive = np.arange(m_total)
     clusters: list[np.ndarray] = []
     for _ in range(config.k):
@@ -313,12 +407,10 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
                 f"{alive.size} live points < threshold {threshold} "
                 f"after {len(clusters)} peels"
             )
-        pts = points[alive]
-        dists = np.sqrt(pairwise_sq_dists(pts))
-        x_loc, alpha = _dense_ball_from_dists(dists, threshold)
-        row = dists[x_loc].copy()
-        del dists  # free the M x M matrix before the eigen solves; only row is used
-        beta, _ = max_variance(pts[row <= alpha])
+        x_loc, alpha = _dense_ball(d2, alive, threshold)
+        row = d2[alive[x_loc], alive]
+        np.sqrt(row, out=row)
+        beta = _ball_variance(points, d2, alive[row <= alpha])
         nu = math.sqrt(config.w_min * beta / 8.0)
         if nu > 0.0:
             cap = config.step_cap
@@ -331,7 +423,7 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         else:
             s = 1  # all ball points coincide; any step adds nothing
         r_gap = alpha + s * nu
-        beta_prime, _ = max_variance(pts[row <= r_gap])
+        beta_prime = _ball_variance(points, d2, alive[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
         removed_mask = row <= removal_radius
         if not np.any(removed_mask):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from sepmix.classify import (
+    _STEP_CAP_MAX,
     ClassifierConfig,
+    _ball_variance,
+    _dense_ball,
     classify_general,
     classify_spherical,
     find_gap,
@@ -153,6 +156,33 @@ def test_dense_ball_threshold_too_large():
         smallest_dense_ball(pts, np.arange(2), 3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=60),
+    lattice=st.booleans(),
+)
+def test_dense_ball_on_live_rows_matches_subset_matrix(seed, m, lattice):
+    # ranking the live block of one squared matrix picks the same center and
+    # radius as a matrix rebuilt on the live points; lattice points tie often
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(-2, 3, size=(m, 2)).astype(float)
+    else:
+        pts = rng.normal(size=(m, 3))
+    alive = np.flatnonzero(rng.random(m) < 0.6)
+    if alive.size == 0:
+        alive = np.array([m - 1])
+    threshold = int(rng.integers(1, alive.size + 1))
+    local, alpha = _dense_ball(pairwise_sq_dists(pts), alive, threshold)
+    center, want = smallest_dense_ball(pts, alive, threshold)
+    assert alive[local] == center
+    if lattice:
+        assert alpha == want
+    else:
+        assert alpha == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # max_variance
 # ---------------------------------------------------------------------------
@@ -197,20 +227,45 @@ def test_max_variance_gram_side():
     assert quad == pytest.approx(beta, rel=1e-10)
 
 
-@pytest.mark.parametrize("m, n", [(600, 8), (40, 300)])
-def test_max_variance_near_degenerate_top(m, n):
-    # top three covariance eigenvalues within 0.01% of each other, as on the
-    # concentric pair's balls; the covariance is built exactly as R diag R^T
+def _near_degenerate_points(m, n):
+    """m points in n dims whose top three covariance eigenvalues lie within
+    0.01% of each other, as on the concentric pair's balls; the covariance is
+    built exactly as R diag(lam) R^T.  Returns (points, lam, R)."""
     rng = np.random.default_rng(7)
     lam = np.full(min(m - 1, n), 0.5)
     lam[:3] = [1.0 + 1e-4, 1.0 + 0.5e-4, 1.0]
     z = rng.normal(size=(m, lam.size))
     q, _ = np.linalg.qr(z - z.mean(axis=0))  # orthonormal, orthogonal to ones
     r, _ = np.linalg.qr(rng.normal(size=(n, lam.size)))
-    pts = (q * np.sqrt(m * lam)) @ r.T + 50.0
+    return (q * np.sqrt(m * lam)) @ r.T + 50.0, lam, r
+
+
+@pytest.mark.parametrize("m, n", [(600, 8), (40, 300)])
+def test_max_variance_near_degenerate_top(m, n):
+    pts, lam, r = _near_degenerate_points(m, n)
     beta, direction = max_variance(pts)
     assert beta == pytest.approx(lam[0], rel=1e-10)
     assert abs(float(direction @ r[:, 0])) == pytest.approx(1.0, abs=1e-8)
+
+
+def _gram_side_sets():
+    rng = np.random.default_rng(14)
+    yield rng.normal(size=(30, 200)) * np.linspace(0.5, 2.0, 200) + 1e3
+    yield _near_degenerate_points(40, 300)[0]
+
+
+@pytest.mark.parametrize(
+    "ball_pts", list(_gram_side_sets()), ids=["spread", "near-degenerate"]
+)
+def test_gram_from_distances_matches_max_variance(ball_pts):
+    # the ball is the first rows of a larger centered set, as in a peel
+    m, n = ball_pts.shape
+    rest = np.random.default_rng(15).normal(size=(25, n)) * 3.0 + 40.0
+    pts = np.vstack([ball_pts, rest])
+    pts -= pts.mean(axis=0)
+    ball = np.arange(m)
+    beta = _ball_variance(pts, pairwise_sq_dists(pts), ball)
+    assert beta == pytest.approx(max_variance(ball_pts)[0], rel=1e-10)
 
 
 def test_max_variance_solver_failure_is_named(monkeypatch):
@@ -427,6 +482,140 @@ def test_classifier_refuses_nonpositive_t():
     pts = np.random.default_rng(0).normal(size=(40, 3))
     with pytest.raises(ValueError):
         classify_general(pts, ClassifierConfig(k=1, w_min=1.0, t_override=-1.0))
+
+
+@pytest.mark.parametrize("n", [2, 30], ids=["covariance-side", "gram-side"])
+def test_classify_coincident_ball_has_zero_variance(n):
+    # a ball of ten copies of one point, off the origin so the squared
+    # distances between the copies are roundoff rather than 0, next to a
+    # spread blob; the double-centered Gram side would give -0.0
+    rng = np.random.default_rng(16)
+    copies = np.tile(rng.normal(size=n) * 1e3, (10, 1))
+    blob = rng.normal(size=(10, n)) + 1e4
+    part = classify_general(
+        np.vstack([copies, blob]), ClassifierConfig(k=2, w_min=0.5, t_override=10.0)
+    )
+    first = part.trace.steps[0]
+    assert first.removed.tolist() == list(range(10))
+    for value in (first.beta, first.beta_prime, first.nu):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0  # not -0.0
+    assert first.s == 1
+
+
+@pytest.mark.parametrize("n", [2, 30], ids=["covariance-side", "gram-side"])
+def test_coincident_ball_ignores_roundoff_in_its_distances(n):
+    # another BLAS may round the copies' squared distances differently; the
+    # variance of coincident points is 0 whatever their distance block says
+    rng = np.random.default_rng(17)
+    pts = np.vstack([np.tile(rng.normal(size=n), (10, 1)), rng.normal(size=(5, n))])
+    d2 = pairwise_sq_dists(pts)
+    d2[:10, :10] += rng.random((10, 10)) * 1e-9
+    assert _ball_variance(pts, d2, np.arange(10)) == 0.0
+
+
+_PEEL_ERRORS = (ThresholdTooLarge, NoGapWithinCap, EmptyPeel, ResidualPointsAfterKPeels)
+
+
+def _reference_general(points, config):
+    """classify_general as one Gram expansion and one rooted matrix per peel
+    over the live points, with each ball's variance from max_variance; returns
+    the peel records as dicts, or the name of the error raised."""
+    m_total = points.shape[0]
+    threshold = math.ceil(3.0 * config.w_min * m_total / 4.0 - 1e-9)
+    log_term = math.log(m_total / config.delta) + 1.0
+    alive = np.arange(m_total)
+    steps = []
+    try:
+        for _ in range(config.k):
+            if alive.size < threshold:
+                raise ThresholdTooLarge("too few live points")
+            pts = points[alive]
+            dists = np.sqrt(pairwise_sq_dists(pts))
+            kth = np.partition(dists, threshold - 1, axis=1)[:, threshold - 1]
+            x_loc = int(np.argmin(kth))
+            alpha = float(kth[x_loc])
+            row = dists[x_loc].copy()
+            beta, _ = max_variance(pts[row <= alpha])
+            nu = math.sqrt(config.w_min * beta / 8.0)
+            if nu > 0.0:
+                cap = min(
+                    _STEP_CAP_MAX,
+                    math.ceil(float(row.max()) / nu) + 4 * math.ceil(math.sqrt(beta) / nu) + 1,
+                )
+                inside = np.count_nonzero(row <= alpha)
+                for s in range(1, cap + 1):
+                    grown = np.count_nonzero(row <= alpha + s * nu)
+                    if grown == inside:
+                        break
+                    inside = grown
+                else:
+                    raise NoGapWithinCap("no gap")
+            else:
+                s = 1
+            r_gap = alpha + s * nu
+            beta_prime, _ = max_variance(pts[row <= r_gap])
+            removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
+            removed_mask = row <= removal_radius
+            if not np.any(removed_mask):
+                raise EmptyPeel("peel removed no points")
+            steps.append(
+                {
+                    "center_index": int(alive[x_loc]),
+                    "alpha": alpha,
+                    "beta": beta,
+                    "nu": nu,
+                    "s": s,
+                    "beta_prime": beta_prime,
+                    "removal_radius": removal_radius,
+                    "removed": alive[removed_mask].tolist(),
+                }
+            )
+            alive = alive[~removed_mask]
+        if alive.size:
+            raise ResidualPointsAfterKPeels("points remain")
+    except _PEEL_ERRORS as exc:
+        return type(exc).__name__
+    return steps
+
+
+def _general_outcome(points, config):
+    try:
+        part = classify_general(points, config)
+    except _PEEL_ERRORS as exc:
+        return type(exc).__name__
+    return [dict(step.to_dict(), removed=step.removed.tolist()) for step in part.trace.steps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=3),
+    per_blob=st.integers(min_value=6, max_value=20),
+    n=st.sampled_from([2, 5, 12, 30, 80]),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+@example(seed=0, k=2, per_blob=20, n=2, offset=1e6)  # covariance side only
+@example(seed=0, k=2, per_blob=20, n=80, offset=1e6)  # Gram side only
+def test_general_matches_reference_loop(seed, k, per_blob, n, offset):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=100.0, size=(k, n))
+    pts = centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
+    pts += offset
+    config = ClassifierConfig(k=k, w_min=1.0 / k, t_override=10.0)
+    # the reference is translation invariant in exact arithmetic; it gets the
+    # points centered as classify_general centers them, so far from the
+    # origin the two agree to roundoff of the centered coordinates
+    want = _reference_general(pts - pts.mean(axis=0), config)
+    have = _general_outcome(pts, config)
+    if isinstance(want, str):
+        assert have == want
+        return
+    assert len(have) == len(want)
+    for h, w in zip(have, want):
+        for key in ("center_index", "s", "removed"):
+            assert h[key] == w[key], key
+        for key in ("alpha", "beta", "nu", "beta_prime", "removal_radius"):
+            assert h[key] == pytest.approx(w[key], rel=1e-9, abs=0.0), key
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepmix.classify import classify_spherical, pairwise_sq_dists
+from sepmix.classify import (
+    ClassifierConfig,
+    classify_general,
+    classify_spherical,
+    pairwise_sq_dists,
+)
 from sepmix.kmedian import kmedian_local_search
 
 M, N = 3000, 8
@@ -45,9 +50,15 @@ def _traced_peak(call) -> int:
     [
         lambda pts: pairwise_sq_dists(pts),
         lambda pts: classify_spherical(pts, k=3, t=100.0),
+        lambda pts: classify_general(pts, ClassifierConfig(k=3, w_min=0.3)),
         lambda pts: kmedian_local_search(pts, 3, np.random.default_rng(1)),
     ],
-    ids=["pairwise_sq_dists", "classify_spherical", "kmedian_local_search"],
+    ids=[
+        "pairwise_sq_dists",
+        "classify_spherical",
+        "classify_general",
+        "kmedian_local_search",
+    ],
 )
 def test_peak_stays_near_one_distance_matrix(call, three_clusters):
     peak = _traced_peak(lambda: call(three_clusters))
