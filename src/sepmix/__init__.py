@@ -8,6 +8,11 @@ validators for the concentration facts the classifiers rely on
 (:mod:`sepmix.kmedian`), CSV/JSON persistence (:mod:`sepmix.io`), partition
 scoring (:mod:`sepmix.scoring`), and seeded experiment orchestration
 (:mod:`sepmix.experiment`).
+
+The names below are the supported API: the entry points the CLI and the
+README use, their config and result types, and every error and warning
+class.  Helpers such as the concentration checkers, ``pairwise_sq_dists``
+and ``max_variance`` are imported from their submodules.
 """
 
 from .classify import (
@@ -17,21 +22,6 @@ from .classify import (
     PeelTrace,
     classify_general,
     classify_spherical,
-    find_gap,
-    max_variance,
-    pairwise_sq_dists,
-    smallest_dense_ball,
-)
-from .concentration import (
-    CovarianceCheck,
-    EmpiricalBound,
-    GrowthCurve,
-    ball_growth_check,
-    covariance_concentration_check,
-    cross_pair_check,
-    pair_distance_check,
-    point_distance_check,
-    shell_mass_check,
 )
 from .errors import (
     DegenerateSample,
@@ -47,7 +37,6 @@ from .errors import (
     InvalidDelta,
     LocalSearchCapWarning,
     MissingMedianRadius,
-    NoGapWithinCap,
     NonFiniteInput,
     NonOrthonormalRotation,
     NonPositiveEigenvalue,
@@ -66,14 +55,11 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     TrialReport,
-    guarantee_sample_floor,
     run_experiment,
     run_validation_suite,
-    summary_rows,
 )
 from .io import (
     load_params,
-    load_partition,
     load_samples,
     save_params,
     save_partition,
@@ -84,34 +70,20 @@ from .kmedian import (
     KMedianSolution,
     LocalSearchConfig,
     fit_spherical_mixture,
-    kmedian_cost,
     kmedian_exhaustive,
-    kmedian_local_search,
-    sigma_hat,
-    spherical_log_likelihood,
 )
 from .model import (
     GaussianParams,
     LabeledSampleSet,
     Mixture,
-    log_density,
-    make_gaussian,
     median_radius,
-    random_rotation,
-    sample,
-    sample_concentric_spherical_embedded,
-    sample_covariance_fit,
     sample_mixture,
-    spherical_median_radius,
 )
 from .scoring import MatchResult, partition_compare
 from .separation import (
     SeparationConfig,
     SeparationReport,
-    pair_margin,
-    pair_separation_rhs,
     plant_separated_mixture,
-    schedule_t,
     separation_margin,
 )
 
@@ -119,21 +91,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierConfig",
-    "CovarianceCheck",
     "DegenerateSample",
     "DiagnosticWarning",
     "DimensionMismatch",
     "EigenSolverFailed",
     "EmptyPeel",
-    "EmpiricalBound",
     "ExperimentConfig",
     "ExperimentResult",
     "FitResult",
     "GaussianParams",
     "GridTooCoarse",
-    "GrowthCurve",
-    "IndexMismatch",
     "InconsistentSigma",
+    "IndexMismatch",
     "InfeasiblePlacement",
     "InstanceTooLarge",
     "InvalidDelta",
@@ -144,7 +113,6 @@ __all__ = [
     "MatchResult",
     "MissingMedianRadius",
     "Mixture",
-    "NoGapWithinCap",
     "NonFiniteInput",
     "NonOrthonormalRotation",
     "NonPositiveEigenvalue",
@@ -164,47 +132,20 @@ __all__ = [
     "TooFewSamples",
     "TrialReport",
     "ZeroSigmaWarning",
-    "ball_growth_check",
     "classify_general",
     "classify_spherical",
-    "covariance_concentration_check",
-    "cross_pair_check",
-    "find_gap",
     "fit_spherical_mixture",
-    "guarantee_sample_floor",
-    "kmedian_cost",
     "kmedian_exhaustive",
-    "kmedian_local_search",
     "load_params",
-    "load_partition",
     "load_samples",
-    "log_density",
-    "make_gaussian",
-    "max_variance",
     "median_radius",
-    "pair_distance_check",
-    "pair_margin",
-    "pair_separation_rhs",
-    "pairwise_sq_dists",
     "partition_compare",
     "plant_separated_mixture",
-    "point_distance_check",
-    "random_rotation",
     "run_experiment",
     "run_validation_suite",
-    "sample",
-    "sample_concentric_spherical_embedded",
-    "sample_covariance_fit",
     "sample_mixture",
     "save_params",
     "save_partition",
     "save_samples",
-    "schedule_t",
     "separation_margin",
-    "shell_mass_check",
-    "sigma_hat",
-    "smallest_dense_ball",
-    "spherical_log_likelihood",
-    "spherical_median_radius",
-    "summary_rows",
 ]

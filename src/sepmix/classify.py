@@ -7,13 +7,15 @@ The general classifier repeats k times on the remaining index set T:
   2. beta = largest directional variance of the points in B(x, alpha), i.e.
      the top eigenvalue of their covariance;
   3. march outward from alpha in steps of nu = sqrt(w_min * beta / 8) until
-     one step adds no new point of T (step count s);
+     one step adds no new point of T (step count s; on a finite T the march
+     always ends);
   4. beta' = largest directional variance within B(x, alpha + s * nu);
   5. remove B(x, alpha + s * nu + 3 * sqrt(beta') * (ln(|S| / delta) + 1)).
 
 Every quantity above depends on the points only through pairwise distances
 and subset covariance spectra, so the output is invariant under rigid
-motions and (up to index relabeling) under point order.
+motions and (up to index relabeling) under point order.  None of the radii
+depends on the separation scale t, so the classifier takes no t.
 
 classify_general centers the points on their mean and forms their squared
 distance matrix once.  Each peel reads the live rows and columns of that
@@ -42,14 +44,11 @@ from .errors import (
     EigenSolverFailed,
     EmptyPeel,
     InstanceTooLarge,
-    NoGapWithinCap,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
 from .model import LabeledSampleSet, _points_of
-from .separation import schedule_t
 
-_STEP_CAP_MAX = 1_000_000
 # Row blocks of M x M passes are kept near this size, so no pass allocates a
 # second M x M array and a block's few temporaries stay in a per-core L2
 # cache: on a Xeon with 2 MiB of L2 per core, one k-median swap pass at
@@ -61,17 +60,14 @@ _BLOCK_BYTES = 256 << 10
 class ClassifierConfig:
     """Knobs for the general classifier.
 
-    ``t_override`` replaces the schedule t = 100 ln|S| / delta; t only feeds
-    diagnostics (the peeling radii are t-free), but it must be positive.
-    ``step_cap`` bounds the step-3 search; when None a per-peel cap is derived
-    from the observed radius spread, bounded by 1e6.
+    ``k`` peels are made; ``w_min`` (the least component weight) sets the
+    dense-ball threshold and the gap step; ``delta`` (the failure
+    probability) sets the removal margin through ln(|S| / delta).
     """
 
     k: int
     w_min: float
     delta: float = 0.05
-    t_override: float | None = None
-    step_cap: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -80,8 +76,6 @@ class ClassifierConfig:
             raise ValueError(f"need 0 < w_min and k * w_min <= 1, got {self.w_min}")
         if not (0 < self.delta <= 1):
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.step_cap is not None and self.step_cap < 1:
-            raise ValueError("step_cap must be >= 1")
 
 
 @dataclass
@@ -114,7 +108,6 @@ class PeelStep:
 @dataclass
 class PeelTrace:
     threshold: int
-    t: float
     delta: float
     steps: list[PeelStep] = field(default_factory=list)
 
@@ -185,27 +178,6 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 def _block_rows(cols: int) -> int:
     """Rows of a float64 block of ``cols`` columns that fit in _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
-
-
-def smallest_dense_ball(points, T, threshold: int) -> tuple[int, float]:
-    """Smallest ball centered on a point of T holding >= threshold points of T.
-
-    Returns (center point index, radius alpha).  The radius is the
-    threshold-th smallest within-T distance from the center (the center
-    itself counts).  Ties go to the lowest point index.
-
-    Raises:
-        ThresholdTooLarge: threshold exceeds |T|.
-    """
-    points, _ = _points_of(points)
-    T = np.sort(np.asarray(T, dtype=int))
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    if threshold > T.size:
-        raise ThresholdTooLarge(f"threshold {threshold} > |T| = {T.size}")
-    d2 = pairwise_sq_dists(points[T])
-    local, alpha = _dense_ball(d2, np.arange(T.size), threshold)
-    return int(T[local]), alpha
 
 
 def _dense_ball(d2: np.ndarray, alive: np.ndarray, threshold: int) -> tuple[int, float]:
@@ -330,32 +302,21 @@ def _ball_variance(points: np.ndarray, d2: np.ndarray, ball: np.ndarray) -> floa
     return _top_eigenpair(_gram_from_sq_dists(d2[np.ix_(ball, ball)]))[0]
 
 
-def find_gap(points, T, center_index: int, alpha: float, nu: float, step_cap: int) -> int:
-    """Least s >= 1 with B(x, alpha + s nu) and B(x, alpha + (s-1) nu) equal on T.
+def _gap_steps(sorted_dists: np.ndarray, alpha: float, nu: float) -> int:
+    """Least s >= 1 with B(x, alpha + s nu) and B(x, alpha + (s-1) nu) equal.
 
-    Raises:
-        NoGapWithinCap: no such s within step_cap steps.
+    ``sorted_dists`` holds the ascending distances from x to the live points.
+    Every step that does not end the march admits at least one new point, so
+    s <= (points beyond alpha) + 1; nu = 0 gives s = 1.
     """
-    points, _ = _points_of(points)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    T = np.asarray(T, dtype=int)
-    dists = np.sort(np.linalg.norm(points[T] - points[center_index], axis=1))
-    return _gap_from_sorted(dists, alpha, nu, step_cap)
-
-
-def _gap_from_sorted(sorted_dists: np.ndarray, alpha: float, nu: float, step_cap: int) -> int:
     prev = int(np.searchsorted(sorted_dists, alpha, side="right"))
-    for s in range(1, step_cap + 1):
+    s = 1
+    while True:
         cur = int(np.searchsorted(sorted_dists, alpha + s * nu, side="right"))
         if cur == prev:
             return s
         prev = cur
-    raise NoGapWithinCap(
-        f"no empty annulus within {step_cap} steps; mixture may be unseparated"
-    )
+        s += 1
 
 
 def classify_general(samples, config: ClassifierConfig) -> Partition:
@@ -374,21 +335,17 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
     dimensions n come from the ball's m x m Gram matrix, double-centered
     from its block of the squared matrix (Gower 1966); a ball with m >= n
     goes to max_variance, which solves the n x n covariance.  A ball of
-    coincident points has beta exactly 0 on both sides.
+    coincident points has beta exactly 0 on both sides.  The gap search
+    marches on the center's rooted row until a step adds no live point, which
+    takes at most one step more than there are live points beyond alpha.
 
     Raises:
         ThresholdTooLarge: a peel finds fewer live points than the threshold.
-        NoGapWithinCap: step 3 exhausts its cap.
         EmptyPeel: a peel removes nothing.
         ResidualPointsAfterKPeels: points remain after k peels.
     """
     points, meta = _points_of(samples)
     m_total = points.shape[0]
-    t = config.t_override if config.t_override is not None else schedule_t(
-        m_total, config.delta
-    )
-    if t <= 0:
-        raise ValueError(f"separation scale t must be positive, got {t}")
     threshold = math.ceil(3.0 * config.w_min * m_total / 4.0 - 1e-9)
     if m_total < config.k * threshold:
         raise ValueError(
@@ -396,7 +353,7 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
             "sample too small for the configured w_min"
         )
     log_term = math.log(m_total / config.delta) + 1.0
-    trace = PeelTrace(threshold=threshold, t=t, delta=config.delta)
+    trace = PeelTrace(threshold=threshold, delta=config.delta)
     points = points - points.mean(axis=0)
     d2 = pairwise_sq_dists(points)
     alive = np.arange(m_total)
@@ -412,16 +369,7 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         np.sqrt(row, out=row)
         beta = _ball_variance(points, d2, alive[row <= alpha])
         nu = math.sqrt(config.w_min * beta / 8.0)
-        if nu > 0.0:
-            cap = config.step_cap
-            if cap is None:
-                cap = min(
-                    _STEP_CAP_MAX,
-                    math.ceil(float(row.max()) / nu) + 4 * math.ceil(math.sqrt(beta) / nu) + 1,
-                )
-            s = _gap_from_sorted(np.sort(row), alpha, nu, cap)
-        else:
-            s = 1  # all ball points coincide; any step adds nothing
+        s = _gap_steps(np.sort(row), alpha, nu)
         r_gap = alpha + s * nu
         beta_prime = _ball_variance(points, d2, alive[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term

@@ -76,13 +76,7 @@ def _load_sample_set(path) -> LabeledSampleSet | np.ndarray:
 
 def _cmd_classify(args) -> int:
     samples = _load_sample_set(args.samples)
-    config = ClassifierConfig(
-        k=args.k,
-        w_min=args.wmin,
-        delta=args.delta,
-        t_override=args.t,
-        step_cap=args.step_cap,
-    )
+    config = ClassifierConfig(k=args.k, w_min=args.wmin, delta=args.delta)
     partition = classify_general(samples, config)
     save_partition(args.out, partition.as_labels())
     if args.trace:
@@ -210,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--wmin", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--t", type=float, help="override the schedule t")
-    p.add_argument("--step-cap", type=int)
+    # accepted and ignored, so command lines written for the old t option
+    # still run; the peel radii do not depend on t
+    p.add_argument("--t", type=float, help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write per-peel trace JSON here")
     p.set_defaults(func=_cmd_classify)

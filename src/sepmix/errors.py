@@ -47,10 +47,6 @@ class ThresholdTooLarge(SepmixError):
     """Dense-ball threshold exceeds the number of available points."""
 
 
-class NoGapWithinCap(SepmixError):
-    """No empty annulus found within the step cap; separation is suspect."""
-
-
 class ResidualPointsAfterKPeels(SepmixError):
     """Points remain unassigned after the configured number of peels."""
 

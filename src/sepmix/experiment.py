@@ -52,7 +52,12 @@ SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a data source, a scenario, and trial bookkeeping."""
+    """One experiment: a data source, a scenario, and trial bookkeeping.
+
+    ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``.  The
+    separation scale ``t`` and the step cap that older configs carry there
+    are ignored.
+    """
 
     scenario: str
     trials: int
@@ -230,8 +235,6 @@ def _run_trial(config: ExperimentConfig, trial: int, cache: dict) -> TrialReport
                         k=config.classifier["k"],
                         w_min=config.classifier["w_min"],
                         delta=config.classifier.get("delta", 0.05),
-                        t_override=config.classifier.get("t"),
-                        step_cap=config.classifier.get("step_cap"),
                     )
                     part = classify_general(samples, cc)
                     report.extras["peels"] = [s.to_dict() for s in part.trace.steps]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePlacement, InvalidDelta, MissingMedianRadius
+from .errors import InfeasiblePlacement
 from .model import GaussianParams, Mixture, make_gaussian, median_radius, random_rotation
 
 _PAPER_CONSTANTS = (500.0, 100.0)
@@ -68,15 +68,6 @@ class SeparationReport:
     def min_margin(self) -> float:
         off = self.margins[~np.isnan(self.margins)]
         return float(off.min()) if off.size else math.inf
-
-
-def schedule_t(sample_size: int, delta: float) -> float:
-    """Separation scale 100 * ln(sample_size) / delta."""
-    if sample_size < 2:
-        raise ValueError(f"sample_size must be >= 2, got {sample_size}")
-    if delta <= 0 or delta > 1:
-        raise InvalidDelta(f"delta must be in (0, 1], got {delta}")
-    return 100.0 * math.log(sample_size) / delta
 
 
 def pair_separation_rhs(

@@ -162,9 +162,7 @@ def test_criterion_02_concentric_pair():
     samples = sample_concentric_spherical_embedded(
         [1.0, 10.0], [0.5, 0.5], AMBIENT, np.random.default_rng(9), 2000, seed=9
     )
-    part = classify_general(
-        samples, ClassifierConfig(k=2, w_min=0.5, delta=0.05, t_override=10.0)
-    )
+    part = classify_general(samples, ClassifierConfig(k=2, w_min=0.5, delta=0.05))
     match = partition_compare(part, samples.labels)
     first_small = bool(match.exact_match and match.mapping[0] == 0)
 

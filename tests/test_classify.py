@@ -7,22 +7,19 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from sepmix.classify import (
-    _STEP_CAP_MAX,
     ClassifierConfig,
     _ball_variance,
     _dense_ball,
+    _gap_steps,
     classify_general,
     classify_spherical,
-    find_gap,
     max_variance,
     pairwise_sq_dists,
-    smallest_dense_ball,
 )
 from sepmix.errors import (
     EigenSolverFailed,
     EmptyPeel,
     InstanceTooLarge,
-    NoGapWithinCap,
     NonFiniteInput,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
@@ -103,20 +100,28 @@ def test_pairwise_sq_dists_refuses_matrix_beyond_physical_memory():
 
 
 # ---------------------------------------------------------------------------
-# smallest_dense_ball
+# dense ball
 # ---------------------------------------------------------------------------
+
+
+def _dense_ball_of(pts, T, threshold):
+    """(center point index, alpha) of _dense_ball ranking the rows and columns
+    T of the squared distance matrix of all points, as a peel does."""
+    T = np.sort(np.asarray(T, dtype=int))
+    local, alpha = _dense_ball(pairwise_sq_dists(pts), T, threshold)
+    return int(T[local]), alpha
 
 
 def test_dense_ball_line_example():
     pts = _column([0.0, 1.0, 2.0, 10.0])
-    center, alpha = smallest_dense_ball(pts, np.arange(4), 3)
+    center, alpha = _dense_ball_of(pts, np.arange(4), 3)
     assert center == 1
     assert alpha == pytest.approx(1.0)
 
 
 def test_dense_ball_threshold_one_is_radius_zero():
     pts = _column([5.0, 7.0, 3.0])
-    center, alpha = smallest_dense_ball(pts, np.arange(3), 1)
+    center, alpha = _dense_ball_of(pts, np.arange(3), 1)
     assert alpha == 0.0
     assert center == 0  # lowest index wins the tie
 
@@ -124,7 +129,7 @@ def test_dense_ball_threshold_one_is_radius_zero():
 def test_dense_ball_identical_points():
     pts = np.zeros((6, 3))
     for threshold in (1, 3, 6):
-        center, alpha = smallest_dense_ball(pts, np.arange(6), threshold)
+        center, alpha = _dense_ball_of(pts, np.arange(6), threshold)
         assert alpha == 0.0
         assert center == 0
 
@@ -134,7 +139,7 @@ def test_dense_ball_brute_force_oracle():
     pts = rng.normal(size=(40, 3))
     T = np.arange(40)
     for threshold in (1, 5, 17, 40):
-        center, alpha = smallest_dense_ball(pts, T, threshold)
+        center, alpha = _dense_ball_of(pts, T, threshold)
         # oracle: for every candidate center the radius is the threshold-th
         # smallest distance; the reported alpha must be the global minimum
         d = np.sqrt(pairwise_sq_dists(pts))
@@ -145,15 +150,17 @@ def test_dense_ball_brute_force_oracle():
 
 def test_dense_ball_respects_subset():
     pts = _column([0.0, 1.0, 2.0, 10.0, 10.5])
-    center, alpha = smallest_dense_ball(pts, np.array([3, 4]), 2)
+    center, alpha = _dense_ball_of(pts, np.array([3, 4]), 2)
     assert center == 3
     assert alpha == pytest.approx(0.5)
 
 
 def test_dense_ball_threshold_too_large():
-    pts = _column([0.0, 1.0])
+    # threshold 2; the first peel removes three of the four points, so the
+    # second finds one live point
+    pts = _column([0.0, 0.1, 0.2, 100.0])
     with pytest.raises(ThresholdTooLarge):
-        smallest_dense_ball(pts, np.arange(2), 3)
+        classify_general(pts, ClassifierConfig(k=2, w_min=0.5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,8 +182,10 @@ def test_dense_ball_on_live_rows_matches_subset_matrix(seed, m, lattice):
         alive = np.array([m - 1])
     threshold = int(rng.integers(1, alive.size + 1))
     local, alpha = _dense_ball(pairwise_sq_dists(pts), alive, threshold)
-    center, want = smallest_dense_ball(pts, alive, threshold)
-    assert alive[local] == center
+    sub_local, want = _dense_ball(
+        pairwise_sq_dists(pts[alive]), np.arange(alive.size), threshold
+    )
+    assert local == sub_local
     if lattice:
         assert alpha == want
     else:
@@ -283,19 +292,17 @@ def test_classify_rejects_non_finite_points(bad):
     pts = np.random.default_rng(9).normal(size=(40, 3))
     pts[7, 1] = bad
     with pytest.raises(NonFiniteInput):
-        classify_general(pts, ClassifierConfig(k=1, w_min=1.0, t_override=10.0))
+        classify_general(pts, ClassifierConfig(k=1, w_min=1.0))
 
 
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda p: classify_general(p, ClassifierConfig(k=1, w_min=1.0, t_override=10.0)),
+        lambda p: classify_general(p, ClassifierConfig(k=1, w_min=1.0)),
         lambda p: classify_spherical(p, k=1, t=1.0),
-        lambda p: smallest_dense_ball(p, [0], 1),
         max_variance,
-        lambda p: find_gap(p, [0], 0, 0.0, 1.0, 10),
     ],
-    ids=["general", "spherical", "dense_ball", "max_variance", "find_gap"],
+    ids=["general", "spherical", "max_variance"],
 )
 def test_entry_points_reject_malformed_points(entry, bad_points):
     points, error = bad_points
@@ -312,37 +319,37 @@ def test_max_variance_translation_invariant():
 
 
 # ---------------------------------------------------------------------------
-# find_gap
+# gap search (step 3: find the gap)
 # ---------------------------------------------------------------------------
 
 
+def _gap(dists, alpha, nu):
+    return _gap_steps(np.sort(np.asarray(dists, dtype=float)), alpha, nu)
+
+
 def test_find_gap_immediate():
-    pts = _column([0.0, 1.0, 2.0, 10.0])
     # B(0, 2) and B(0, 3) both hold {0,1,2}
-    assert find_gap(pts, np.arange(4), 0, alpha=2.0, nu=1.0, step_cap=100) == 1
+    assert _gap([0.0, 1.0, 2.0, 10.0], alpha=2.0, nu=1.0) == 1
 
 
 def test_find_gap_walks_until_stable():
-    pts = _column([0.0, 1.0, 2.0, 3.0, 4.0, 20.0])
     # radii 2,3,4,5: counts grow 3,4,5,5 -> s=4
-    assert find_gap(pts, np.arange(6), 0, alpha=1.0, nu=1.0, step_cap=100) == 4
+    assert _gap([0.0, 1.0, 2.0, 3.0, 4.0, 20.0], alpha=1.0, nu=1.0) == 4
 
 
 def test_find_gap_everything_inside_alpha():
-    pts = _column([0.0, 0.5, 0.9])
-    assert find_gap(pts, np.arange(3), 0, alpha=1.0, nu=0.1, step_cap=10) == 1
+    assert _gap([0.0, 0.5, 0.9], alpha=1.0, nu=0.1) == 1
 
 
-def test_find_gap_cap_exceeded():
-    pts = _column(np.arange(50, dtype=float))
-    with pytest.raises(NoGapWithinCap):
-        find_gap(pts, np.arange(50), 0, alpha=0.5, nu=1.0, step_cap=10)
+def test_find_gap_walks_past_every_point():
+    # every step admits one of the 49 points beyond alpha, so the march takes
+    # its longest possible course: one step per point, plus the empty one
+    assert _gap(np.arange(50), alpha=0.5, nu=1.0) == 50
 
 
-def test_find_gap_requires_positive_nu():
-    pts = _column([0.0, 1.0])
-    with pytest.raises(ValueError):
-        find_gap(pts, np.arange(2), 0, alpha=1.0, nu=0.0, step_cap=10)
+def test_find_gap_zero_nu_is_one_step():
+    # a ball of coincident points has nu = 0: the first step adds nothing
+    assert _gap([0.0, 1.0, 2.0], alpha=0.5, nu=0.0) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,7 +367,7 @@ def test_find_gap_matches_direct_enumeration(seed):
         if inner == outer:
             want = s
             break
-    assert find_gap(pts, np.arange(25), 0, alpha=alpha, nu=nu, step_cap=1000) == want
+    assert _gap(d, alpha=alpha, nu=nu) == want
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +378,7 @@ def test_find_gap_matches_direct_enumeration(seed):
 def test_classify_single_component_single_cluster():
     mix = _spherical_mixture([[0.0] * 6])
     samples = sample_mixture(mix, np.random.default_rng(2), 300)
-    part = classify_general(samples, ClassifierConfig(k=1, w_min=1.0, t_override=10.0))
+    part = classify_general(samples, ClassifierConfig(k=1, w_min=1.0))
     assert part.k == 1
     assert np.array_equal(np.sort(part.clusters[0]), np.arange(300))
 
@@ -384,7 +391,7 @@ def test_classify_planted_three_components_exact():
     )
     samples = sample_mixture(mix, np.random.default_rng(21), 3000, seed=21)
     part = classify_general(
-        samples, ClassifierConfig(k=3, w_min=1.0 / 3.0, delta=0.05, t_override=10.0)
+        samples, ClassifierConfig(k=3, w_min=1.0 / 3.0, delta=0.05)
     )
     match = partition_compare(part, samples.labels)
     assert match.exact_match
@@ -399,7 +406,7 @@ def test_classify_trace_records_peel_quantities():
     )
     samples = sample_mixture(mix, np.random.default_rng(31), 1000, seed=31)
     part = classify_general(
-        samples, ClassifierConfig(k=2, w_min=0.5, delta=0.05, t_override=10.0)
+        samples, ClassifierConfig(k=2, w_min=0.5, delta=0.05)
     )
     for step in part.trace.steps:
         assert step.alpha >= 0
@@ -412,61 +419,55 @@ def test_classify_trace_records_peel_quantities():
     assert sum(sizes) == 1000
 
 
-def test_classify_permutation_invariance():
-    cfg = SeparationConfig(t=10.0, mode="practical")
-    mix = plant_separated_mixture(
-        n=8, k=2, shape_spec=(1.0, 1.0), config=cfg, slack=1.5,
-        rng=np.random.default_rng(40),
-    )
-    samples = sample_mixture(mix, np.random.default_rng(41), 800, seed=41)
-    ccfg = ClassifierConfig(k=2, w_min=0.5, t_override=10.0)
-    base = classify_general(samples, ccfg)
-    perm = np.random.default_rng(42).permutation(800)
-    shuffled = samples.points[perm]
-    moved = classify_general(shuffled, ccfg)
-    # map shuffled indices back and compare as sets of frozensets
-    back = [frozenset(perm[c].tolist()) for c in moved.clusters]
-    orig = [frozenset(c.tolist()) for c in base.clusters]
-    assert set(back) == set(orig)
+def _cluster_sets(points, config, relabel=None):
+    """classify_general's clusters as a set of index sets, with indices mapped
+    through ``relabel``, or the name of the peel error it raised."""
+    try:
+        clusters = classify_general(points, config).clusters
+    except _PEEL_ERRORS as exc:
+        return type(exc).__name__
+    return {frozenset((c if relabel is None else relabel[c]).tolist()) for c in clusters}
 
 
-def test_classify_rigid_motion_invariance():
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_classify_invariant_under_permutation_and_rigid_motion(seed, offset):
     from sepmix.model import random_rotation
 
-    cfg = SeparationConfig(t=10.0, mode="practical")
-    mix = plant_separated_mixture(
-        n=8, k=2, shape_spec=(1.0, 1.0), config=cfg, slack=1.5,
-        rng=np.random.default_rng(50),
-    )
-    samples = sample_mixture(mix, np.random.default_rng(51), 700, seed=51)
-    ccfg = ClassifierConfig(k=2, w_min=0.5, t_override=10.0)
-    base = classify_general(samples, ccfg)
-    rot = random_rotation(8, np.random.default_rng(52))
-    moved_pts = samples.points @ rot.T + np.full(8, 13.0)
-    moved = classify_general(moved_pts, ccfg)
-    assert set(frozenset(c.tolist()) for c in base.clusters) == set(
-        frozenset(c.tolist()) for c in moved.clusters
-    )
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    n = int(rng.choice([2, 5, 12]))
+    per_blob = int(rng.integers(6, 201))
+    centers = rng.normal(scale=1000.0, size=(k, n))
+    pts = centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
+    pts += offset
+    config = ClassifierConfig(k=k, w_min=1.0 / k)
+    base = _cluster_sets(pts, config)
+
+    perm = rng.permutation(pts.shape[0])
+    # the shuffled run's indices are mapped back to the original points
+    assert _cluster_sets(pts[perm], config, relabel=perm) == base
+
+    moved = pts @ random_rotation(n, rng).T + rng.normal(scale=1000.0, size=n)
+    assert _cluster_sets(moved, config) == base
 
 
 def test_classify_sample_size_precondition():
     # threshold is 1 here, so k * threshold = 4 exceeds the 3 samples
     pts = np.random.default_rng(0).normal(size=(3, 3))
     with pytest.raises(ValueError):
-        classify_general(pts, ClassifierConfig(k=4, w_min=0.25, t_override=5.0))
+        classify_general(pts, ClassifierConfig(k=4, w_min=0.25))
 
 
 def test_classify_unseparated_data_errors():
-    # one blob asked to split into two: either no gap appears within the cap,
-    # the first peel removes nearly everything (starving the second), or
-    # points beyond k peels remain
+    # one blob asked to split into two: either the first peel removes nearly
+    # everything (starving the second), or points beyond k peels remain
     pts = np.random.default_rng(60).normal(size=(400, 4))
-    with pytest.raises(
-        (NoGapWithinCap, ResidualPointsAfterKPeels, EmptyPeel, ThresholdTooLarge)
-    ):
-        classify_general(
-            pts, ClassifierConfig(k=2, w_min=0.5, t_override=10.0, step_cap=200)
-        )
+    with pytest.raises((ResidualPointsAfterKPeels, EmptyPeel, ThresholdTooLarge)):
+        classify_general(pts, ClassifierConfig(k=2, w_min=0.5))
 
 
 def test_classifier_config_validation():
@@ -478,12 +479,6 @@ def test_classifier_config_validation():
         ClassifierConfig(k=2, w_min=0.5, delta=0.0)
 
 
-def test_classifier_refuses_nonpositive_t():
-    pts = np.random.default_rng(0).normal(size=(40, 3))
-    with pytest.raises(ValueError):
-        classify_general(pts, ClassifierConfig(k=1, w_min=1.0, t_override=-1.0))
-
-
 @pytest.mark.parametrize("n", [2, 30], ids=["covariance-side", "gram-side"])
 def test_classify_coincident_ball_has_zero_variance(n):
     # a ball of ten copies of one point, off the origin so the squared
@@ -493,7 +488,7 @@ def test_classify_coincident_ball_has_zero_variance(n):
     copies = np.tile(rng.normal(size=n) * 1e3, (10, 1))
     blob = rng.normal(size=(10, n)) + 1e4
     part = classify_general(
-        np.vstack([copies, blob]), ClassifierConfig(k=2, w_min=0.5, t_override=10.0)
+        np.vstack([copies, blob]), ClassifierConfig(k=2, w_min=0.5)
     )
     first = part.trace.steps[0]
     assert first.removed.tolist() == list(range(10))
@@ -513,7 +508,7 @@ def test_coincident_ball_ignores_roundoff_in_its_distances(n):
     assert _ball_variance(pts, d2, np.arange(10)) == 0.0
 
 
-_PEEL_ERRORS = (ThresholdTooLarge, NoGapWithinCap, EmptyPeel, ResidualPointsAfterKPeels)
+_PEEL_ERRORS = (ThresholdTooLarge, EmptyPeel, ResidualPointsAfterKPeels)
 
 
 def _reference_general(points, config):
@@ -537,21 +532,11 @@ def _reference_general(points, config):
             row = dists[x_loc].copy()
             beta, _ = max_variance(pts[row <= alpha])
             nu = math.sqrt(config.w_min * beta / 8.0)
-            if nu > 0.0:
-                cap = min(
-                    _STEP_CAP_MAX,
-                    math.ceil(float(row.max()) / nu) + 4 * math.ceil(math.sqrt(beta) / nu) + 1,
-                )
-                inside = np.count_nonzero(row <= alpha)
-                for s in range(1, cap + 1):
-                    grown = np.count_nonzero(row <= alpha + s * nu)
-                    if grown == inside:
-                        break
-                    inside = grown
-                else:
-                    raise NoGapWithinCap("no gap")
-            else:
-                s = 1
+            s = 1
+            inside = np.count_nonzero(row <= alpha)
+            while (grown := np.count_nonzero(row <= alpha + s * nu)) != inside:
+                inside = grown
+                s += 1
             r_gap = alpha + s * nu
             beta_prime, _ = max_variance(pts[row <= r_gap])
             removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
@@ -601,7 +586,7 @@ def test_general_matches_reference_loop(seed, k, per_blob, n, offset):
     centers = rng.normal(scale=100.0, size=(k, n))
     pts = centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
     pts += offset
-    config = ClassifierConfig(k=k, w_min=1.0 / k, t_override=10.0)
+    config = ClassifierConfig(k=k, w_min=1.0 / k)
     # the reference is translation invariant in exact arithmetic; it gets the
     # points centered as classify_general centers them, so far from the
     # origin the two agree to roundoff of the centered coordinates

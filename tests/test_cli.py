@@ -90,7 +90,7 @@ def test_classify_round_trip(tmp_path, capsys):
     out = tmp_path / "partition.csv"
     trace = tmp_path / "trace.json"
     rc = main(["classify", "--samples", str(samples), "--k", "2",
-               "--wmin", "0.5", "--t", "10",
+               "--wmin", "0.5",
                "--out", str(out), "--trace", str(trace)])
     assert rc == 0
     assert "cluster sizes" in capsys.readouterr().out
@@ -113,11 +113,11 @@ def test_classify_trace_is_peel_step_records(tmp_path):
     _, samples = _gen(tmp_path, count=400, seed=3)
     trace = tmp_path / "trace.json"
     rc = main(["classify", "--samples", str(samples), "--k", "2",
-               "--wmin", "0.5", "--t", "10",
+               "--wmin", "0.5",
                "--out", str(tmp_path / "partition.csv"), "--trace", str(trace)])
     assert rc == 0
     points, _ = load_samples(samples)
-    part = classify_general(points, ClassifierConfig(k=2, w_min=0.5, t_override=10.0))
+    part = classify_general(points, ClassifierConfig(k=2, w_min=0.5))
     steps = json.loads(trace.read_text())
     assert steps == [s.to_dict() for s in part.trace.steps]
     assert list(steps[0]) == ["center_index", "alpha", "beta", "nu", "s",

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sepmix.errors import InfeasiblePlacement, InvalidDelta, MissingMedianRadius
+from sepmix.errors import InfeasiblePlacement, MissingMedianRadius
 from sepmix.model import Mixture, make_gaussian, median_radius, random_rotation
 from sepmix.separation import (
     SeparationConfig,
     pair_margin,
     pair_separation_rhs,
     plant_separated_mixture,
-    schedule_t,
     separation_margin,
 )
 
@@ -31,32 +30,6 @@ def _with_radius(center, sigma, radius):
     g.median_radius = float(radius)
     g.median_radius_halfwidth = 0.0
     return g
-
-
-# ---------------------------------------------------------------------------
-# schedule_t
-# ---------------------------------------------------------------------------
-
-
-def test_schedule_t_small_sample():
-    assert schedule_t(3, 1.0) == pytest.approx(100.0 * math.log(3.0))
-
-
-def test_schedule_t_formula_value():
-    assert schedule_t(2981, 0.05) == pytest.approx(100.0 * math.log(2981) / 0.05)
-    # ~ 100 * 8.0 / 0.05
-    assert 15900 < schedule_t(2981, 0.05) < 16100
-
-
-@pytest.mark.parametrize("delta", [0.0, -0.1, 1.5])
-def test_schedule_t_bad_delta(delta):
-    with pytest.raises(InvalidDelta):
-        schedule_t(100, delta)
-
-
-def test_schedule_t_needs_two_samples():
-    with pytest.raises(ValueError):
-        schedule_t(1, 0.5)
 
 
 # ---------------------------------------------------------------------------
