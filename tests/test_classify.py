@@ -429,14 +429,9 @@ def _cluster_sets(points, config, relabel=None):
     return {frozenset((c if relabel is None else relabel[c]).tolist()) for c in clusters}
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    offset=st.sampled_from([0.0, 1e6]),
-)
-def test_classify_invariant_under_permutation_and_rigid_motion(seed, offset):
-    from sepmix.model import random_rotation
-
+def _separated_blobs(seed, offset):
+    """Well-separated Gaussian blobs of random count, dimension and size,
+    shifted by ``offset``, with the classifier config that asks for them."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
     n = int(rng.choice([2, 5, 12]))
@@ -444,15 +439,33 @@ def test_classify_invariant_under_permutation_and_rigid_motion(seed, offset):
     centers = rng.normal(scale=1000.0, size=(k, n))
     pts = centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
     pts += offset
-    config = ClassifierConfig(k=k, w_min=1.0 / k)
-    base = _cluster_sets(pts, config)
+    return pts, ClassifierConfig(k=k, w_min=1.0 / k), rng
 
+
+_BLOB_CASES = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_BLOB_CASES)
+def test_classify_permutation_invariance(seed, offset):
+    pts, config, rng = _separated_blobs(seed, offset)
     perm = rng.permutation(pts.shape[0])
     # the shuffled run's indices are mapped back to the original points
-    assert _cluster_sets(pts[perm], config, relabel=perm) == base
+    assert _cluster_sets(pts[perm], config, relabel=perm) == _cluster_sets(pts, config)
 
+
+@settings(max_examples=30, deadline=None)
+@given(**_BLOB_CASES)
+def test_classify_rigid_motion_invariance(seed, offset):
+    from sepmix.model import random_rotation
+
+    pts, config, rng = _separated_blobs(seed, offset)
+    n = pts.shape[1]
     moved = pts @ random_rotation(n, rng).T + rng.normal(scale=1000.0, size=n)
-    assert _cluster_sets(moved, config) == base
+    assert _cluster_sets(moved, config) == _cluster_sets(pts, config)
 
 
 def test_classify_sample_size_precondition():
