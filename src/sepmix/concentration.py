@@ -9,6 +9,17 @@ compares the observed fraction against a claimed probability with a
 
 A claim can be vacuous (claimed <= 0, or a relative tolerance >= 1); that is
 reported, never hidden.
+
+The single-component checks never need the rotated draws.  A draw x = c + R diag(sqrt(lambda)) z has
+|x - p|^2 = sum_i (sqrt(lambda_i) z_i - v_i)^2 with v = R^T (p - c), because
+R is an isometry, and its projection on a direction w is
+w . (x - c) = (w R diag(sqrt(lambda))) . z.  So those checks draw the same
+standard normal block that ``sample`` would map and work on it in eigen
+coordinates without forming the rotated points.  The generator advances
+exactly as if the points had been sampled, and the measured distances and
+moments differ from those of sampled points only by roundoff.  Only the
+cross-component check samples points, because its two components rotate
+differently.
 """
 
 from __future__ import annotations
@@ -22,10 +33,11 @@ from .errors import (
     DimensionMismatch,
     GridTooCoarse,
     InvalidDelta,
+    NonFiniteInput,
     PairNotSeparated,
     TooFewSamples,
 )
-from .model import GaussianParams, sample
+from .model import GaussianParams, _sq_dists, sample
 from .separation import _PRACTICAL_CONSTANTS, SeparationConfig, pair_margin
 
 
@@ -57,6 +69,28 @@ def _require_scale(params: GaussianParams) -> tuple[float, float]:
     return params.require_median_radius(), params.sigma_max
 
 
+def _require_t_at_least_one(t: float) -> None:
+    if not (math.isfinite(t) and t >= 1):
+        raise ValueError(f"stated for finite t >= 1, got {t}")
+
+
+def _point_of(params: GaussianParams, point, name: str) -> np.ndarray:
+    """A fixed point of the component's dimension with finite coordinates.
+
+    Raises:
+        DimensionMismatch: wrong length.
+        NonFiniteInput: a coordinate is NaN or infinite.
+    """
+    point = np.asarray(point, dtype=float).reshape(-1)
+    if point.shape[0] != params.dim:
+        raise DimensionMismatch(
+            f"{name} has dim {point.shape[0]}, component {params.dim}"
+        )
+    if not np.isfinite(point).all():
+        raise NonFiniteInput(f"{name} contains NaN or an infinity")
+    return point
+
+
 def shell_mass_check(
     params: GaussianParams, t: float, num_samples: int, rng: np.random.Generator
 ) -> EmpiricalBound:
@@ -64,13 +98,13 @@ def shell_mass_check(
 
     t = 0 is allowed; the claim is then vacuous (lower bound 0).
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if num_samples < 10_000:
         raise TooFewSamples(f"num_samples={num_samples} < 10000")
     radius, sigma = _require_scale(params)
-    draws = sample(params, rng, num_samples)
-    dist = np.linalg.norm(draws - params.center, axis=1)
+    z = rng.standard_normal((num_samples, params.dim))
+    dist = np.sqrt(_sq_dists(params, z))
     hits = int(np.count_nonzero((dist >= radius - t * sigma) & (dist <= radius + t * sigma)))
     return _bound(1.0 - math.exp(-t), hits, num_samples)
 
@@ -88,20 +122,16 @@ def point_distance_check(
               <= |x - z|^2 <=
             (R + t s)^2 + |z-p|^2 + 2 sqrt(2 t) |z-p| s
     """
-    if t < 1:
-        raise ValueError(f"stated for t >= 1, got {t}")
+    _require_t_at_least_one(t)
     if num_samples < 10_000:
         raise TooFewSamples(f"num_samples={num_samples} < 10000")
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != params.dim:
-        raise DimensionMismatch(f"z has dim {z.shape[0]}, component {params.dim}")
+    z = _point_of(params, z, "z")
     radius, sigma = _require_scale(params)
     zp = float(np.linalg.norm(z - params.center))
     cross = 2.0 * math.sqrt(2.0 * t) * zp * sigma
     lo = max(radius - t * sigma, 0.0) ** 2 + zp * zp - cross
     hi = (radius + t * sigma) ** 2 + zp * zp + cross
-    draws = sample(params, rng, num_samples)
-    d2 = np.sum((draws - z) ** 2, axis=1)
+    d2 = _sq_dists(params, rng.standard_normal((num_samples, params.dim)), point=z)
     hits = int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 2.0 * math.exp(-t), hits, num_samples)
 
@@ -113,13 +143,15 @@ def pair_distance_check(
 
     Event:  2 R^2 - 8 t s R <= |x - y|^2 <= 2 (R + 2 t s)^2.
     """
-    if t < 1:
-        raise ValueError(f"stated for t >= 1, got {t}")
+    _require_t_at_least_one(t)
     if num_pairs < 10_000:
         raise TooFewSamples(f"num_pairs={num_pairs} < 10000")
     radius, sigma = _require_scale(params)
-    draws = sample(params, rng, 2 * num_pairs)
-    d2 = np.sum((draws[:num_pairs] - draws[num_pairs:]) ** 2, axis=1)
+    # x - y = R diag(sqrt(lambda)) (z1 - z2): the centers cancel
+    z = rng.standard_normal((2 * num_pairs, params.dim))
+    diff = z[:num_pairs]
+    diff -= z[num_pairs:]
+    d2 = _sq_dists(params, diff)
     lo = 2.0 * radius * radius - 8.0 * t * sigma * radius
     hi = 2.0 * (radius + 2.0 * t * sigma) ** 2
     hits = int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
@@ -187,8 +219,7 @@ def cross_pair_check(
     Spherical pairs whose direct simulation would exceed the draw budget use
     an exact scalar reduction instead (same distribution, different stream).
     """
-    if t < 1:
-        raise ValueError(f"stated for t >= 1, got {t}")
+    _require_t_at_least_one(t)
     if num_pairs < 10_000:
         raise TooFewSamples(f"num_pairs={num_pairs} < 10000")
     if params_i.dim != params_j.dim:
@@ -278,14 +309,13 @@ def ball_growth_check(
     """
     if num_samples < 10_000:
         raise TooFewSamples(f"num_samples={num_samples} < 10000")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != params.dim:
-        raise DimensionMismatch(f"x has dim {x.shape[0]}, component {params.dim}")
+    x = _point_of(params, x, "x")
     radii = np.sort(np.asarray(radius_grid, dtype=float).reshape(-1))
-    if radii.size < 2 or np.any(radii < 0):
-        raise ValueError("radius grid needs >= 2 nonnegative radii")
-    draws = sample(params, rng, num_samples)
-    dist = np.sort(np.linalg.norm(draws - x, axis=1))
+    if radii.size < 2 or not np.all(np.isfinite(radii) & (radii >= 0)):
+        raise ValueError("radius grid needs >= 2 finite nonnegative radii")
+    z = rng.standard_normal((num_samples, params.dim))
+    dist = np.sqrt(_sq_dists(params, z, point=x))
+    dist.sort()
     counts = np.searchsorted(dist, radii, side="right")
     mass = counts / num_samples
     se = np.sqrt(np.maximum(mass * (1.0 - mass), 0.0) / num_samples)
@@ -358,7 +388,7 @@ def covariance_concentration_check(
     directions: ``num_directions`` random unit vectors, the n coordinate
     axes, and the top eigenvector.
     """
-    if delta <= 0 or delta > 1:
+    if not (0 < delta <= 1):
         raise InvalidDelta(f"delta must be in (0, 1], got {delta}")
     if sample_size < 2:
         raise TooFewSamples("sample_size must be >= 2")
@@ -378,13 +408,14 @@ def covariance_concentration_check(
     else:
         top = params.rotation[:, top_idx]
     w = np.vstack([dirs, np.eye(n), top[None, :]])
-    draws = sample(params, rng, sample_size)
-    proj = (draws - params.center) @ w.T
-    sample_moment = np.mean(proj * proj, axis=0)
-    if params.rotation is None:
-        wr = w
-    else:
-        wr = w @ params.rotation
+    z = rng.standard_normal((sample_size, params.dim))
+    # the projection of x - c on w is V z with V = w R diag(sqrt(lambda)), so
+    # the mean square projections are diag(V S V^T) with S = z^T z / N
+    s = z.T @ z
+    s /= sample_size
+    wr = w if params.rotation is None else w @ params.rotation
+    v = wr * np.sqrt(params.eigenvalues)
+    sample_moment = np.einsum("ij,ij->i", v @ s, v)
     true_moment = (wr * wr) @ params.eigenvalues
     rel_err = np.abs(sample_moment / true_moment - 1.0)
     worst = float(rel_err.max())

@@ -31,6 +31,8 @@ from .errors import (
 _ORTHO_TOL = 1e-8
 # Eigenvalues within this relative spread of each other count as spherical.
 _SPHERICAL_RTOL = 1e-12
+# Standard normal values per chunk of Monte Carlo radius draws (1 MiB).
+_DRAW_CHUNK = 1 << 17
 
 
 @dataclass
@@ -124,7 +126,9 @@ def sample(params: GaussianParams, rng: np.random.Generator, count: int) -> np.n
 
     Scaling all eigenvalues by c**2 scales the deviations from the center by
     exactly c for the same seed, because the standard normal block is drawn
-    identically either way.
+    identically either way.  Code that needs only distances from the draws
+    does not call this: it draws the same block and passes it to
+    ``_sq_dists``, which never forms the rotated points.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -137,6 +141,24 @@ def _from_standard_normal(params: GaussianParams, z: np.ndarray) -> np.ndarray:
     if params.rotation is not None:
         dev = dev @ params.rotation.T
     return params.center + dev
+
+
+def _sq_dists(params: GaussianParams, z: np.ndarray, point=None) -> np.ndarray:
+    """|x - point|^2 for each draw x = _from_standard_normal(params, z),
+    without forming x; ``point`` defaults to the center.
+
+    The rotation is an isometry, so in eigen coordinates
+    |x - point|^2 = sum_i (sqrt(lambda_i) z_i - v_i)^2 with
+    v = R^T (point - center), and v = 0 at the center.  ``z`` is consumed:
+    it is scaled and shifted in place, so no second block is allocated.
+    """
+    z *= np.sqrt(params.eigenvalues)
+    if point is not None:
+        v = np.asarray(point, dtype=float) - params.center
+        if params.rotation is not None:
+            v = v @ params.rotation
+        z -= v
+    return np.einsum("ij,ij->i", z, z)
 
 
 def log_density(params: GaussianParams, x) -> np.ndarray | float:
@@ -182,7 +204,10 @@ def median_radius(
     the chi-square median, obtained by inverting the regularized incomplete
     gamma function.  Otherwise R is the sample median of |x - center| over
     ``num_samples`` draws, with a distribution-free 99% order-statistic
-    interval attached.
+    interval attached.  The draws are never rotated: |x - center|^2 equals
+    sum_i lambda_i z_i^2 for the standard normal block z that ``sample``
+    would map, so the distances come from the spectrum alone, and one
+    partition selects the four order statistics the estimate reads.
 
     Args:
         method: "auto" (closed path when spherical, Monte Carlo otherwise),
@@ -205,14 +230,25 @@ def median_radius(
             raise ValueError("Monte Carlo path needs an rng")
         if num_samples < 1000:
             raise TooFewSamples(f"num_samples={num_samples} < 1000")
-        draws = sample(params, rng, num_samples)
-        dists = np.sort(np.linalg.norm(draws - params.center, axis=1))
-        radius = float(np.median(dists))
+        # The generator fills a block value by value in row order, so drawing
+        # it in row chunks consumes the stream of one (num_samples, n) block
+        # while holding only the distances and one chunk of about 1 MiB.
+        d2 = np.empty(num_samples)
+        step = max(_DRAW_CHUNK // params.dim, 1)
+        for a in range(0, num_samples, step):
+            z = rng.standard_normal((min(step, num_samples - a), params.dim))
+            d2[a : a + len(z)] = _sq_dists(params, z)
         # distribution-free 99% interval for the median from order statistics
         half_span = 2.576 * math.sqrt(num_samples) / 2.0
         lo = max(int(math.floor(num_samples / 2.0 - half_span)), 0)
         hi = min(int(math.ceil(num_samples / 2.0 + half_span)), num_samples - 1)
-        halfwidth = float(dists[hi] - dists[lo]) / 2.0
+        mid = ((num_samples - 1) // 2, num_samples // 2)  # equal when odd
+        # one selection of the four order statistics read; sqrt is monotone,
+        # so these are the order statistics of the distances themselves
+        d2.partition(sorted({lo, *mid, hi}))
+        d_lo, d_mid0, d_mid1, d_hi = np.sqrt(d2[[lo, *mid, hi]])
+        radius = float((d_mid0 + d_mid1) / 2.0)  # np.median's arithmetic
+        halfwidth = float(d_hi - d_lo) / 2.0
     if radius + halfwidth < (2.0 / 3.0) * params.sigma_max:
         warnings.warn(
             f"median radius {radius:.4g} below (2/3) sigma_max "

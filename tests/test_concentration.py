@@ -15,11 +15,19 @@ from sepmix.concentration import (
 )
 from sepmix.errors import (
     GridTooCoarse,
+    InvalidDelta,
     MissingMedianRadius,
+    NonFiniteInput,
     PairNotSeparated,
     TooFewSamples,
 )
-from sepmix.model import make_gaussian, median_radius, spherical_median_radius
+from sepmix.model import (
+    make_gaussian,
+    median_radius,
+    random_rotation,
+    sample,
+    spherical_median_radius,
+)
 
 
 def _spherical(n, sigma=1.0, center=None):
@@ -314,3 +322,186 @@ def test_covariance_passes_moderate_sample():
     chk = covariance_concentration_check(g, 100_000, 0.1, 16, rng)
     assert chk.passed
     assert chk.num_directions == 16 + 8 + 1
+
+
+# ---------------------------------------------------------------------------
+# spectral draws against the materialized draws of the old checkers
+# ---------------------------------------------------------------------------
+#
+# Each reference below is the old body of a checker: it samples the rotated
+# points and measures them directly.  The checkers now work on the same
+# standard normal block in eigen coordinates, so on pinned seeds they must
+# report the same hits, and leave the generator in the same state.
+
+
+def _old_shell_hits(g, t, num, rng):
+    dist = np.linalg.norm(sample(g, rng, num) - g.center, axis=1)
+    r, s = g.median_radius, g.sigma_max
+    return int(np.count_nonzero((dist >= r - t * s) & (dist <= r + t * s)))
+
+
+def _old_point_hits(g, z, t, num, rng):
+    r, s = g.median_radius, g.sigma_max
+    zp = float(np.linalg.norm(z - g.center))
+    cross = 2.0 * math.sqrt(2.0 * t) * zp * s
+    lo = max(r - t * s, 0.0) ** 2 + zp * zp - cross
+    hi = (r + t * s) ** 2 + zp * zp + cross
+    d2 = np.sum((sample(g, rng, num) - z) ** 2, axis=1)
+    return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+
+
+def _old_pair_hits(g, t, num, rng):
+    r, s = g.median_radius, g.sigma_max
+    draws = sample(g, rng, 2 * num)
+    d2 = np.sum((draws[:num] - draws[num:]) ** 2, axis=1)
+    lo = 2.0 * r * r - 8.0 * t * s * r
+    hi = 2.0 * (r + 2.0 * t * s) ** 2
+    return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+
+
+def _old_growth_mass(g, x, radii, num, rng):
+    dist = np.sort(np.linalg.norm(sample(g, rng, num) - x, axis=1))
+    return np.searchsorted(dist, radii, side="right") / num
+
+
+def _old_covariance_worst(g, size, num_dirs, rng):
+    n = g.dim
+    dirs = rng.standard_normal((num_dirs, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    top = g.rotation[:, int(np.argmax(g.eigenvalues))]
+    w = np.vstack([dirs, np.eye(n), top[None, :]])
+    proj = (sample(g, rng, size) - g.center) @ w.T
+    wr = w @ g.rotation
+    true_moment = (wr * wr) @ g.eigenvalues
+    return float(np.max(np.abs(np.mean(proj * proj, axis=0) / true_moment - 1.0)))
+
+
+def _rotated_eccentric(n, offset, seed):
+    """A rotated eccentric component centered near ``offset``, with its
+    Monte Carlo median radius."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 3.0, size=n)
+    lam[0] = 50.0
+    g = make_gaussian(offset + rng.normal(size=n), lam, random_rotation(n, rng))
+    median_radius(g, rng, 100_000, method="mc")
+    return g
+
+
+def _near(g, seed):
+    return g.center + np.random.default_rng(seed).normal(size=g.dim)
+
+
+# (new call, old call), each on (component, seed-derived rng); both return
+# something that must compare equal.
+_CHECKER_PAIRS = {
+    "shell_mass": (
+        lambda g, rng: shell_mass_check(g, 1.5, 20_000, rng).observed,
+        lambda g, rng: _old_shell_hits(g, 1.5, 20_000, rng) / 20_000,
+    ),
+    "point_distance": (
+        lambda g, rng: point_distance_check(g, _near(g, 1), 1.0, 20_000, rng).observed,
+        lambda g, rng: _old_point_hits(g, _near(g, 1), 1.0, 20_000, rng) / 20_000,
+    ),
+    "pair_distance": (
+        lambda g, rng: pair_distance_check(g, 1.0, 20_000, rng).observed,
+        lambda g, rng: _old_pair_hits(g, 1.0, 20_000, rng) / 20_000,
+    ),
+    "ball_growth": (
+        lambda g, rng: ball_growth_check(
+            g, _near(g, 2), np.linspace(0.0, 30.0, 40), 40_000, rng
+        ).mass.tolist(),
+        lambda g, rng: _old_growth_mass(
+            g, _near(g, 2), np.linspace(0.0, 30.0, 40), 40_000, rng
+        ).tolist(),
+    ),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("seed", [5, 61])
+@pytest.mark.parametrize("checker", sorted(_CHECKER_PAIRS))
+def test_checker_matches_materialized_draws(checker, seed, offset):
+    g = _rotated_eccentric(6, offset, seed)
+    new, old = _CHECKER_PAIRS[checker]
+    rng_new = np.random.default_rng(seed + 1)
+    rng_old = np.random.default_rng(seed + 1)
+    assert new(g, rng_new) == old(g, rng_old)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("seed", [5, 61])
+def test_covariance_check_matches_materialized_draws(seed, offset):
+    # the moments come from z^T z / N instead of projecting the draws; they
+    # agree to roundoff, far inside any epsilon the check compares against
+    g = _rotated_eccentric(6, offset, seed)
+    rng_new = np.random.default_rng(seed + 1)
+    rng_old = np.random.default_rng(seed + 1)
+    chk = covariance_concentration_check(g, 50_000, 0.1, 12, rng_new)
+    worst = _old_covariance_worst(g, 50_000, 12, rng_old)
+    assert chk.worst_rel_err == pytest.approx(worst, rel=1e-9)
+    assert chk.passed == (worst <= chk.epsilon)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# bad inputs fail at the boundary
+# ---------------------------------------------------------------------------
+
+
+def _nan_point():
+    return np.array([np.nan, 0.0, 0.0, 0.0])
+
+
+def _inf_point():
+    return np.array([np.inf, 0.0, 0.0, 0.0])
+
+
+_BAD_CHECKER_INPUTS = {
+    "point_distance-nan-z": (
+        lambda g, rng: point_distance_check(g, _nan_point(), 2.0, 10_000, rng),
+        NonFiniteInput,
+    ),
+    "point_distance-nan-t": (
+        lambda g, rng: point_distance_check(g, g.center, math.nan, 10_000, rng),
+        ValueError,
+    ),
+    "shell_mass-nan-t": (
+        lambda g, rng: shell_mass_check(g, math.nan, 10_000, rng),
+        ValueError,
+    ),
+    "shell_mass-inf-t": (
+        lambda g, rng: shell_mass_check(g, math.inf, 10_000, rng),
+        ValueError,
+    ),
+    "pair_distance-nan-t": (
+        lambda g, rng: pair_distance_check(g, math.nan, 10_000, rng),
+        ValueError,
+    ),
+    "cross_pair-nan-t": (
+        lambda g, rng: cross_pair_check(g, g, math.nan, 10_000, rng),
+        ValueError,
+    ),
+    "ball_growth-inf-x": (
+        lambda g, rng: ball_growth_check(g, _inf_point(), np.linspace(0, 5, 20), 10_000, rng),
+        NonFiniteInput,
+    ),
+    "ball_growth-nan-grid": (
+        lambda g, rng: ball_growth_check(g, g.center, [0.0, 1.0, math.nan], 10_000, rng),
+        ValueError,
+    ),
+    "covariance-nan-delta": (
+        lambda g, rng: covariance_concentration_check(g, 1000, math.nan, 4, rng),
+        InvalidDelta,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKER_INPUTS))
+def test_checkers_reject_non_finite_inputs(case):
+    call, error = _BAD_CHECKER_INPUTS[case]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        call(_spherical(4), rng)
+    assert rng.bit_generator.state == state  # rejected before drawing

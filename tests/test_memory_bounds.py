@@ -1,4 +1,4 @@
-"""Peak-memory guards for the M x M kernels.
+"""Peak-memory guards for the M x M kernels and the Monte Carlo draws.
 
 Each kernel may hold the one M x M squared distance matrix it builds, plus
 temporaries far smaller than it.  A second M x M temporary, such as an
@@ -19,7 +19,9 @@ from sepmix.classify import (
     classify_spherical,
     pairwise_sq_dists,
 )
+from sepmix.concentration import covariance_concentration_check, pair_distance_check
 from sepmix.kmedian import kmedian_local_search
+from sepmix.model import median_radius
 
 M, N = 3000, 8
 LIMIT = 1.35 * M * M * 8
@@ -63,3 +65,37 @@ def _traced_peak(call) -> int:
 def test_peak_stays_near_one_distance_matrix(call, three_clusters):
     peak = _traced_peak(lambda: call(three_clusters))
     assert peak <= LIMIT, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"
+
+
+# The Monte Carlo checks and radii work on their standard normal block in
+# place in eigen coordinates; the rotated draws, their deviations from the
+# center and a projection of them are never formed.  Each may hold the block
+# (median_radius only a chunk of it) plus vectors of one entry per draw.
+DRAWS, DIM = 100_000, 8
+BLOCK = DRAWS * DIM * 8
+
+
+@pytest.fixture(scope="module")
+def rotated_component():
+    from sepmix.model import make_gaussian, random_rotation
+
+    rng = np.random.default_rng(6)
+    lam = rng.uniform(0.5, 3.0, size=DIM)
+    g = make_gaussian(1e3 + rng.normal(size=DIM), lam, random_rotation(DIM, rng))
+    g.median_radius = 4.0
+    return g
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, rng: pair_distance_check(g, 1.0, DRAWS // 2, rng),
+        lambda g, rng: covariance_concentration_check(g, DRAWS, 0.1, 16, rng),
+        lambda g, rng: median_radius(g, rng, DRAWS, method="mc"),
+    ],
+    ids=["pair_distance_check", "covariance_concentration_check", "median_radius"],
+)
+def test_peak_stays_near_one_standard_normal_block(call, rotated_component):
+    rng = np.random.default_rng(2)
+    peak = _traced_peak(lambda: call(rotated_component, rng))
+    assert peak <= 1.35 * BLOCK, f"peak {peak / BLOCK:.2f} x the normal block"

@@ -16,6 +16,8 @@ from sepmix.errors import (
 from sepmix.model import (
     GaussianParams,
     Mixture,
+    _from_standard_normal,
+    _sq_dists,
     log_density,
     make_gaussian,
     median_radius,
@@ -284,6 +286,94 @@ def test_median_radius_too_few_samples():
     g = make_gaussian(np.zeros(2), [1.0, 2.0])
     with pytest.raises(TooFewSamples):
         median_radius(g, np.random.default_rng(0), 999, method="mc")
+
+
+# The spectral distances against the old computation, which materialized the
+# rotated draws.  That computation forms c + dev and subtracts a point again,
+# which loses about (|c| + |point|) * eps per coordinate, a large relative
+# error for a draw that lands near the point.  So they are compared draw by
+# draw only for distances from a center at the origin; elsewhere against the
+# block's largest squared distance (and the halfwidth against the radius).
+
+
+def _materialized_sq_dists(params, z, point=None):
+    """|x - point|^2 the old way: rotate the draws, then subtract."""
+    draws = _from_standard_normal(params, z)
+    return np.sum((draws - (params.center if point is None else point)) ** 2, axis=1)
+
+
+def _materialized_median_radius(params, rng, num_samples):
+    """The old Monte Carlo path: rotated draws, sort, np.median."""
+    draws = sample(params, rng, num_samples)
+    dists = np.sort(np.linalg.norm(draws - params.center, axis=1))
+    return _sorted_median_and_halfwidth(dists)
+
+
+def _sorted_median_and_halfwidth(dists):
+    """np.median and the 99% order-statistic halfwidth of sorted ``dists``."""
+    num = dists.size
+    half_span = 2.576 * math.sqrt(num) / 2.0
+    lo = max(int(math.floor(num / 2.0 - half_span)), 0)
+    hi = min(int(math.ceil(num / 2.0 + half_span)), num - 1)
+    return float(np.median(dists)), float(dists[hi] - dists[lo]) / 2.0
+
+
+def _rotated_eccentric(n, offset, rng):
+    """Rotated, with one dominant eigenvalue; centered at the origin for
+    offset 0, and at a jittered point near (offset, ..., offset) otherwise."""
+    lam = rng.uniform(0.2, 5.0, size=n)
+    lam[0] = 40.0
+    jitter = rng.normal(size=n)
+    center = np.zeros(n) if offset == 0.0 else offset + jitter
+    return make_gaussian(center, lam, random_rotation(n, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    offset=st.sampled_from([0.0, 1e3]),
+    at_center=st.booleans(),
+)
+def test_sq_dists_match_materialized_draws(seed, n, offset, at_center):
+    rng = np.random.default_rng(seed)
+    g = _rotated_eccentric(n, offset, rng)
+    point = None if at_center else g.center + 3.0 * rng.normal(size=n)
+    z = rng.standard_normal((300, n))
+    want = _materialized_sq_dists(g, z, point)
+    got = _sq_dists(g, z.copy(), point)
+    if offset == 0.0 and at_center:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("seed", [3, 41, 977])
+def test_median_radius_matches_materialized_draws(seed, offset):
+    g = _rotated_eccentric(8, offset, np.random.default_rng(seed))
+    rng_new = np.random.default_rng(seed + 1)
+    rng_old = np.random.default_rng(seed + 1)
+    radius, half = median_radius(g, rng_new, 100_000, method="mc")
+    want_radius, want_half = _materialized_median_radius(g, rng_old, 100_000)
+    assert radius == pytest.approx(want_radius, rel=1e-12)
+    if offset == 0.0:
+        assert half == pytest.approx(want_half, rel=1e-12)
+    else:
+        assert abs(half - want_half) <= 1e-12 * want_radius
+    # the same block of the generator is consumed
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("num_samples", [1000, 100_000, 100_001])
+def test_median_radius_selection_matches_sort_and_median(num_samples):
+    # one partition at the four order statistics gives exactly what sorting
+    # the distances and calling np.median gave
+    g = _rotated_eccentric(5, 0.0, np.random.default_rng(8))
+    radius, half = median_radius(g, np.random.default_rng(9), num_samples, method="mc")
+    z = np.random.default_rng(9).standard_normal((num_samples, 5))
+    dists = np.sort(np.sqrt(_sq_dists(g, z)))
+    assert (radius, half) == _sorted_median_and_halfwidth(dists)
 
 
 def test_require_median_radius_raises_until_estimated():
