@@ -17,13 +17,18 @@ and subset covariance spectra, so the output is invariant under rigid
 motions and (up to index relabeling) under point order.  None of the radii
 depends on the separation scale t, so the classifier takes no t.
 
-classify_general centers the points on their mean and forms their squared
-distance matrix once.  Each peel reads the live rows and columns of that
-matrix in row blocks: the dense ball ranks squared entries and roots only
-the per-row order statistics and the center's row.  A ball with fewer
-points than dimensions takes its centered Gram matrix from its block of the
-same matrix by double-centering, -1/2 J D J / m; a larger ball solves its
-n x n covariance.
+classify_general centers the points on their mean and reads squared-distance
+rows over the live points from one of two sources.  When the threshold is at
+least the dimension n, every ball holds at least n points and its beta comes
+from the n x n covariance, so no block of the M x M matrix is ever needed:
+rows are formed on demand, a block at a time, from the centered points by
+the Gram expansion.  So are they when the matrix would not fit the memory
+budget; a ball with fewer points than dimensions then forms its own squared
+distances.  Otherwise the matrix is formed once, and such a ball
+double-centers its block of it into its Gram matrix, -1/2 J D J / m.  A
+row's threshold-th smallest entry can only grow as points leave, so each
+peel ranks rows in ascending order of their value at the last peel that
+ranked them, and stops at the first block that cannot beat the best radius.
 
 The spherical warm-up instead removes, k times, the ball of radius
 |x0 - y0| * (1 + 3 t / sqrt(n)) around the closest remaining pair (x0, y0).
@@ -47,7 +52,7 @@ from .errors import (
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
-from .model import LabeledSampleSet, _points_of
+from .model import LabeledSampleSet, _cluster_count, _points_of
 
 # Row blocks of M x M passes are kept near this size, so no pass allocates a
 # second M x M array and a block's few temporaries stay in a per-core L2
@@ -55,14 +60,31 @@ from .model import LabeledSampleSet, _points_of
 # M=4000 took 0.07 s with 256 KiB blocks and 0.13-0.14 s with 4 MiB blocks.
 _BLOCK_BYTES = 256 << 10
 
+# A row block formed on demand is one GEMM against all live points, so it
+# takes at least this many rows, or reading the live points costs more than
+# writing the block: a classify_general call at M = 2e4, n = 16 took 6.5 s
+# with 1-row blocks, 2.6 s with 16 and 2.8 s with 64 (2-core x86-64 VM, two
+# OpenBLAS threads).
+_MIN_GEMM_ROWS = 16
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+# classify_general stores its M x M squared distance matrix only when the
+# matrix takes at most this many bytes; otherwise it forms rows on demand.
+_MATRIX_BUDGET = _physical_memory() // 4
+
 
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Knobs for the general classifier.
 
-    ``k`` peels are made; ``w_min`` (the least component weight) sets the
-    dense-ball threshold and the gap step; ``delta`` (the failure
-    probability) sets the removal margin through ln(|S| / delta).
+    ``k`` peels are made (an integer: not a bool, nor 2.0); ``w_min`` (the
+    least component weight) sets the dense-ball threshold and the gap step;
+    ``delta`` (the failure probability) sets the removal margin through
+    ln(|S| / delta).
     """
 
     k: int
@@ -70,8 +92,7 @@ class ClassifierConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _cluster_count(self.k)
         if not (0 < self.w_min <= 1) or self.k * self.w_min > 1 + 1e-12:
             raise ValueError(f"need 0 < w_min and k * w_min <= 1, got {self.w_min}")
         if not (0 < self.delta <= 1):
@@ -155,7 +176,7 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     b = a if b is None else b
     rows, cols = a.shape[0], b.shape[0]
     need = rows * cols * 8
-    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if need > _physical_memory():
         raise InstanceTooLarge(
             f"a {rows} x {cols} distance matrix needs {need} bytes, more than "
             "physical memory"
@@ -180,27 +201,141 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
 
 
-def _dense_ball(d2: np.ndarray, alive: np.ndarray, threshold: int) -> tuple[int, float]:
-    """Densest ball over the live rows and columns of a squared distance matrix.
+def _dense_ball(
+    source, alive: np.ndarray, threshold: int, lower: np.ndarray
+) -> tuple[int, float, np.ndarray]:
+    """Densest ball over the live rows and columns of a squared-distance source.
 
-    Each live row's threshold-th smallest squared entry over the live columns
-    is found in row blocks of about _BLOCK_BYTES; only those |alive| order
-    statistics are rooted.  The square root is monotone, so they equal the
-    order statistics of the rooted rows.  Returns (position in ``alive`` of
-    the center, radius alpha), ties in the rooted radius to the lowest
-    position.
+    A ranked row's threshold-th smallest squared entry over the live columns
+    is found by partition, in row blocks of ``source.step`` rows; only those
+    order statistics are rooted, and the square root is monotone, so they
+    equal the order statistics of the rooted rows.
+
+    ``lower[r]`` is a lower bound on row r's order statistic.  Columns only
+    leave, so the value a row had at an earlier peel (less the source's
+    roundoff slack) stays one.  Rows are ranked in ascending order of their
+    bound, and ranking stops at the first block whose rooted bound is
+    strictly greater than the best radius found: no row after it can win or
+    tie.  Ranked rows get their new value as bound.
+
+    Returns (position in ``alive`` of the center, radius alpha, the center's
+    squared row over ``alive``), ties in the rooted radius to the lowest
+    position.  The row holds the entries alpha was taken from.
     """
-    kth = np.empty(alive.size)
-    every = alive.size == d2.shape[1]
-    step = _block_rows(alive.size)
-    for lo in range(0, alive.size, step):
-        rows = alive[lo : lo + step]
-        blk = d2[rows] if every else d2[np.ix_(rows, alive)]
+    source.live(alive)
+    order = np.argsort(lower[alive], kind="stable")
+    best, best_pos, best_row = math.inf, -1, None
+    for lo in range(0, alive.size, source.step):
+        pos = order[lo : lo + source.step]
+        rows = alive[pos]
+        if math.sqrt(lower[rows[0]]) > best:
+            break
+        blk = source.block(rows)
         blk.partition(threshold - 1, axis=1)
-        kth[lo : lo + step] = blk[:, threshold - 1]
-    np.sqrt(kth, out=kth)
-    local = int(np.argmin(kth))  # first minimum = lowest position
-    return local, float(kth[local])
+        kth = np.maximum(blk[:, threshold - 1], 0.0)
+        lower[rows] = np.maximum(kth - source.slack[rows], 0.0)
+        rooted = np.sqrt(kth)
+        ties = np.flatnonzero(rooted == rooted.min())
+        j = ties[np.argmin(pos[ties])]
+        if rooted[j] < best or (rooted[j] == best and pos[j] < best_pos):
+            best, best_pos, best_row = float(rooted[j]), int(pos[j]), source.row(j)
+    return best_pos, best, best_row
+
+
+class _StoredRows:
+    """Squared-distance rows read from the stored M x M matrix of ``points``.
+
+    Every read gives the same value for an entry, so the dense-ball bound
+    needs no slack.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.d2 = pairwise_sq_dists(points)
+        self.slack = np.zeros(points.shape[0])
+
+    def live(self, alive: np.ndarray):
+        self.alive = alive
+        self.step = _block_rows(alive.size)
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """A copy of ``rows`` over the live columns."""
+        self.rows = rows
+        if self.alive.size == self.d2.shape[1]:
+            return self.d2[rows]
+        return self.d2[np.ix_(rows, self.alive)]
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j of the last block, as it was formed."""
+        return self.d2[self.rows[j], self.alive]
+
+    def ball_variance(self, ball: np.ndarray) -> float:
+        return _ball_variance(self.points, self.d2, ball)
+
+
+class _MatrixFreeRows:
+    """Squared-distance rows formed on demand from ``points``.
+
+    ``live`` gathers -2 times the live points, and their squared norms, once
+    per peel.  A block of rows is one GEMM against them, g = a @ (-2 b).T,
+    which is exactly -2 (a @ b.T), plus the norm sums: the same
+    (aa + bb) - 2 a @ b.T that pairwise_sq_dists forms, without its clip at 0
+    (the order statistics are clipped instead).  Memory is O(B M) for a
+    block of B rows, plus the gathered points.  A ball with fewer points
+    than dimensions forms its own squared distances for its Gram matrix.
+
+    An inner product can round differently in GEMMs of different shapes, by
+    at most n eps |x_i| |x_j| each way, so an entry formed at two peels
+    differs by at most 2 (n + 2) eps (|x_i|^2 + |x_j|^2), counting the
+    rounding of the expansion; ``slack`` holds that allowance per row.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.norms = np.einsum("ij,ij->i", points, points)
+        eps = np.finfo(float).eps
+        self.slack = 2.0 * (points.shape[1] + 2) * eps * (self.norms + self.norms.max())
+
+    def live(self, alive: np.ndarray):
+        self.cols = self.points[alive]
+        self.cols *= -2.0
+        self.col_norms = self.norms[alive]
+        self.step = max(_block_rows(alive.size), _MIN_GEMM_ROWS)
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """The unclipped squared distances of ``rows`` to the live points."""
+        self.rows = rows
+        self.g = self.points[rows] @ self.cols.T
+        blk = np.add(self.norms[rows, None], self.col_norms[None, :])
+        blk += self.g
+        return blk
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j of the last block, as it was formed, clipped at 0.
+
+        It is re-added from the same GEMM output: a GEMM of another shape
+        may round differently and move a point across the ball's edge.
+        """
+        row = self.norms[self.rows[j]] + self.col_norms
+        row += self.g[j]
+        return np.maximum(row, 0.0, out=row)
+
+    def ball_variance(self, ball: np.ndarray) -> float:
+        return _ball_variance(self.points, None, ball)
+
+
+def _row_source(points: np.ndarray, threshold: int):
+    """The row source classify_general peels ``points`` with.
+
+    Every ball holds at least ``threshold`` points, so at a threshold of at
+    least the dimension every ball goes to max_variance and reads no block
+    of the matrix.  The matrix is stored only when some ball may take its
+    Gram matrix from it and it fits in _MATRIX_BUDGET.
+    """
+    m, n = points.shape
+    if threshold < n and m * m * 8 <= _MATRIX_BUDGET:
+        return _StoredRows(points)
+    return _MatrixFreeRows(points)
 
 
 def max_variance(points) -> tuple[float, np.ndarray]:
@@ -286,20 +421,22 @@ def _gram_from_sq_dists(d2: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _ball_variance(points: np.ndarray, d2: np.ndarray, ball: np.ndarray) -> float:
+def _ball_variance(points: np.ndarray, d2: np.ndarray | None, ball: np.ndarray) -> float:
     """Top covariance eigenvalue of the points indexed by ``ball``.
 
-    ``d2`` holds the squared distances between all rows of ``points``.  A ball
-    of at least as many points as dimensions goes to max_variance, which
-    solves the n x n covariance.  A smaller ball's Gram matrix is
-    double-centered from its block of ``d2``.  Coincident points give exactly
-    0 on both sides.
+    ``d2`` holds the squared distances between all rows of ``points``, or is
+    None.  A ball of at least as many points as dimensions goes to
+    max_variance, which solves the n x n covariance.  A smaller ball's Gram
+    matrix is double-centered from its block of ``d2``, or, without ``d2``,
+    from its own points' squared distances, formed by the same expansion.
+    Coincident points give exactly 0 on both sides.
     """
     if ball.size >= points.shape[1]:
         return max_variance(points[ball])[0]
     if _coincident(points, ball):
         return 0.0
-    return _top_eigenpair(_gram_from_sq_dists(d2[np.ix_(ball, ball)]))[0]
+    block = pairwise_sq_dists(points[ball]) if d2 is None else d2[np.ix_(ball, ball)]
+    return _top_eigenpair(_gram_from_sq_dists(block))[0]
 
 
 def _gap_steps(sorted_dists: np.ndarray, alpha: float, nu: float) -> int:
@@ -327,17 +464,27 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
     plain M x n matrix.
 
     The points are centered on their mean, which keeps the Gram expansion
-    free of cancellation far from the origin, and their M x M squared
-    distance matrix is formed once.  No peel copies it: the dense ball takes
-    each live row's threshold-th smallest squared entry over the live
-    columns, in row blocks, and roots only those order statistics and the
-    center's row.  beta and beta' of a ball with fewer points m than
-    dimensions n come from the ball's m x m Gram matrix, double-centered
-    from its block of the squared matrix (Gower 1966); a ball with m >= n
-    goes to max_variance, which solves the n x n covariance.  A ball of
-    coincident points has beta exactly 0 on both sides.  The gap search
-    marches on the center's rooted row until a step adds no live point, which
-    takes at most one step more than there are live points beyond alpha.
+    free of cancellation far from the origin.  Each peel reads them through
+    squared-distance rows over the live points (see _row_source): rows
+    formed on demand in row blocks when the threshold is at least the
+    dimension n or the M x M matrix would not fit the memory budget, and
+    otherwise rows of that matrix, formed once and never copied.  Memory is
+    O(B M) for a block of B rows on the first path, and the matrix on the
+    second; an M = 10^5 sample needs no 80 GB matrix.
+
+    The dense ball takes ranked rows' threshold-th smallest squared entries
+    and roots only those order statistics and the center's row.  A row's
+    value at the last peel that ranked it bounds it from below, so ranking
+    stops once no unranked row can win; on a separated mixture the peels
+    after the first rank a block or two.  beta and beta' of a ball with
+    fewer points m than dimensions n come from the ball's m x m Gram matrix,
+    double-centered (Gower 1966) from its block of the stored matrix or from
+    squared distances formed from its points; a ball with m >= n goes to
+    max_variance, which solves the n x n covariance.  A ball of coincident
+    points has beta exactly 0 on both sides.  The gap search marches on the
+    center's rooted row, the entries alpha was taken from, until a step
+    adds no live point, which takes at most one step more than there are
+    live points beyond alpha.
 
     Raises:
         ThresholdTooLarge: a peel finds fewer live points than the threshold.
@@ -355,7 +502,8 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
     log_term = math.log(m_total / config.delta) + 1.0
     trace = PeelTrace(threshold=threshold, delta=config.delta)
     points = points - points.mean(axis=0)
-    d2 = pairwise_sq_dists(points)
+    source = _row_source(points, threshold)
+    lower = np.zeros(m_total)
     alive = np.arange(m_total)
     clusters: list[np.ndarray] = []
     for _ in range(config.k):
@@ -364,14 +512,13 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
                 f"{alive.size} live points < threshold {threshold} "
                 f"after {len(clusters)} peels"
             )
-        x_loc, alpha = _dense_ball(d2, alive, threshold)
-        row = d2[alive[x_loc], alive]
+        x_loc, alpha, row = _dense_ball(source, alive, threshold, lower)
         np.sqrt(row, out=row)
-        beta = _ball_variance(points, d2, alive[row <= alpha])
+        beta = source.ball_variance(alive[row <= alpha])
         nu = math.sqrt(config.w_min * beta / 8.0)
         s = _gap_steps(np.sort(row), alpha, nu)
         r_gap = alpha + s * nu
-        beta_prime = _ball_variance(points, d2, alive[row <= r_gap])
+        beta_prime = source.ball_variance(alive[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
         removed_mask = row <= removal_radius
         if not np.any(removed_mask):
@@ -440,12 +587,16 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     squared distances that round to the same root tie as they would on a
     rooted matrix.  The removal ball tests rooted squared entries of x0's row,
     its own (clipped roundoff) entry included.
+
+    Raises:
+        ValueError: k is not an integer >= 1, or t is not positive and finite.
+        EmptyPeel: no points are left for a peel.
+        ResidualPointsAfterKPeels: points remain after k peels.
     """
     points, meta = _points_of(samples)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    k = _cluster_count(k)
     m_total, n = points.shape
     if meta is not None and meta.ambient_dim is not None:
         n = meta.ambient_dim

@@ -78,7 +78,8 @@ class TooFewPoints(SepmixError):
 class InstanceTooLarge(SepmixError):
     """An instance exceeds what can be computed: exhaustive enumeration over
     more subsets than the configured budget, or a pairwise distance matrix
-    larger than physical memory."""
+    larger than physical memory.  classify_general never raises it for its
+    sample size: past its memory budget it forms distance rows on demand."""
 
 
 class InconsistentSigma(SepmixError):

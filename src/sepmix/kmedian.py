@@ -27,7 +27,7 @@ from .errors import (
     TooFewPoints,
     ZeroSigmaWarning,
 )
-from .model import _points_of
+from .model import _cluster_count, _points_of
 
 _NORMALIZATIONS = ("paper", "standard")
 
@@ -112,16 +112,19 @@ def kmedian_local_search(
     exactly, whichever center a tie in d1_j is given to.  A round is then two
     passes over the distance matrix D, whatever k is.
 
+    Raises:
+        TooFewPoints: fewer points than centers.
+        ValueError: k is not an integer >= 1.
+
     Warns:
         LocalSearchCapWarning: ``max_rounds`` ran out while the last round
             still improved the objective.
     """
     points, _ = _points_of(points)
+    k = _cluster_count(k)
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     config = config or LocalSearchConfig()
     d2 = pairwise_sq_dists(points)
 
@@ -193,15 +196,14 @@ def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianS
 
     Raises:
         TooFewPoints: fewer points than centers.
-        ValueError: k < 1.
+        ValueError: k is not an integer >= 1.
         InstanceTooLarge: C(M, k) exceeds ``max_subsets``.
     """
     points, _ = _points_of(points)
+    k = _cluster_count(k)
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     total = math.comb(m, k)
     if total > max_subsets:
         raise InstanceTooLarge(f"C({m}, {k}) = {total} > {max_subsets}")
@@ -327,6 +329,7 @@ def fit_spherical_mixture(
 
     Raises:
         NonFiniteInput: a point coordinate is NaN or infinite.
+        ValueError: k is not an integer >= 1.
     """
     points = np.asarray(points, dtype=float)
     solution = kmedian_local_search(points, k, rng, config)

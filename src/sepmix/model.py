@@ -9,6 +9,7 @@ estimated once and cached on the component.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -354,6 +355,19 @@ def _points_of(samples) -> tuple[np.ndarray, LabeledSampleSet | None]:
     if not np.isfinite(points).all():
         raise NonFiniteInput("points contain NaN or an infinity")
     return points, meta
+
+
+def _cluster_count(k) -> int:
+    """The boundary check on a cluster count: ``k`` as an int >= 1.
+
+    Raises:
+        ValueError: k is a bool, not an integer (2.0 included), or < 1.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(k)
 
 
 def _draw_labels(weights: np.ndarray, rng: np.random.Generator, count: int):

@@ -6,8 +6,11 @@ import scipy.linalg
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from sepmix import classify as classify_module
 from sepmix.classify import (
     ClassifierConfig,
+    _MatrixFreeRows,
+    _StoredRows,
     _ball_variance,
     _dense_ball,
     _gap_steps,
@@ -24,6 +27,7 @@ from sepmix.errors import (
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
+from sepmix.kmedian import fit_spherical_mixture, kmedian_exhaustive, kmedian_local_search
 from sepmix.model import Mixture, make_gaussian, sample_mixture, spherical_median_radius
 from sepmix.scoring import partition_compare
 from sepmix.separation import SeparationConfig, plant_separated_mixture
@@ -104,55 +108,63 @@ def test_pairwise_sq_dists_refuses_matrix_beyond_physical_memory():
 # ---------------------------------------------------------------------------
 
 
-def _dense_ball_of(pts, T, threshold):
+_SOURCES = (_StoredRows, _MatrixFreeRows)
+
+
+def _dense_ball_of(pts, T, threshold, source):
     """(center point index, alpha) of _dense_ball ranking the rows and columns
-    T of the squared distance matrix of all points, as a peel does."""
+    T of the points' squared distances, as a first peel does."""
     T = np.sort(np.asarray(T, dtype=int))
-    local, alpha = _dense_ball(pairwise_sq_dists(pts), T, threshold)
+    local, alpha, _ = _dense_ball(source(pts), T, threshold, np.zeros(len(pts)))
     return int(T[local]), alpha
 
 
 def test_dense_ball_line_example():
     pts = _column([0.0, 1.0, 2.0, 10.0])
-    center, alpha = _dense_ball_of(pts, np.arange(4), 3)
-    assert center == 1
-    assert alpha == pytest.approx(1.0)
+    for source in _SOURCES:
+        center, alpha = _dense_ball_of(pts, np.arange(4), 3, source)
+        assert center == 1
+        assert alpha == pytest.approx(1.0)
 
 
 def test_dense_ball_threshold_one_is_radius_zero():
     pts = _column([5.0, 7.0, 3.0])
-    center, alpha = _dense_ball_of(pts, np.arange(3), 1)
-    assert alpha == 0.0
-    assert center == 0  # lowest index wins the tie
+    for source in _SOURCES:
+        center, alpha = _dense_ball_of(pts, np.arange(3), 1, source)
+        assert alpha == 0.0
+        assert center == 0  # lowest index wins the tie
 
 
 def test_dense_ball_identical_points():
     pts = np.zeros((6, 3))
-    for threshold in (1, 3, 6):
-        center, alpha = _dense_ball_of(pts, np.arange(6), threshold)
-        assert alpha == 0.0
-        assert center == 0
+    for source in _SOURCES:
+        for threshold in (1, 3, 6):
+            center, alpha = _dense_ball_of(pts, np.arange(6), threshold, source)
+            assert alpha == 0.0
+            assert center == 0
 
 
 def test_dense_ball_brute_force_oracle():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(40, 3))
     T = np.arange(40)
-    for threshold in (1, 5, 17, 40):
-        center, alpha = _dense_ball_of(pts, T, threshold)
-        # oracle: for every candidate center the radius is the threshold-th
-        # smallest distance; the reported alpha must be the global minimum
-        d = np.sqrt(pairwise_sq_dists(pts))
-        radii = np.sort(d, axis=1)[:, threshold - 1]
-        assert alpha == pytest.approx(float(radii.min()), rel=1e-12)
-        assert center == int(np.argmin(radii))
+    # oracle: for every candidate center the radius is the threshold-th
+    # smallest distance; the reported alpha must be the global minimum
+    d = np.sqrt(pairwise_sq_dists(pts))
+    for source in _SOURCES:
+        for threshold in (1, 5, 17, 40):
+            center, alpha = _dense_ball_of(pts, T, threshold, source)
+            radii = np.sort(d, axis=1)[:, threshold - 1]
+            assert alpha == pytest.approx(float(radii.min()), rel=1e-12)
+            assert center == int(np.argmin(radii))
 
 
 def test_dense_ball_respects_subset():
     pts = _column([0.0, 1.0, 2.0, 10.0, 10.5])
-    center, alpha = _dense_ball_of(pts, np.array([3, 4]), 2)
-    assert center == 3
-    assert alpha == pytest.approx(0.5)
+    for source in _SOURCES:
+        center, alpha = _dense_ball_of(pts, np.array([3, 4]), 2, source)
+        assert center == 3
+        assert alpha == pytest.approx(0.5)
 
 
 def test_dense_ball_threshold_too_large():
@@ -181,15 +193,85 @@ def test_dense_ball_on_live_rows_matches_subset_matrix(seed, m, lattice):
     if alive.size == 0:
         alive = np.array([m - 1])
     threshold = int(rng.integers(1, alive.size + 1))
-    local, alpha = _dense_ball(pairwise_sq_dists(pts), alive, threshold)
-    sub_local, want = _dense_ball(
-        pairwise_sq_dists(pts[alive]), np.arange(alive.size), threshold
+    sub_local, want, _ = _dense_ball(
+        _StoredRows(pts[alive]), np.arange(alive.size), threshold, np.zeros(alive.size)
     )
-    assert local == sub_local
+    for source in _SOURCES:
+        local, alpha, _ = _dense_ball(source(pts), alive, threshold, np.zeros(m))
+        assert local == sub_local
+        if lattice:
+            assert alpha == want
+        else:
+            assert alpha == pytest.approx(want, rel=1e-12)
+
+
+def _blocks_of(monkeypatch, rows):
+    """Row blocks of ``rows`` rows in both sources, so that small inputs
+    span several blocks and the dense-ball bound can stop early."""
+    monkeypatch.setattr(classify_module, "_block_rows", lambda cols: rows)
+    monkeypatch.setattr(classify_module, "_MIN_GEMM_ROWS", 1)
+
+
+def test_dense_ball_strict_stop_keeps_the_lowest_tied_position(monkeypatch):
+    # every row's radius is 1; the bounds rank position 0 last, and its bound
+    # equals the best radius, so the strict stop still ranks it and it wins
+    pts = _column([0.0, 1.0, 10.0, 11.0])
+    _blocks_of(monkeypatch, 1)
+    for source in _SOURCES:
+        lower = np.array([1.0, 0.0, 0.0, 0.0])
+        local, alpha, _ = _dense_ball(source(pts), np.arange(4), 2, lower)
+        assert (local, alpha) == (0, 1.0)
+        # a bound above the best radius is never ranked, and keeps its value
+        lower = np.array([0.0, 1.5, 0.0, 4.0])
+        local, alpha, _ = _dense_ball(source(pts), np.arange(4), 2, lower)
+        assert (local, alpha) == (0, 1.0)
+        assert lower[[1, 3]].tolist() == [1.5, 4.0]
+        assert lower[[0, 2]].tolist() == pytest.approx([1.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=2, max_value=60),
+    lattice=st.booleans(),
+    block=st.integers(min_value=1, max_value=4),
+)
+def test_dense_ball_bound_from_an_earlier_peel_ranks_as_a_fresh_one(
+    seed, m, lattice, block
+):
+    # the values a ranking of every row leaves in ``lower`` bound the rows
+    # from below once columns leave; ranking on them picks the same center
+    # and radius as ranking every live row afresh, returns the row alpha was
+    # taken from, and leaves valid bounds behind
+    with pytest.MonkeyPatch.context() as mp:
+        _blocks_of(mp, block)
+        _check_bound_ranks_as_fresh(seed, m, lattice)
+
+
+def _check_bound_ranks_as_fresh(seed, m, lattice):
+    rng = np.random.default_rng(seed)
     if lattice:
-        assert alpha == want
+        pts = rng.integers(-2, 3, size=(m, 2)).astype(float)
     else:
-        assert alpha == pytest.approx(want, rel=1e-12)
+        pts = rng.normal(size=(m, 3))
+    alive = np.flatnonzero(rng.random(m) < 0.6)
+    if alive.size == 0:
+        alive = np.array([m - 1])
+    threshold = int(rng.integers(1, alive.size + 1))
+    for source in _SOURCES:
+        src = source(pts)
+        lower = np.zeros(m)
+        _dense_ball(src, np.arange(m), threshold, lower)
+        local, alpha, row = _dense_ball(src, alive, threshold, lower)
+        want_local, want, _ = _dense_ball(src, alive, threshold, np.zeros(m))
+        assert local == want_local
+        if lattice:
+            assert alpha == want
+        else:
+            assert alpha == pytest.approx(want, rel=1e-12)
+        assert math.sqrt(np.partition(row, threshold - 1)[threshold - 1]) == alpha
+        kth = np.partition(src.block(alive), threshold - 1, axis=1)[:, threshold - 1]
+        assert np.all(lower[alive] <= np.maximum(kth, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +568,46 @@ def test_classify_unseparated_data_errors():
 def test_classifier_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(k=0, w_min=0.5)
+    assert ClassifierConfig(k=np.int64(2), w_min=0.5).k == 2
     with pytest.raises(ValueError):
         ClassifierConfig(k=3, w_min=0.5)  # k * w_min > 1
     with pytest.raises(ValueError):
         ClassifierConfig(k=2, w_min=0.5, delta=0.0)
+
+
+_TWELVE = np.random.default_rng(0).normal(size=(12, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ClassifierConfig(k=2.0, w_min=0.5),
+        lambda: ClassifierConfig(k=True, w_min=0.5),
+        lambda: classify_spherical(_TWELVE, k=2.0, t=1.0),
+        lambda: classify_spherical(_TWELVE, k=True, t=1.0),
+        lambda: kmedian_local_search(_TWELVE, 2.0, np.random.default_rng(0)),
+        lambda: kmedian_exhaustive(_TWELVE, 1.5),
+        lambda: fit_spherical_mixture(_TWELVE, 2.0, np.random.default_rng(0)),
+        lambda: classify_spherical(_TWELVE, k=2, t=math.nan),
+        lambda: classify_spherical(_TWELVE, k=2, t=math.inf),
+    ],
+    ids=[
+        "config-float-k",
+        "config-bool-k",
+        "spherical-float-k",
+        "spherical-bool-k",
+        "local-search-float-k",
+        "exhaustive-float-k",
+        "fit-float-k",
+        "spherical-nan-t",
+        "spherical-inf-t",
+    ],
+)
+def test_entry_points_reject_non_integral_k_and_non_finite_t(call):
+    # k = 2.0 used to reach range(k) and die with a TypeError; t = nan used to
+    # read as a ball too small to empty the sample, and t = inf removed all
+    with pytest.raises(ValueError, match="must be an integer|positive and finite"):
+        call()
 
 
 @pytest.mark.parametrize("n", [2, 30], ids=["covariance-side", "gram-side"])
@@ -614,6 +732,119 @@ def test_general_matches_reference_loop(seed, k, per_blob, n, offset):
             assert h[key] == w[key], key
         for key in ("alpha", "beta", "nu", "beta_prime", "removal_radius"):
             assert h[key] == pytest.approx(w[key], rel=1e-9, abs=0.0), key
+
+
+def _blobs(rng, k, per_blob, n, lattice):
+    """k blobs of per_blob points around centers about 100 apart.  Lattice
+    blobs are integer points, symmetric about integer centers that sum to 0:
+    their mean is exactly 0 and every inner product is an exact integer, so
+    distances that tie in exact arithmetic tie in both row sources."""
+    centers = rng.normal(scale=100.0, size=(k, n))
+    if not lattice:
+        return centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
+    centers = np.round(centers)
+    centers[-1] -= centers.sum(axis=0)
+    half = rng.integers(-2, 3, size=(k, per_blob // 2, n)).astype(float)
+    return (centers[:, None, :] + np.concatenate([half, -half], axis=1)).reshape(-1, n)
+
+
+def _outcome_with(source, points, config, block=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_row_source", lambda pts, threshold: source(pts))
+        if block is not None:
+            _blocks_of(mp, block)
+        return _general_outcome(points, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    k=st.integers(min_value=1, max_value=3),
+    per_blob=st.integers(min_value=6, max_value=20),
+    n=st.sampled_from([2, 5, 12, 30, 80]),
+    offset=st.sampled_from([0.0, 1e6]),
+    lattice=st.booleans(),
+    block=st.sampled_from([1, 3, None]),
+)
+@example(seed=0, k=2, per_blob=20, n=80, offset=1e6, lattice=False, block=None)  # Gram side
+@example(seed=3, k=3, per_blob=12, n=2, offset=1e6, lattice=True, block=1)  # many ties
+def test_matrix_free_rows_peel_as_the_stored_matrix(
+    seed, k, per_blob, n, offset, lattice, block
+):
+    # the same peels from rows formed on demand as from the stored matrix.
+    # An inner product rounds differently in GEMMs of different shapes, and
+    # with blobs about 100 apart |x|^2 is some 10^4 times alpha^2, so one
+    # unit of roundoff in it is about 1e-12 of alpha^2; over 1500 random
+    # draws alpha, beta, nu, beta' and the removal radius differed by at
+    # most 3.7e-12 relative.  Lattice inner products are exact, and so are
+    # the scalars.
+    # Row blocks of 1 or 3 rows (None: the default size) let the bound stop
+    # early on these small samples.
+    pts = _blobs(np.random.default_rng(seed), k, per_blob, n, lattice) + offset
+    config = ClassifierConfig(k=k, w_min=1.0 / k)
+    stored = _outcome_with(_StoredRows, pts, config, block)
+    free = _outcome_with(_MatrixFreeRows, pts, config, block)
+    if isinstance(stored, str):
+        assert free == stored
+        return
+    assert len(free) == len(stored)
+    for f, s in zip(free, stored):
+        for key in ("center_index", "s", "removed"):
+            assert f[key] == s[key], key
+        for key in ("alpha", "beta", "nu", "beta_prime", "removal_radius"):
+            if lattice:
+                assert f[key] == s[key], key
+            else:
+                assert f[key] == pytest.approx(s[key], rel=1e-11, abs=0.0), key
+
+
+def test_general_picks_its_row_source_from_threshold_and_budget(monkeypatch):
+    # the matrix is stored only when a ball may go to the Gram side
+    # (threshold < n) and the matrix fits the budget
+    picked = []
+    choose = classify_module._row_source
+
+    def record(points, threshold):
+        picked.append(type(source := choose(points, threshold)))
+        return source
+
+    monkeypatch.setattr(classify_module, "_row_source", record)
+    pts = _blobs(np.random.default_rng(4), 2, 20, 30, False)
+    config = ClassifierConfig(k=2, w_min=0.5)  # threshold 15
+    classify_general(pts, config)
+    classify_general(pts[:, :15], config)
+    monkeypatch.setattr(classify_module, "_MATRIX_BUDGET", 40 * 40 * 8 - 1)
+    classify_general(pts, config)
+    assert picked == [_StoredRows, _MatrixFreeRows, _MatrixFreeRows]
+
+
+def test_later_peels_rank_few_rows_on_a_planted_mixture(monkeypatch):
+    # the dense-ball bound: after the first peel, which ranks every row, a
+    # peel on a separated mixture forms fewer than 5% of its live rows
+    formed = []
+    live, block = _MatrixFreeRows.live, _MatrixFreeRows.block
+
+    def count_live(self, alive):
+        formed.append([alive.size, 0])
+        live(self, alive)
+
+    def count_block(self, rows):
+        formed[-1][1] += rows.size
+        return block(self, rows)
+
+    monkeypatch.setattr(_MatrixFreeRows, "live", count_live)
+    monkeypatch.setattr(_MatrixFreeRows, "block", count_block)
+    mix = plant_separated_mixture(
+        n=16, k=3, shape_spec=(1.0, 2.0), config=SeparationConfig(t=10.0, mode="practical"),
+        slack=1.5, rng=np.random.default_rng(20),
+    )
+    samples = sample_mixture(mix, np.random.default_rng(21), 3000, seed=21)
+    part = classify_general(samples, ClassifierConfig(k=3, w_min=1.0 / 3.0))
+    assert partition_compare(part, samples.labels).exact_match
+    assert formed[0] == [3000, 3000]
+    assert len(formed) == 3
+    for alive, count in formed[1:]:
+        assert count < 0.05 * alive, formed
 
 
 # ---------------------------------------------------------------------------

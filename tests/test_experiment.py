@@ -172,6 +172,13 @@ def test_errors_recorded_without_aborting():
         assert ":" in rep.error
 
 
+def test_non_integral_k_is_recorded_as_a_trial_error():
+    # "k": 2.0 in a config fails at ClassifierConfig, inside the trial
+    result = run_experiment(_plant_config(trials=1, classifier={"k": 2.0, "w_min": 0.5}))
+    assert result.error_count == 1
+    assert result.reports[0].error == "ValueError: k must be an integer, got 2.0"
+
+
 def test_error_text_sanitized_in_summary():
     class Dummy:
         pass

@@ -1,10 +1,13 @@
 """Peak-memory guards for the M x M kernels and the Monte Carlo draws.
 
-Each kernel may hold the one M x M squared distance matrix it builds, plus
-temporaries far smaller than it.  A second M x M temporary, such as an
-unblocked Gram expansion or a rooted copy of the matrix, lifts the peak to
-2 M^2 * 8 bytes or more and fails these tests.  numpy reports its data
-buffers to tracemalloc, so the traced peak covers every array allocated.
+pairwise_sq_dists, the warm-up and k-median may each hold the one M x M
+squared distance matrix they build, plus temporaries far smaller than it.  A
+second M x M temporary, such as an unblocked Gram expansion or a rooted copy
+of the matrix, lifts the peak to 2 M^2 * 8 bytes or more and fails these
+tests.  classify_general on the matrix-free path holds no matrix at all:
+row blocks of O(B M) entries, the points and vectors of one entry per point.
+numpy reports its data buffers to tracemalloc, so the traced peak covers
+every array allocated.
 """
 
 import gc
@@ -13,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sepmix import classify
 from sepmix.classify import (
     ClassifierConfig,
     classify_general,
@@ -65,6 +69,50 @@ def _traced_peak(call) -> int:
 def test_peak_stays_near_one_distance_matrix(call, three_clusters):
     peak = _traced_peak(lambda: call(three_clusters))
     assert peak <= LIMIT, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"
+
+
+def test_classify_general_holds_no_distance_matrix(three_clusters):
+    # threshold 675 >= n = 8: every ball goes to the covariance side, so the
+    # peels read rows formed on demand; the matrix alone is M^2 * 8 bytes
+    config = ClassifierConfig(k=3, w_min=0.3)
+    peak = _traced_peak(lambda: classify_general(three_clusters, config))
+    assert peak <= 0.05 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
+
+
+def _two_blobs(m, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, n))
+    pts[m // 2 :, 0] += 1e3
+    return pts
+
+
+def test_classify_general_at_ten_thousand_points():
+    # an 800 MB matrix is never formed: the peak stays under 1% of it
+    m = 10_000
+    pts = _two_blobs(m, 4, 7)
+    config = ClassifierConfig(k=2, w_min=0.5)
+    clusters = []
+    peak = _traced_peak(lambda: clusters.extend(classify_general(pts, config).clusters))
+    assert sorted(c.size for c in clusters) == [m // 2, m // 2]
+    assert peak <= 0.01 * m * m * 8, f"peak {peak / (m * m * 8):.4f} x M^2 * 8 bytes"
+
+
+def test_classify_general_gram_side_balls_over_budget(monkeypatch):
+    # threshold 60 < n = 64, so balls of 60 to 63 points take their Gram
+    # matrices; a matrix over budget is not stored, and each such ball forms
+    # its own m x m squared distances.  The rest is the points (centered,
+    # gathered, and a ball's copy and deviations), row blocks and vectors of
+    # one entry per point.
+    m, n = 2000, 64
+    monkeypatch.setattr(classify, "_MATRIX_BUDGET", 0)
+    pts = _two_blobs(m, n, 8)
+    config = ClassifierConfig(k=2, w_min=0.04)
+    steps = []
+    peak = _traced_peak(lambda: steps.extend(classify_general(pts, config).trace.steps))
+    assert [s.removed.size for s in steps] == [m // 2, m // 2]
+    block = max(classify._BLOCK_BYTES, classify._MIN_GEMM_ROWS * m * 8)
+    limit = 4 * m * n * 8 + 4 * block + 2 * n * n * 8
+    assert peak <= limit, f"peak {peak / limit:.2f} x the bound"
 
 
 # The Monte Carlo checks and radii work on their standard normal block in
