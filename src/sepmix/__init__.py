@@ -36,6 +36,7 @@ from .errors import (
     InstanceTooLarge,
     InvalidDelta,
     LocalSearchCapWarning,
+    MedianRadiusNotConverged,
     MissingMedianRadius,
     NonFiniteInput,
     NonOrthonormalRotation,
@@ -111,6 +112,7 @@ __all__ = [
     "LocalSearchCapWarning",
     "LocalSearchConfig",
     "MatchResult",
+    "MedianRadiusNotConverged",
     "MissingMedianRadius",
     "Mixture",
     "NonFiniteInput",

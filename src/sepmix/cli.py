@@ -51,9 +51,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_sep(args) -> int:
     mixture = load_params(args.params)
-    rng = np.random.default_rng(args.seed)
     for comp in mixture.components:
-        median_radius(comp, rng, num_samples=args.radius_samples)
+        median_radius(comp)
     config = SeparationConfig(t=args.t, mode=args.mode)
     report = separation_margin(mixture, config)
     k = mixture.k
@@ -195,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--mode", choices=["paper", "practical"], default="paper")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius-samples", type=int, default=100_000)
     p.set_defaults(func=_cmd_check_sep)
 
     p = sub.add_parser("classify", help="peel a sample into k clusters")

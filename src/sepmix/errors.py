@@ -28,7 +28,12 @@ class NonFiniteInput(SepmixError):
 
 
 class MissingMedianRadius(SepmixError):
-    """An operation needs a median radius that has not been estimated yet."""
+    """An operation needs a median radius that has not been computed yet."""
+
+
+class MedianRadiusNotConverged(SepmixError):
+    """No quadrature certified the median radius of a spectrum to the
+    exact solver's tolerance."""
 
 
 # -- separation and planting --------------------------------------------------

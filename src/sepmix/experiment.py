@@ -56,7 +56,8 @@ class ExperimentConfig:
 
     ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``.  The
     separation scale ``t`` and the step cap that older configs carry there
-    are ignored.
+    are ignored, and so is ``source.radius_samples``: median radii are
+    computed exactly, without draws.
     """
 
     scenario: str
@@ -155,7 +156,6 @@ def _build_samples(config: ExperimentConfig, rng, seed, cache: dict) -> LabeledS
             slack=src.get("slack", 1.0),
             rng=rng,
             weights=src.get("weights"),
-            radius_samples=src.get("radius_samples", 100_000),
         )
         return sample_mixture(mixture, rng, config.sample_size, seed=seed)
     if kind == "concentric_spherical":
@@ -171,9 +171,8 @@ def _build_samples(config: ExperimentConfig, rng, seed, cache: dict) -> LabeledS
         if "mixture" not in cache:
             cache["mixture"] = load_params(src["path"])
             if src.get("estimate_radii", False):
-                radius_rng = np.random.default_rng(config.master_seed)
                 for comp in cache["mixture"].components:
-                    median_radius(comp, radius_rng)
+                    median_radius(comp)
         return sample_mixture(cache["mixture"], rng, config.sample_size, seed=seed)
     if kind == "mixture":
         return sample_mixture(src["object"], rng, config.sample_size, seed=seed)
@@ -345,15 +344,14 @@ def _spherical_component(n: int, sigma: float = 1.0):
     return comp
 
 
-def _eccentric_component(n: int, rng=None, top: float = 100.0, rotate: bool = False):
-    """N(0, diag(top, 1, ..., 1)), Haar-rotated when ``rotate``.  Its median
-    radius is estimated from ``rng``; without an rng it is left unset."""
+def _eccentric_component(n: int, top: float = 100.0, rng=None):
+    """N(0, diag(top, 1, ..., 1)) with its median radius set, Haar-rotated
+    by a rotation drawn from ``rng`` when one is given."""
     lam = np.ones(n)
     lam[0] = top
-    rot = random_rotation(n, rng) if rotate else None
+    rot = None if rng is None else random_rotation(n, rng)
     comp = make_gaussian(np.zeros(n), lam, rot)
-    if rng is not None:
-        median_radius(comp, rng)
+    median_radius(comp)
     return comp
 
 
@@ -382,7 +380,7 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
                 comp = (
                     _spherical_component(n)
                     if shape == "spherical"
-                    else _eccentric_component(n, rng)
+                    else _eccentric_component(n)
                 )
                 for t in t_values:
                     if suite == "lemma5":
@@ -407,7 +405,7 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
                 n=32, t=2.0, z="10R",
             )
         )
-        comp4 = _eccentric_component(4, rng, top=9.0, rotate=True)
+        comp4 = _eccentric_component(4, top=9.0, rng=rng)
         z4 = rng.standard_normal(4)
         rows.append(
             _bound_row(

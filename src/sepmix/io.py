@@ -23,37 +23,54 @@ from .errors import (
 from .model import LabeledSampleSet, Mixture, make_gaussian
 
 _FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT % x
+# Rows per block: save_samples formats one block per write, load_samples
+# converts one block per numpy cast.  A block's text and tokens stay well
+# under glibc's 128 KiB mmap threshold, so freeing them does not raise the
+# threshold, and with it the process's later peak RSS.
+_ROWS_PER_BLOCK = 256
 
 
 def save_samples(path, samples: LabeledSampleSet | np.ndarray, labels=None) -> None:
-    """Write points (and labels, when present) as CSV with dim_i columns."""
+    """Write points (and labels, when present) as CSV with dim_i columns.
+
+    Each row is one %-format of its values, which gives the bytes
+    ``csv.writer`` gave for the same fields: no formatted float or integer
+    holds a character that needs quoting.
+    """
     if isinstance(samples, LabeledSampleSet):
         points, labels = samples.points, samples.labels
     else:
         points = np.asarray(samples, dtype=float)
     n = points.shape[1]
     header = [f"dim_{i}" for i in range(n)]
+    row_fmt = ",".join([_FLOAT_FMT] * n)
     if labels is not None:
         header.append("label")
+        row_fmt += ",%d"
+        labels = np.asarray(labels)
+    row_fmt += "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, row in enumerate(points):
-            out = [_fmt(v) for v in row]
+        fh.write(",".join(header) + "\n")
+        for a in range(0, points.shape[0], _ROWS_PER_BLOCK):
+            rows = points[a : a + _ROWS_PER_BLOCK].tolist()
             if labels is not None:
-                out.append(str(int(labels[i])))
-            writer.writerow(out)
+                block_labels = labels[a : a + _ROWS_PER_BLOCK].tolist()
+                for row, label in zip(rows, block_labels):
+                    row.append(label)
+            fh.write("".join([row_fmt % tuple(row) for row in rows]))
 
 
 def load_samples(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a samples CSV; returns (points, labels-or-None).
 
+    Rows are tokenized by ``csv.reader`` and each block of them converted in
+    one numpy cast, which parses a token as ``float`` does.  Only when a
+    cast fails is the block searched for the bad field.
+
     Raises ParseError with the offending line (and column for bad fields),
-    and NonFiniteInput when a point coordinate is NaN or infinite.
+    and NonFiniteInput when a point coordinate is NaN or infinite.  Of
+    several faults, the first in the file is reported, as a row-by-row
+    parse would.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -62,39 +79,30 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray | None]:
         except StopIteration:
             raise ParseError("empty file", line=1) from None
         has_label = bool(header) and header[-1] == "label"
-        dim_cols = header[:-1] if has_label else header
-        expected = [f"dim_{i}" for i in range(len(dim_cols))]
-        if dim_cols != expected:
+        n = len(header) - has_label
+        if header[:n] != [f"dim_{i}" for i in range(n)]:
             raise ParseError(
                 f"header {header!r} is not dim_0..dim_{{n-1}}[,label]", line=1
             )
-        rows, labels = [], []
+        parsed, block, lines = [], [], []
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(header):
+                _parse_block(block, lines, n, has_label)  # earlier faults first
                 raise ParseError(
                     f"expected {len(header)} fields, got {len(rec)}", line=lineno
                 )
-            vals = []
-            for col, tok in enumerate(rec[: len(dim_cols)], start=1):
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    raise ParseError(
-                        f"bad float {tok!r}", line=lineno, column=col
-                    ) from None
-            rows.append(vals)
-            if has_label:
-                try:
-                    labels.append(int(rec[-1]))
-                except ValueError:
-                    raise ParseError(
-                        f"bad label {rec[-1]!r}", line=lineno, column=len(header)
-                    ) from None
-    if not rows:
+            block.append(rec)
+            lines.append(lineno)
+            if len(block) == _ROWS_PER_BLOCK:
+                parsed.append(_parse_block(block, lines, n, has_label))
+                block, lines = [], []
+    if block:
+        parsed.append(_parse_block(block, lines, n, has_label))
+    if not parsed:
         raise ParseError("no data rows", line=2)
-    points = np.asarray(rows, dtype=float)
+    points = np.concatenate([p for p, _ in parsed])
     finite = np.isfinite(points)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -102,7 +110,42 @@ def load_samples(path) -> tuple[np.ndarray, np.ndarray | None]:
             f"non-finite value {points[row, col]} in data row {row + 1}, "
             f"column {col + 1}"
         )
-    return points, (np.asarray(labels, dtype=int) if has_label else None)
+    return points, (np.concatenate([l for _, l in parsed]) if has_label else None)
+
+
+def _parse_block(records, lines, n: int, has_label: bool):
+    """(points, labels or None) of tokenized rows found on ``lines``.
+
+    Raises:
+        ParseError: for the first field, in file order, that does not
+            parse: a coordinate as ``float`` or the label as ``int``.  When
+            every field parses alone, the cast's own error is raised.
+    """
+    try:
+        if not has_label:
+            return np.array(records, dtype=float), None
+        return (
+            np.array([rec[:n] for rec in records], dtype=float),
+            np.array([int(rec[n]) for rec in records], dtype=int),
+        )
+    except ValueError as exc:
+        error = exc
+    for rec, lineno in zip(records, lines):
+        for col, tok in enumerate(rec[:n], start=1):
+            try:
+                float(tok)
+            except ValueError:
+                raise ParseError(
+                    f"bad float {tok!r}", line=lineno, column=col
+                ) from None
+        if has_label:
+            try:
+                int(rec[n])
+            except ValueError:
+                raise ParseError(
+                    f"bad label {rec[n]!r}", line=lineno, column=n + 1
+                ) from None
+    raise error
 
 
 def save_params(path, mixture: Mixture) -> None:

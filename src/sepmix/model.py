@@ -3,7 +3,7 @@
 A component is stored as (center, eigenvalues, rotation): the covariance is
 ``rotation @ diag(eigenvalues) @ rotation.T`` and never materialized as a
 dense matrix for sampling or density evaluation.  Radii of median mass are
-estimated once and cached on the component.
+computed once and cached on the component.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     DegenerateSample,
     DiagnosticWarning,
     DimensionMismatch,
+    MedianRadiusNotConverged,
     MissingMedianRadius,
     NonFiniteInput,
     NonOrthonormalRotation,
@@ -32,8 +33,24 @@ from .errors import (
 _ORTHO_TOL = 1e-8
 # Eigenvalues within this relative spread of each other count as spherical.
 _SPHERICAL_RTOL = 1e-12
-# Standard normal values per chunk of Monte Carlo radius draws (1 MiB).
+# Values per 1 MiB block: Monte Carlo radius draws, and the node-by-eigenvalue
+# tables of the exact median-radius solver.
 _DRAW_CHUNK = 1 << 17
+
+# The exact median-radius solver (_exact_median_radius) keeps a radius only
+# when its certified halfwidth is at most _RADIUS_RTOL * R.
+_RADIUS_RTOL = 1e-10
+# (answer, check) orders.  Talbot's rounding grows with its order, so the
+# lower one answers; Gauss-Legendre loses nothing to rounding as its order
+# grows, so the higher one answers.
+_TALBOT_ORDERS = (24, 32)  # contour nodes
+_IMHOF_ORDERS = (16, 8)  # Gauss-Legendre nodes per panel
+_IMHOF_PANEL_PHASE = 2.0  # radians of integrand phase one panel may span
+_IMHOF_MAX_PANELS = 4096
+_IMHOF_TAIL = 1e-16  # bound on the CDF error from cutting the integral off
+_EPS = float(np.finfo(float).eps)
+_ROOT_RTOL = 4.0 * _EPS  # the tightest brentq accepts
+_CHI2_1_MEDIAN = 2.0 * float(gammaincinv(0.5, 0.5))
 
 
 @dataclass
@@ -47,9 +64,12 @@ class GaussianParams:
             the direction of eigenvalues[i].  None stands for the identity,
             which keeps very high-dimensional axis-aligned components cheap.
         median_radius: radius R of the ball around the center holding mass
-            exactly 1/2, or None until estimated.
-        median_radius_halfwidth: half-width of a 99% interval for the
-            estimate (0.0 on the closed-form spherical path).
+            exactly 1/2, or None until computed.
+        median_radius_halfwidth: how far R may be from the true radius:
+            0.0 on the closed-form spherical path; on the quadrature path,
+            a bound at most 1e-10 * R (the gap between two quadrature
+            orders, plus rounding and the root finder's tolerance); under
+            method="mc", the half-width of a 99% order-statistic interval.
     """
 
     center: np.ndarray
@@ -198,35 +218,37 @@ def median_radius(
     num_samples: int = 100_000,
     method: str = "auto",
 ) -> tuple[float, float]:
-    """Estimate the radius R with F(B(center, R)) = 1/2 and cache it.
+    """Compute the radius R with F(B(center, R)) = 1/2 and cache it.
 
-    For spherical components the closed path is exact: |x - center|^2 / sigma^2
-    is chi-square with n degrees of freedom, so R = sigma * sqrt(m) where m is
-    the chi-square median, obtained by inverting the regularized incomplete
-    gamma function.  Otherwise R is the sample median of |x - center| over
+    |x - center|^2 equals sum_i lambda_i z_i^2 for the standard normal block
+    z that ``sample`` would map, so its law depends on the spectrum alone.
+    For a spherical component it is sigma^2 times a chi-square with n degrees
+    of freedom, and R = sigma * sqrt(m) with m the chi-square median, from the
+    inverse regularized incomplete gamma function (halfwidth 0).  For any
+    other spectrum, R^2 is the root of the weighted chi-square CDF at 1/2,
+    computed by quadrature and kept only when a second quadrature order
+    certifies it to 1e-10 relative (``_exact_median_radius``).  Neither path
+    draws from ``rng``.
+
+    Under method="mc", R is the sample median of |x - center| over
     ``num_samples`` draws, with a distribution-free 99% order-statistic
-    interval attached.  The draws are never rotated: |x - center|^2 equals
-    sum_i lambda_i z_i^2 for the standard normal block z that ``sample``
-    would map, so the distances come from the spectrum alone, and one
-    partition selects the four order statistics the estimate reads.
+    interval attached.  The draws are never rotated, and one partition
+    selects the four order statistics the estimate reads.
 
     Args:
-        method: "auto" (closed path when spherical, Monte Carlo otherwise),
-            "exact", or "mc".  Every caller inside the package uses "auto".
+        method: "auto" or "exact" (the same path: closed form when
+            spherical, quadrature otherwise), or "mc" (Monte Carlo from
+            ``rng``).  Every caller inside the package uses "auto".
 
     Returns:
         (radius, halfwidth); both are also cached on ``params``.
+
+    Raises:
+        MedianRadiusNotConverged: no quadrature certified the radius.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and params.is_spherical()):
-        if not params.is_spherical():
-            raise ValueError("exact path requires a spherical component")
-        radius = spherical_median_radius(
-            math.sqrt(float(params.eigenvalues[0])), params.dim
-        )
-        halfwidth = 0.0
-    else:
+    if method == "mc":
         if rng is None:
             raise ValueError("Monte Carlo path needs an rng")
         if num_samples < 1000:
@@ -250,6 +272,13 @@ def median_radius(
         d_lo, d_mid0, d_mid1, d_hi = np.sqrt(d2[[lo, *mid, hi]])
         radius = float((d_mid0 + d_mid1) / 2.0)  # np.median's arithmetic
         halfwidth = float(d_hi - d_lo) / 2.0
+    elif params.is_spherical():
+        radius = spherical_median_radius(
+            math.sqrt(float(params.eigenvalues[0])), params.dim
+        )
+        halfwidth = 0.0
+    else:
+        radius, halfwidth = _exact_median_radius(params.eigenvalues)
     if radius + halfwidth < (2.0 / 3.0) * params.sigma_max:
         warnings.warn(
             f"median radius {radius:.4g} below (2/3) sigma_max "
@@ -259,6 +288,191 @@ def median_radius(
     params.median_radius = radius
     params.median_radius_halfwidth = halfwidth
     return radius, halfwidth
+
+
+def _exact_median_radius(eigenvalues) -> tuple[float, float]:
+    """(R, halfwidth): the median of |x - center| for the spectrum, certified.
+
+    R^2 is the median of Q = sum_i lambda_i z_i^2, solved for on the spectrum
+    scaled to lambda_max = 1, where every eigenvalue is taken once with its
+    multiplicity.  Two quadratures of the CDF of Q are tried in turn:
+
+    - the fixed Talbot inversion (Abate & Valko 2004) of the Laplace
+      transform phi(s)/s, phi(s) = prod_i (1 + 2 lambda_i s)^(-1/2).  It is
+      cheap and accurate while Q is spread out, as under a few dominant
+      eigenvalues, and loses digits as Q sharpens;
+    - Imhof's (1961) integral of the characteristic function, on
+      Gauss-Legendre panels cut off where its tail bound falls below 1e-16.
+      It is accurate exactly where Talbot is not, and is skipped when the
+      cut-off needs more than _IMHOF_MAX_PANELS panels, as at small
+      effective dimension, where the integrand decays slowly.
+
+    brentq finds F = 1/2 on a bracket that must hold the median: Cantelli's
+    inequality puts it within one standard deviation of the mean, and
+    Q >= lambda_max z_1^2 puts it at or above the chi-square(1) median.  Each
+    quadrature answers at one order and checks at another.  The answer is
+    kept when its halfwidth is at most _RADIUS_RTOL * R; the halfwidth adds
+    the distance to the check, the answer's rounding error (``root_error``)
+    and brentq's tolerance.
+
+    Raises:
+        MedianRadiusNotConverged: neither quadrature certified its answer.
+    """
+    scale = float(np.max(eigenvalues))
+    lam, mult = np.unique(np.asarray(eigenvalues) / scale, return_counts=True)
+    mean = float(lam @ mult)
+    sq = float((lam * lam) @ mult)
+    lo = max(mean - math.sqrt(2.0 * sq), _CHI2_1_MEDIAN)
+    hi = mean + math.sqrt(2.0 * sq)
+    quadratures = [
+        ("Talbot", _TALBOT_ORDERS, lambda m: _talbot_rule(lam, mult, m))
+    ]
+    cut = _imhof_cut(lam, mult, hi, sq)
+    if cut is not None:
+        quadratures.append(
+            ("Imhof", _IMHOF_ORDERS, lambda m: _imhof_rule(lam, mult, *cut, m))
+        )
+    misses = []
+    for name, orders, rule in quadratures:
+        (cdf, root_error), (check_cdf, _) = rule(orders[0]), rule(orders[1])
+        try:
+            x, x_check = _median_of(cdf, lo, hi), _median_of(check_cdf, lo, hi)
+        except (ValueError, RuntimeError) as exc:
+            misses.append(f"{name}: {exc}")
+            continue
+        # brentq leaves |x - root| <= xtol + rtol |x| <= 2 rtol x
+        err = abs(x - x_check) + root_error(x) + 2.0 * _ROOT_RTOL * x
+        radius = math.sqrt(scale * x)
+        # R - sqrt(scale (x - err)), the larger side, without cancellation
+        halfwidth = scale * err / (radius + math.sqrt(scale * max(x - err, 0.0)))
+        if halfwidth <= _RADIUS_RTOL * radius:
+            return radius, halfwidth
+        misses.append(
+            f"{name} orders {orders} give R^2 = {scale * x!r} and "
+            f"{scale * x_check!r}, halfwidth {halfwidth:.3g}"
+        )
+    raise MedianRadiusNotConverged(
+        f"no quadrature certified the median radius within {_RADIUS_RTOL:g} "
+        f"relative (n={int(mult.sum())}): " + "; ".join(misses)
+    )
+
+
+def _median_of(cdf, lo: float, hi: float) -> float:
+    """Root of cdf(x) = 1/2 on [lo, hi] to brentq's tightest tolerance."""
+    # Imported here, not with the module: importing scipy.optimize before
+    # the package's other scipy modules raises its import RSS by ~1.2 MiB.
+    from scipy.optimize import brentq
+
+    return brentq(
+        lambda x: cdf(x) - 0.5, lo, hi, xtol=_ROOT_RTOL * lo, rtol=_ROOT_RTOL
+    )
+
+
+def _spectral_sum(fn, nodes: np.ndarray, lam: np.ndarray, mult: np.ndarray):
+    """sum_i mult_i * fn(nodes * lam_i), over eigenvalue blocks of ~1 MiB."""
+    out = np.zeros(nodes.shape, dtype=np.result_type(nodes, lam))
+    step = max(_DRAW_CHUNK // nodes.size, 1)
+    for a in range(0, lam.size, step):
+        out += fn(np.multiply.outer(nodes, lam[a : a + step])) @ mult[a : a + step]
+    return out
+
+
+def _talbot_rule(lam: np.ndarray, mult: np.ndarray, order: int):
+    """(cdf, root_error) of sum_i lam_i z_i^2 by the fixed Talbot rule.
+
+    With M = ``order``, r = 2M / (5x), theta_k = k pi / M,
+    s_k = r theta_k (cot theta_k + i) and
+    w_k = theta_k + (theta_k cot theta_k - 1) cot theta_k,
+
+        F(x) = (1/M) [e^{rx} phi(r) / 2
+                      + sum_k Re(e^{x s_k} phi(s_k) (1 + i w_k) / (s_k / r))],
+
+    and the density is the same sum with each term times s_k.
+    ``root_error(x)`` is the rounding of F at x, at one unit roundoff per
+    operation on each term, divided by the density: a bound on how far the
+    rounding moves the root.  The terms reach e^{2M/5} in size, so it grows
+    with M.
+    """
+    theta = np.arange(1, order) * (math.pi / order)
+    cot = 1.0 / np.tan(theta)
+    z = np.concatenate(([1.0], theta * (cot + 1j)))  # s / r, real node first
+    weight = np.concatenate(
+        ([0.5], (1.0 + 1j * (theta + (theta * cot - 1.0) * cot)) / z[1:])
+    )
+
+    def terms(x: float):
+        s = (2.0 * order / (5.0 * x)) * z
+        log_phi = -0.5 * _spectral_sum(np.log1p, 2.0 * s, lam, mult)
+        return s, weight * np.exp(x * s + log_phi)
+
+    def cdf(x: float) -> float:
+        return float(terms(x)[1].real.sum()) / order
+
+    def root_error(x: float) -> float:
+        s, t = terms(x)
+        size = _spectral_sum(lambda v: np.abs(np.log1p(v)), 2.0 * s, lam, mult)
+        rounding = _EPS * float(np.abs(t) @ (3.0 + np.abs(x * s) + 0.5 * size.real))
+        rounding /= order
+        density = float((t * s).real.sum()) / order
+        return rounding / density if density > 0.0 else math.inf
+
+    return cdf, root_error
+
+
+def _imhof_cut(lam: np.ndarray, mult: np.ndarray, hi: float, sq: float):
+    """(u_max, panels) for Imhof's integral, or None past _IMHOF_MAX_PANELS.
+
+    For u >= U, 1 + lam^2 u^2 >= (1 + lam^2 U^2) (u/U)^(2q) with
+    q = lam^2 U^2 / (1 + lam^2 U^2), because log(1 + lam^2 e^(2v)) is convex
+    in v = log u.  So rho(u) >= rho(U) (u/U)^(Q/2) with Q = sum q, and the
+    integral beyond U changes F by at most 2 / (pi Q rho(U)).  The integrand's
+    phase turns at most hi/2 per unit of u inside the bracket, and its
+    amplitude starts as exp(-sq u^2 / 4); a panel spans _IMHOF_PANEL_PHASE
+    radians of the sum of the two rates.
+    """
+    rate = 0.5 * (hi + math.sqrt(sq))
+    u = 1.0 / math.sqrt(sq)
+    while True:
+        panels = math.ceil(u * rate / _IMHOF_PANEL_PHASE)
+        if panels > _IMHOF_MAX_PANELS:
+            return None
+        q = (lam * u) ** 2
+        log_rho = 0.25 * float(np.log1p(q) @ mult)
+        tail = 2.0 / (math.pi * float((q / (1.0 + q)) @ mult)) * math.exp(-log_rho)
+        if tail <= _IMHOF_TAIL:
+            return u, panels
+        u *= 1.25
+
+
+def _imhof_rule(lam, mult, u_max: float, panels: int, order: int):
+    """(cdf, root_error) of sum_i lam_i z_i^2 by Imhof's integral on
+    [0, u_max] with ``order``-point Gauss-Legendre on ``panels`` equal panels:
+
+        F(x) = 1/2 - (1/pi) int sin(theta(u) - x u / 2) / (u rho(u)) du,
+
+    theta(u) = (1/2) sum arctan(lam_i u), rho(u) = prod (1 + lam_i^2 u^2)^(1/4);
+    the density is (1/2pi) int cos(theta(u) - x u / 2) / rho(u) du.
+    Everything but the x u / 2 term is tabulated once, so one evaluation is
+    one pass over the nodes.  ``root_error`` is as for ``_talbot_rule``, with
+    the cut-off tail's bound added to the rounding.
+    """
+    g, w = np.polynomial.legendre.leggauss(order)
+    h = u_max / panels
+    u = (h * (np.arange(panels)[:, None] + 0.5 * (g + 1.0))).ravel()
+    theta = 0.5 * _spectral_sum(np.arctan, u, lam, mult)
+    log_rho = 0.25 * _spectral_sum(lambda v: np.log1p(v * v), u, lam, mult)
+    amp = np.tile(0.5 * h * w, panels) * np.exp(-log_rho) / u
+
+    def cdf(x: float) -> float:
+        return 0.5 - float(amp @ np.sin(theta - 0.5 * x * u)) / math.pi
+
+    def root_error(x: float) -> float:
+        phase = theta - 0.5 * x * u
+        rounding = _EPS * float(amp @ (3.0 + log_rho + theta + 0.5 * x * u)) / math.pi
+        density = float((amp * u) @ np.cos(phase)) / (2.0 * math.pi)
+        return (rounding + _IMHOF_TAIL) / density if density > 0.0 else math.inf
+
+    return cdf, root_error
 
 
 def sample_covariance_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

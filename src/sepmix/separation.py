@@ -139,13 +139,14 @@ def plant_separated_mixture(
     slack: float,
     rng: np.random.Generator,
     weights=None,
-    radius_samples: int = 100_000,
 ) -> Mixture:
     """Build a mixture whose every pair is separated with the given slack.
 
     Shapes are drawn per ``shape_spec`` (one entry, or a list of k entries,
-    each either a (lo, hi) eigenvalue range or an explicit spectrum).  Median
-    radii are estimated up front (closed path when spherical).  For each pair
+    each either a (lo, hi) eigenvalue range or an explicit spectrum); ``rng``
+    draws only the eigenvalues, rotations and fallback directions.  Median
+    radii are computed up front by ``median_radius``, exactly: closed form
+    when spherical, certified quadrature otherwise.  For each pair
     the minimal center distance d_ij = sqrt(max(rhs, 0)) is computed, and
     centers go on mutually orthogonal axes at distances chosen so that every
     pairwise distance is >= slack * d_ij.  With slack = 1 the binding pairs
@@ -166,7 +167,7 @@ def plant_separated_mixture(
     for spec in specs:
         lam, rot = _component_from_shape(n, spec, rng)
         comp = make_gaussian(np.zeros(n), lam, rot)
-        median_radius(comp, rng, num_samples=radius_samples)
+        median_radius(comp)
         comps.append(comp)
     if weights is None:
         weights = np.full(k, 1.0 / k)

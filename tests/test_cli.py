@@ -71,6 +71,14 @@ def test_check_sep_planted_passes(tmp_path, capsys):
     assert row[0] == "c0" and row[1] == "" and float(row[2]) > 0
 
 
+@pytest.mark.parametrize("option", ["--seed", "--radius-samples"])
+def test_check_sep_takes_no_radius_draw_options(tmp_path, option):
+    # the radii are exact, so nothing is left to seed or size
+    params, _ = _gen(tmp_path, count=1)
+    with pytest.raises(SystemExit):
+        main(["check-sep", "--params", str(params), "--t", "10", option, "5"])
+
+
 def test_check_sep_close_centers_fails(tmp_path, capsys):
     comps = [
         make_gaussian(np.zeros(4), np.ones(4)),

@@ -127,6 +127,17 @@ def test_run_experiment_deterministic_artifacts(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_source_radius_samples_is_ignored(tmp_path):
+    # configs written for Monte Carlo radii still load; the key changes
+    # nothing, not even at a size the Monte Carlo path would have refused
+    plain, sized = tmp_path / "plain", tmp_path / "sized"
+    run_experiment(_plant_config(trials=1, out_dir=str(plain)))
+    doc = _plant_config().source | {"radius_samples": 5}
+    run_experiment(_plant_config(trials=1, source=doc, out_dir=str(sized)))
+    for name in sorted(p.name for p in plain.iterdir()):
+        assert (plain / name).read_bytes() == (sized / name).read_bytes()
+
+
 def test_summary_csv_shape(tmp_path):
     out = tmp_path / "runs"
     run_experiment(_plant_config(out_dir=str(out)))

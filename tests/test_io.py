@@ -1,7 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sepmix.errors import NonFiniteInput, ParseError, SchemaError
 from sepmix.io import (
@@ -95,6 +99,104 @@ def test_load_samples_no_rows(tmp_path):
     path.write_text("dim_0\n")
     with pytest.raises(ParseError):
         load_samples(path)
+
+
+def test_load_samples_reports_first_bad_field_in_file_order(tmp_path):
+    # a bad label on line 3 comes before a bad coordinate on line 5; the
+    # blank line 4 still counts
+    path = tmp_path / "s.csv"
+    path.write_text("dim_0,dim_1,label\n1,2,0\n3,4,x\n\n5,oops,1\n")
+    with pytest.raises(ParseError, match="bad label 'x'") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (3, 3)
+    path.write_text("dim_0,dim_1,label\n1,2,0\n\n5,oops,1\n3,4,x\n")
+    with pytest.raises(ParseError, match="bad float 'oops'") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (4, 2)
+
+
+def _numbered_rows(count):
+    return [f"{i}.5,{-i}.25,{i % 3}" for i in range(count)]
+
+
+def test_load_samples_across_row_blocks(tmp_path):
+    # more rows than one numpy cast takes; the fault order holds across casts
+    path = tmp_path / "s.csv"
+    rows = _numbered_rows(1000)
+    path.write_text("dim_0,dim_1,label\n" + "\n".join(rows) + "\n")
+    points, labels = load_samples(path)
+    assert points.shape == (1000, 2)
+    assert points[999].tolist() == [999.5, -999.25]
+    assert labels.tolist() == [i % 3 for i in range(1000)]
+    # a bad float on line 402 (in the second cast) before a short row
+    rows[400] = "1.0,oops,0"
+    rows[600] = "1.0,0"
+    path.write_text("dim_0,dim_1,label\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="bad float") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (402, 2)
+    # a short row right after a bad label in the same, unfinished cast
+    rows[400] = "1.0,2.0,x"
+    rows[401] = "1.0"
+    path.write_text("dim_0,dim_1,label\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="bad label") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (402, 3)
+    # a non-finite value is reported only once every field has parsed
+    rows[400], rows[401], rows[600] = "nan,1.0,0", "1.0,2.0,0", "1.0,2.0,0"
+    rows[900] = "1.0,2.0,y"
+    path.write_text("dim_0,dim_1,label\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="bad label 'y'"):
+        load_samples(path)
+
+
+def _csv_writer_save(path, points, labels=None):
+    """The writer save_samples replaced: csv.writer over per-value strings."""
+    header = [f"dim_{i}" for i in range(points.shape[1])]
+    if labels is not None:
+        header.append("label")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in enumerate(points):
+            out = ["%.17g" % v for v in row]
+            if labels is not None:
+                out.append(str(int(labels[i])))
+            writer.writerow(out)
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_save_samples_bytes_match_csv_writer(tmp_path, with_labels):
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(5000, 7)) * 10.0 ** rng.integers(-300, 300, (5000, 7))
+    pts[0] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+              np.inf, np.nan]
+    labels = rng.integers(0, 12, size=5000) if with_labels else None
+    save_samples(tmp_path / "new.csv", pts, labels)
+    _csv_writer_save(tmp_path / "old.csv", pts, labels)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pts=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    ),
+    with_labels=st.booleans(),
+)
+def test_samples_round_trip_bit_exact(tmp_path_factory, pts, with_labels):
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    labels = np.arange(pts.shape[0]) % 3 if with_labels else None
+    save_samples(path, pts, labels)
+    back, back_labels = load_samples(path)
+    assert back.dtype == np.float64 and back.shape == pts.shape
+    assert np.array_equal(back.view(np.int64), pts.view(np.int64))  # -0.0 too
+    if with_labels:
+        assert np.array_equal(back_labels, labels)
+    else:
+        assert back_labels is None
 
 
 def test_params_round_trip(tmp_path):

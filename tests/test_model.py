@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import sepmix.model as model
 from sepmix.errors import (
     DegenerateSample,
     DimensionMismatch,
+    MedianRadiusNotConverged,
     NonFiniteInput,
     NonOrthonormalRotation,
     NonPositiveEigenvalue,
@@ -280,6 +282,157 @@ def test_median_radius_at_least_two_thirds_sigma_max():
         g = make_gaussian(np.zeros(n), np.asarray(eigs, dtype=float))
         r, _ = median_radius(g, rng, 100_000)
         assert r >= (2.0 / 3.0) * g.sigma_max
+
+
+# ---------------------------------------------------------------------------
+# the exact median radius of a general spectrum
+# ---------------------------------------------------------------------------
+
+
+def _one_spike_median_radius(top, n):
+    """Median radius of N(0, diag(top, 1, ..., 1)) from its CDF as a
+    chi-square convolution: with z_1^2 = v^2,
+    F(x) = int_0^sqrt(x/top) sqrt(2/pi) e^{-v^2/2} P((n-1)/2, (x - top v^2)/2) dv,
+    P the regularized lower incomplete gamma function."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+    from scipy.special import gammainc
+
+    def cdf(x):
+        def f(v):
+            return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * v * v) * gammainc(
+                0.5 * (n - 1), 0.5 * (x - top * v * v)
+            )
+
+        return quad(f, 0.0, math.sqrt(x / top), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    hi = top + n - 1 + math.sqrt(2.0 * (top * top + n - 1))
+    return math.sqrt(brentq(lambda x: cdf(x) - 0.5, 1e-3, hi, rtol=1e-15))
+
+
+_SWEEP_DIMS = (2, 4, 8, 16, 64, 256, 1024)
+
+
+def _sweep_spectrum(kind, n):
+    if kind == "spike":
+        lam = np.ones(n)
+        lam[0] = 100.0
+        return lam
+    hi = 2.0 if kind == "uniform[1,2]" else 100.0
+    return np.random.default_rng(n).uniform(1.0, hi, size=n)
+
+
+@pytest.mark.parametrize("top", [9.0, 100.0])
+@pytest.mark.parametrize("n", _SWEEP_DIMS)
+def test_exact_radius_matches_one_spike_convolution(n, top):
+    lam = np.ones(n)
+    lam[0] = top
+    radius, half = median_radius(make_gaussian(np.zeros(n), lam))
+    want = _one_spike_median_radius(top, n)
+    # the reference carries its own error of a few 1e-15 relative
+    assert abs(radius - want) <= half + 1e-14 * want
+    assert half <= 1e-9 * radius
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50, 400])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 7.0])
+def test_exact_solver_matches_spherical_closed_form(n, sigma):
+    # the quadrature, forced onto a spectrum that median_radius would send
+    # to the closed form
+    radius, half = model._exact_median_radius(np.full(n, sigma * sigma))
+    want = spherical_median_radius(sigma, n)
+    assert abs(radius - want) <= half + 4e-16 * want
+    assert half <= 1e-9 * radius
+
+
+@pytest.mark.parametrize("kind", ["uniform[1,2]", "uniform[1,100]", "spike"])
+def test_exact_radius_sweep_is_certified(kind):
+    for n in _SWEEP_DIMS:
+        g = make_gaussian(np.zeros(n), _sweep_spectrum(kind, n))
+        radius, half = median_radius(g)
+        assert 0.0 < half <= 1e-9 * radius, (n, radius, half)
+        assert (g.median_radius, g.median_radius_halfwidth) == (radius, half)
+
+
+# 10^6 draws cost a second at n = 64 and grow with n, so the Monte Carlo
+# side of the sweep stops there; the certified sweep above covers n = 1024.
+@pytest.mark.parametrize("kind", ["uniform[1,2]", "uniform[1,100]", "spike"])
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
+def test_exact_radius_within_monte_carlo_interval(n, kind):
+    lam = _sweep_spectrum(kind, n)
+    exact, _ = median_radius(make_gaussian(np.zeros(n), lam))
+    rng = np.random.default_rng(1000 + n)
+    mc, half = median_radius(make_gaussian(np.zeros(n), lam), rng, 1_000_000, method="mc")
+    assert abs(exact - mc) <= half
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    c=st.floats(1e-3, 1e3),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_exact_radius_scales_and_ignores_rotation_and_center(seed, n, c, offset):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 50.0, size=n)
+    r1, h1 = median_radius(make_gaussian(np.zeros(n), lam))
+    r2, h2 = median_radius(make_gaussian(np.zeros(n), c * c * lam))
+    assert abs(r2 - c * r1) <= h2 + c * h1
+    moved = make_gaussian(offset + rng.normal(size=n), lam, random_rotation(n, rng))
+    assert median_radius(moved) == (r1, h1)
+
+
+@pytest.mark.parametrize("eigs", [[1.0, 1.0, 1.0], [100.0, 1.0, 1.0], [1.0, 2.0]])
+def test_auto_and_exact_draw_nothing(eigs):
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    for method in ("auto", "exact"):
+        median_radius(make_gaussian(np.zeros(len(eigs)), eigs), rng, method=method)
+    assert rng.bit_generator.state == before
+
+
+def test_exact_path_matches_auto():
+    g = make_gaussian(np.zeros(3), [4.0, 2.0, 1.0])
+    assert median_radius(g, method="exact") == median_radius(g)
+
+
+def _skewed(rule, check_order, shift):
+    """``rule`` with the CDF of its check order moved up by ``shift``."""
+
+    def skewed_rule(*args):
+        cdf, root_error = rule(*args)
+        if args[-1] == check_order:
+            return (lambda x: cdf(x) + shift), root_error
+        return cdf, root_error
+
+    return skewed_rule
+
+
+def _skew_talbot(monkeypatch):
+    rule = _skewed(model._talbot_rule, model._TALBOT_ORDERS[1], 1e-6)
+    monkeypatch.setattr(model, "_talbot_rule", rule)
+
+
+def test_disagreeing_orders_raise(monkeypatch):
+    _skew_talbot(monkeypatch)
+    rule = _skewed(model._imhof_rule, model._IMHOF_ORDERS[1], 1e-6)
+    monkeypatch.setattr(model, "_imhof_rule", rule)
+    for n in (3, 64):  # Talbot only, then Talbot and Imhof
+        g = make_gaussian(np.zeros(n), np.linspace(1.0, 2.0, n))
+        with pytest.raises(MedianRadiusNotConverged, match="Talbot") as err:
+            median_radius(g)
+        assert ("Imhof" in str(err.value)) == (n == 64)
+        assert g.median_radius is None
+
+
+def test_talbot_disagreement_falls_back_to_imhof(monkeypatch):
+    # Talbot alone certifies this spectrum unskewed, and Imhof can run on it
+    lam = np.linspace(1.0, 2.0, 16)
+    want = model._exact_median_radius(lam)
+    _skew_talbot(monkeypatch)
+    radius, half = model._exact_median_radius(lam)
+    assert abs(radius - want[0]) <= half + want[1]
 
 
 def test_median_radius_too_few_samples():

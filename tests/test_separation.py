@@ -214,6 +214,21 @@ def test_plant_explicit_spectra():
     assert separation_margin(mix, cfg).satisfied
 
 
+def test_plant_draws_only_shapes_and_rotations():
+    # the radii are exact, so the generator gives out one eigenvalue block
+    # and one rotation per component and nothing else
+    rng = np.random.default_rng(21)
+    plant_separated_mixture(
+        n=16, k=3, shape_spec=(1.0, 2.0),
+        config=SeparationConfig(t=10.0, mode="practical"), slack=1.5, rng=rng,
+    )
+    replay = np.random.default_rng(21)
+    for _ in range(3):
+        replay.uniform(1.0, 2.0, size=16)
+        random_rotation(16, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_plant_weights_passthrough():
     cfg = SeparationConfig(t=5.0, mode="practical")
     mix = plant_separated_mixture(
