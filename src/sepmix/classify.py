@@ -32,6 +32,10 @@ ranked them, and stops at the first block that cannot beat the best radius.
 
 The spherical warm-up instead removes, k times, the ball of radius
 |x0 - y0| * (1 + 3 t / sqrt(n)) around the closest remaining pair (x0, y0).
+It stores no matrix either: each live point keeps its nearest live
+neighbour, found from squared-distance rows formed in fixed, aligned row
+blocks, and after a peel only the points whose neighbour left are searched
+again, so memory is O(B M) for blocks of B rows.
 """
 
 from __future__ import annotations
@@ -183,17 +187,30 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         )
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if b is a else np.einsum("ij,ij->i", b, b)
-    d2 = a @ b.T
-    d2 *= 2.0  # exact, so the rounding matches 2.0 * (a @ b.T)
+    return _finish_sq_dists(a @ b.T, aa, bb)
+
+
+def _finish_sq_dists(g: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Squared distances from the inner products ``g = a @ b.T``, in place.
+
+    ``g`` becomes ``(aa[:, None] + bb[None, :]) - 2 g`` clipped at 0, with aa
+    and bb the squared norms of the rows of a and b.  It is finished one row
+    block of about ``_BLOCK_BYTES`` at a time, so each pass over a block runs
+    in cache; the doubling is exact, so the rounding matches 2.0 * (a @ b.T).
+    pairwise_sq_dists, the warm-up's rows and the k-median's triangle blocks
+    are all finished here.
+    """
+    rows, cols = g.shape
     step = _block_rows(cols)
     buf = np.empty((min(step, rows), cols))
     for lo in range(0, rows, step):
-        blk = d2[lo : lo + step]
+        blk = g[lo : lo + step]
+        blk *= 2.0
         norms = buf[: blk.shape[0]]
         np.add(aa[lo : lo + step, None], bb[None, :], out=norms)
         np.subtract(norms, blk, out=blk)
         np.maximum(blk, 0.0, out=blk)
-    return d2
+    return g
 
 
 def _block_rows(cols: int) -> int:
@@ -577,16 +594,20 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     (ties to the lexicographically first index pair), then remove
     T ∩ B(x0, |x0 - y0| * (1 + 3 t / sqrt(n))).
 
-    The squared distance matrix is formed once and never copied; only its
-    diagonal is overwritten, with +inf once its values are saved.  Each live
-    row keeps its nearest live neighbour; after a peel only the live rows
-    whose neighbour was removed are searched again, over their own rows (the
-    matrix is symmetric) with dead columns masked out.  The pair is ranked on rooted
-    distances: with r the square root of the least live neighbour distance,
-    x0 is the lowest live index whose rooted neighbour distance equals r, so
-    squared distances that round to the same root tie as they would on a
-    rooted matrix.  The removal ball tests rooted squared entries of x0's row,
-    its own (clipped roundoff) entry included.
+    No M x M matrix is stored.  Squared-distance rows are formed in fixed,
+    aligned blocks of B rows (see _SphericalRows), one GEMM against all
+    points each, so a row has the same value whenever it is formed, and
+    memory is O(B M).  Each live row keeps its nearest live neighbour and
+    that squared distance; after a peel only the live rows whose neighbour
+    was removed are searched again, with dead columns masked out.  The pair
+    is ranked on rooted distances: with r the square root of the least live
+    neighbour distance, the pair is the lowest live index whose rooted
+    neighbour distance equals r and that neighbour, so squared distances
+    that round to the same root tie as they would on a rooted matrix.  x0 is
+    the pair's lower index: the two blocks holding a pair's entries may
+    round them differently, and the lower index wins either way.  The
+    removal ball tests rooted entries of x0's row, its own (clipped
+    roundoff) entry included.
 
     Raises:
         ValueError: k is not an integer >= 1, or t is not positive and finite.
@@ -601,13 +622,12 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     if meta is not None and meta.ambient_dim is not None:
         n = meta.ambient_dim
     factor = 1.0 + 3.0 * t / math.sqrt(n)
-    d2 = pairwise_sq_dists(points)
-    self_d2 = d2.diagonal().copy()
-    np.fill_diagonal(d2, np.inf)  # d2 is ours; its diagonal now ranks last
-    nn = np.argmin(d2, axis=1)
-    nd = d2[np.arange(m_total), nn]
+    source = _SphericalRows(points)
+    nn = np.empty(m_total, dtype=int)
+    nd = np.empty(m_total)
     live = np.ones(m_total, dtype=bool)
     alive = np.arange(m_total)
+    source.nearest_live(alive, live, nn, nd)
     clusters: list[np.ndarray] = []
     for _ in range(k):
         if alive.size == 0:
@@ -618,17 +638,15 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
             continue
         rooted = np.sqrt(nd[alive])
         i_loc = int(np.argmin(rooted))  # first minimum = lowest live index
-        center = int(alive[i_loc])
+        center = min(int(alive[i_loc]), int(nn[alive[i_loc]]))
         radius = float(rooted[i_loc]) * factor
-        row = d2[center, alive]
-        row[i_loc] = self_d2[center]
+        row = source.row(center)[alive]
         removed_mask = np.sqrt(row) <= radius
         removed = alive[removed_mask]
         clusters.append(removed)
         live[removed] = False
         alive = alive[~removed_mask]
-        stale = alive[~live[nn[alive]]]
-        _nearest_live(d2, stale, live, nn, nd)
+        source.nearest_live(alive[~live[nn[alive]]], live, nn, nd)
     if alive.size:
         raise ResidualPointsAfterKPeels(
             f"{alive.size} points remain after {k} peels"
@@ -636,16 +654,50 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     return Partition(clusters=clusters)
 
 
-def _nearest_live(d2, rows, live, nn, nd):
-    """Set nn[r], nd[r] to each row's nearest live column and its d2 value.
+class _SphericalRows:
+    """Squared-distance rows of ``points`` to all points, formed on demand.
 
-    Reads ``rows`` of the symmetric matrix ``d2`` in blocks of about
-    _BLOCK_BYTES, masking dead columns to +inf in a block-sized copy.
+    Row r is always formed in the aligned block of rows [b B, (b + 1) B)
+    holding it, B = max(_block_rows(M), _MIN_GEMM_ROWS), by one GEMM against
+    all points finished by _finish_sq_dists.  A GEMM may round an entry
+    differently at another shape (a 1-row product goes to GEMV), so a row
+    formed at a later peel, or the center's row, has exactly the value the
+    first pass saw.  When one block holds every row the product is the
+    symmetric one pairwise_sq_dists forms.
     """
-    step = _block_rows(d2.shape[1])
-    for lo in range(0, rows.size, step):
-        blk = rows[lo : lo + step]
-        vals = np.where(live, d2[blk], np.inf)
-        near = np.argmin(vals, axis=1)
-        nn[blk] = near
-        nd[blk] = vals[np.arange(blk.size), near]
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.norms = np.einsum("ij,ij->i", points, points)
+        self.step = max(_block_rows(points.shape[0]), _MIN_GEMM_ROWS)
+
+    def block(self, lo: int) -> np.ndarray:
+        """The block of rows starting at ``lo``, a multiple of ``step``."""
+        hi = min(lo + self.step, self.points.shape[0])
+        g = self.points[lo:hi] @ self.points.T
+        return _finish_sq_dists(g, self.norms[lo:hi], self.norms)
+
+    def row(self, r: int) -> np.ndarray:
+        lo = r - r % self.step
+        return self.block(lo)[r - lo]
+
+    def nearest_live(self, rows, live, nn, nd):
+        """Set nn[r], nd[r] to each row's nearest live column, other than r
+        itself, and its squared distance (ties to the lowest column).
+
+        ``rows`` is ascending; each aligned block holding some of them is
+        formed once.
+        """
+        dead = np.flatnonzero(~live)
+        firsts = np.flatnonzero(np.diff(rows // self.step, prepend=-1))
+        for i, j in zip(firsts, [*firsts[1:], rows.size]):
+            r = rows[i:j]
+            lo = r[0] - r[0] % self.step
+            vals = self.block(lo)
+            if r.size < vals.shape[0]:
+                vals = vals[r - lo]
+            vals[np.arange(r.size), r] = np.inf
+            vals[:, dead] = np.inf
+            near = np.argmin(vals, axis=1)
+            nn[r] = near
+            nd[r] = vals[np.arange(r.size), near]

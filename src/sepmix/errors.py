@@ -82,9 +82,10 @@ class TooFewPoints(SepmixError):
 
 class InstanceTooLarge(SepmixError):
     """An instance exceeds what can be computed: exhaustive enumeration over
-    more subsets than the configured budget, or a pairwise distance matrix
-    larger than physical memory.  classify_general never raises it for its
-    sample size: past its memory budget it forms distance rows on demand."""
+    more subsets than the configured budget, or a pairwise distance matrix,
+    or the k-median search's upper triangle of one, larger than physical
+    memory.  classify_general and the spherical warm-up never raise it for
+    their sample size: they form distance rows on demand."""
 
 
 class InconsistentSigma(SepmixError):

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _block_rows, pairwise_sq_dists
+from .classify import (
+    _MIN_GEMM_ROWS,
+    _block_rows,
+    _finish_sq_dists,
+    _physical_memory,
+    pairwise_sq_dists,
+)
 from .errors import (
     DimensionMismatch,
     InconsistentSigma,
@@ -76,11 +82,11 @@ def kmedian_cost(points, centers) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def _solution_from_indices(points, d2_full, idx) -> KMedianSolution:
-    """Canonical solution: indices sorted, ties to the lowest center index."""
-    idx = np.sort(np.asarray(idx, dtype=int))
-    sub = d2_full[:, idx]
-    assignment = np.argmin(sub, axis=1)  # first minimum = lowest index
+def _solution_from_indices(points, idx, to_centers) -> KMedianSolution:
+    """Canonical solution for the ascending center indices ``idx``, ties to
+    the lowest center index; ``to_centers`` holds the M x k squared
+    distances to points[idx]."""
+    assignment = np.argmin(to_centers, axis=1)  # first minimum = lowest index
     diff = points - points[idx][assignment]  # exact, no Gram roundoff
     objective = float(np.einsum("ij,ij->", diff, diff))
     return KMedianSolution(
@@ -89,6 +95,70 @@ def _solution_from_indices(points, d2_full, idx) -> KMedianSolution:
         assignment=assignment,
         objective=objective,
     )
+
+
+class _UpperTriangle:
+    """The symmetric squared-distance matrix D of ``points``, upper triangle only.
+
+    Stored as row blocks D[lo:hi, lo:], laid end to end in one buffer, each
+    formed by one GEMM of its rows against the trailing points and finished
+    by _finish_sq_dists.  A block is about _BLOCK_BYTES and at least
+    _MIN_GEMM_ROWS rows, so blocks grow taller as they narrow.  A GEMM need
+    not round (i, j) and (j, i) alike, so each block's leading square is
+    made symmetric from its upper half: every unordered pair then has one
+    value, read both ways.  Memory is about M^2 / 2 entries.
+
+    Raises:
+        InstanceTooLarge: the blocks would not fit in physical memory.
+    """
+
+    def __init__(self, points: np.ndarray):
+        m = points.shape[0]
+        bounds = [0]
+        while bounds[-1] < m:
+            lo = bounds[-1]
+            bounds.append(min(m, lo + max(_block_rows(m - lo), _MIN_GEMM_ROWS)))
+        sizes = [(hi - lo) * (m - lo) for lo, hi in zip(bounds, bounds[1:])]
+        need = sum(sizes) * 8
+        if need > _physical_memory():
+            raise InstanceTooLarge(
+                f"the upper triangle of a {m} x {m} distance matrix needs "
+                f"{need} bytes, more than physical memory"
+            )
+        self.m = m
+        self.los = bounds[:-1]
+        self.flat = np.empty(sum(sizes))
+        self.blocks = []
+        # D[j, c] for c >= row_lo[j], the first column stored in row j, sits
+        # at flat[base[j] + c]
+        self.row_lo = np.empty(m, dtype=np.intp)
+        self.base = np.empty(m, dtype=np.intp)
+        norms = np.einsum("ij,ij->i", points, points)
+        offset = 0
+        for lo, hi, size in zip(bounds, bounds[1:], sizes):
+            blk = self.flat[offset : offset + size].reshape(hi - lo, m - lo)
+            np.matmul(points[lo:hi], points[lo:].T, out=blk)
+            _finish_sq_dists(blk, norms[lo:hi], norms[lo:])
+            for r in range(1, hi - lo):
+                blk[r, :r] = blk[:r, r]
+            self.blocks.append(blk)
+            self.row_lo[lo:hi] = lo
+            self.base[lo:hi] = offset - lo + (m - lo) * np.arange(hi - lo)
+            offset += size
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """The M x len(idx) columns D[:, idx], read as D[j, c] where row j
+        stores column c and as D[c, j] where it does not."""
+        rows = np.arange(self.m)[:, None]
+        at = np.where(
+            idx >= self.row_lo[:, None],
+            self.base[:, None] + idx,
+            self.base[idx] + rows,
+        )
+        return self.flat[at]
+
+    def column(self, c: int) -> np.ndarray:
+        return self.columns(np.array([c]))[:, 0]
 
 
 def kmedian_local_search(
@@ -109,12 +179,16 @@ def kmedian_local_search(
         sum_j min(d1_j, D_jc)
           + sum_{j: near_j = i} [min(d2nd_j, D_jc) - min(d1_j, D_jc)],
 
-    exactly, whichever center a tie in d1_j is given to.  A round is then two
-    passes over the distance matrix D, whatever k is.
+    exactly, whichever center a tie in d1_j is given to.  Only the upper
+    triangle of the distance matrix D is stored (see _UpperTriangle); the
+    seeding, the nearest centers and the final assignment read its columns,
+    and a round is one pass over it, whatever k is, pricing each stored
+    entry for both of its points.
 
     Raises:
         TooFewPoints: fewer points than centers.
         ValueError: k is not an integer >= 1.
+        InstanceTooLarge: the triangle would not fit in physical memory.
 
     Warns:
         LocalSearchCapWarning: ``max_rounds`` ran out while the last round
@@ -126,20 +200,20 @@ def kmedian_local_search(
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
     config = config or LocalSearchConfig()
-    d2 = pairwise_sq_dists(points)
+    tri = _UpperTriangle(points)
 
     chosen = [int(rng.integers(m))]
-    nearest = d2[:, chosen[0]].copy()
+    nearest = tri.column(chosen[0])
     while len(chosen) < k:
         far = int(np.argmax(nearest))  # first max = lowest index on ties
         chosen.append(far)
-        np.minimum(nearest, d2[:, far], out=nearest)
+        np.minimum(nearest, tri.column(far), out=nearest)
 
     current = np.array(sorted(chosen), dtype=int)
-    cost = float(d2[:, current].min(axis=1).sum())
+    cost = float(tri.columns(current).min(axis=1).sum())
     shrink = 1.0 - config.improvement_factor / k
     for _ in range(config.max_rounds):
-        swap_costs = _swap_costs(d2, current)
+        swap_costs = _swap_costs(tri, current)
         swap_costs[:, current] = np.inf
         best_cost, best_pair = cost, None
         for out_pos in range(k):
@@ -158,18 +232,21 @@ def kmedian_local_search(
             "still improving",
             LocalSearchCapWarning,
         )
-    return _solution_from_indices(points, d2, current)
+    return _solution_from_indices(points, current, tri.columns(current))
 
 
-def _swap_costs(d2: np.ndarray, current: np.ndarray) -> np.ndarray:
+def _swap_costs(tri: _UpperTriangle, current: np.ndarray) -> np.ndarray:
     """Objective after each single swap: entry (i, c) swaps current[i] for c.
 
-    ``d2`` is the symmetric M x M squared distance matrix.  Evaluated from
-    nearest and second-nearest center distances, in row blocks so that no
-    M x M temporary is formed.
+    Evaluated from nearest and second-nearest center distances, one stored
+    block of the triangle at a time, so that no M x M temporary is formed.
+    A block's entry D[j, c] (j in the block's rows, c >= lo) prices point j
+    against candidate c; beyond the leading square, which holds both orders
+    of its pairs, the same entry as D[c, j] also prices point c against
+    candidate j.
     """
-    m, k = d2.shape[0], current.size
-    to_centers = d2[:, current]
+    m, k = tri.m, current.size
+    to_centers = tri.columns(current)
     near = np.argmin(to_centers, axis=1)
     d1 = to_centers[np.arange(m), near]
     if k == 1:
@@ -180,14 +257,21 @@ def _swap_costs(d2: np.ndarray, current: np.ndarray) -> np.ndarray:
     owner[np.arange(m), near] = 1.0
     kept = np.zeros(m)  # sum_j min(d1_j, D_jc), the cost when j keeps its center
     lost = np.zeros((k, m))  # the correction for points whose center leaves
-    step = _block_rows(m)
-    for lo in range(0, m, step):
-        blk = d2[lo : lo + step]
-        kept_blk = np.minimum(d1[lo : lo + step, None], blk)
-        kept += kept_blk.sum(axis=0)
-        moved = np.minimum(d2nd[lo : lo + step, None], blk)
+    for lo, blk in zip(tri.los, tri.blocks):
+        hi = lo + blk.shape[0]
+        # rows j in [lo, hi) against candidates c >= lo
+        kept_blk = np.minimum(d1[lo:hi, None], blk)
+        kept[lo:] += kept_blk.sum(axis=0)
+        moved = np.minimum(d2nd[lo:hi, None], blk)
         moved -= kept_blk
-        lost += owner[lo : lo + step].T @ moved
+        lost[:, lo:] += owner[lo:hi].T @ moved
+        # points j >= hi against candidates c in [lo, hi), read transposed
+        tail = blk[:, hi - lo :]
+        kept_blk = np.minimum(d1[None, hi:], tail)
+        kept[lo:hi] += kept_blk.sum(axis=1)
+        moved = np.minimum(d2nd[None, hi:], tail)
+        moved -= kept_blk
+        lost[:, lo:hi] += (moved @ owner[hi:]).T
     return kept + lost
 
 
@@ -220,7 +304,7 @@ def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianS
         arg = int(np.argmin(costs))
         if costs[arg] < best_cost:
             best_cost, best_idx = float(costs[arg]), idx[arg]
-    return _solution_from_indices(points, d2, best_idx)
+    return _solution_from_indices(points, best_idx, d2[:, best_idx])
 
 
 def _fitted_points(points, solution: KMedianSolution) -> np.ndarray:

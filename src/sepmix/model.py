@@ -236,9 +236,9 @@ def median_radius(
     selects the four order statistics the estimate reads.
 
     Args:
-        method: "auto" or "exact" (the same path: closed form when
-            spherical, quadrature otherwise), or "mc" (Monte Carlo from
-            ``rng``).  Every caller inside the package uses "auto".
+        method: "auto" (closed form when spherical, quadrature otherwise)
+            or "mc" (Monte Carlo from ``rng``).  Every caller inside the
+            package uses "auto".
 
     Returns:
         (radius, halfwidth); both are also cached on ``params``.
@@ -246,7 +246,7 @@ def median_radius(
     Raises:
         MedianRadiusNotConverged: no quadrature certified the radius.
     """
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method == "mc":
         if rng is None:

@@ -393,7 +393,7 @@ def test_criterion_12_median_radius_calibration():
         num_samples=1_000_000,
         method="mc",
     )
-    closed, _ = median_radius(make_gaussian(np.zeros(4), np.ones(4)), method="exact")
+    closed, _ = median_radius(make_gaussian(np.zeros(4), np.ones(4)), method="auto")
     r4, _ = median_radius(
         make_gaussian(np.zeros(4), np.ones(4)),
         np.random.default_rng(434),

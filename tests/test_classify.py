@@ -975,6 +975,81 @@ def test_spherical_matches_reference_loop(seed, m, n, t, lattice, offset):
     _assert_spherical_matches_reference(pts + offset, t)
 
 
+def _assert_spherical_peels_match_reference(pts, t):
+    # the peel sequence does not depend on k, so the reference's peel count
+    # K is found by bisection: k < K leaves residual points and k > K runs
+    # out of points.  K - 1, K and K + 1 then compare every peel and both
+    # errors at the cost of a few runs rather than K.
+    lo, hi = 1, pts.shape[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _peel_outcome(lambda: _reference_spherical(pts, mid, t)) == (
+            "ResidualPointsAfterKPeels"
+        ):
+            lo = mid + 1
+        else:
+            hi = mid
+    for k in range(max(lo - 1, 1), lo + 2):
+        want = _peel_outcome(lambda: _reference_spherical(pts, k, t))
+        have = _peel_outcome(lambda: classify_spherical(pts, k=k, t=t).clusters)
+        assert have == want, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=150, max_value=400),
+    n=st.integers(min_value=1, max_value=4),
+    t=st.floats(min_value=0.01, max_value=20.0),
+    lattice=st.booleans(),
+    offset=st.sampled_from([0.0, 1e6]),
+    min_blocks=st.booleans(),
+)
+@example(seed=1, m=397, n=3, t=0.5, lattice=False, offset=0.0, min_blocks=True)
+@example(seed=2, m=389, n=4, t=0.05, lattice=True, offset=1e6, min_blocks=False)
+def test_spherical_matches_reference_across_blocks(
+    seed, m, n, t, lattice, offset, min_blocks
+):
+    # Several row blocks, the last one short, with stale rows refreshed from
+    # blocks other than the removed points'.  min_blocks takes blocks of
+    # _MIN_GEMM_ROWS rows; otherwise 150 to 400 points make 1 to 5 blocks.
+    # Gaussian points stay at the origin: at 1e6 the Gram expansion resolves
+    # squared distances only to about n eps |x|^2 ~ 1e-3, above the closest
+    # distances here, and a block GEMM rounds them otherwise than the
+    # reference's one symmetric product, so the two would compare roundings.
+    # Integer points have exact distances at either offset.
+    rng = np.random.default_rng(seed)
+    if lattice:
+        pts = rng.integers(-2, 3, size=(m, n)).astype(float) + offset
+    else:
+        blobs = rng.normal(scale=10.0, size=(int(rng.integers(1, 5)), n))
+        pts = blobs[rng.integers(0, blobs.shape[0], size=m)] + rng.normal(size=(m, n))
+    with pytest.MonkeyPatch.context() as mp:
+        if min_blocks:
+            mp.setattr(classify_module, "_BLOCK_BYTES", 0)
+        _assert_spherical_peels_match_reference(pts, t)
+
+
+def test_spherical_refreshes_stale_rows_block_by_block(monkeypatch):
+    # a tight pair near the origin is every other point's nearest neighbour
+    # (unit vectors, sqrt(2) apart), so the first peel leaves every live row
+    # stale; each of their 13 blocks of 16 rows is formed again, once, and
+    # the pair (0, 1) and then (2, 3) read their rows from block 0
+    monkeypatch.setattr(classify_module, "_BLOCK_BYTES", 0)
+    pts = np.vstack([np.zeros((2, 200)), np.eye(200)[2:]])
+    pts[1, 0] = 1e-3
+    formed = []
+    block = classify_module._SphericalRows.block
+    monkeypatch.setattr(
+        classify_module._SphericalRows,
+        "block",
+        lambda self, lo: formed.append(lo) or block(self, lo),
+    )
+    part = classify_spherical(pts, k=2, t=0.01)
+    assert [c.tolist() for c in part.clusters] == [[0, 1], list(range(2, 200))]
+    assert formed == [*range(0, 200, 16), 0, *range(0, 200, 16), 0]
+
+
 def test_spherical_matches_reference_on_grid_with_repeats():
     grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
     pts = np.vstack([grid, grid[::5], 10.0 * grid[:7]])

@@ -33,7 +33,7 @@ from sepmix.model import (
 def _spherical(n, sigma=1.0, center=None):
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     g = make_gaussian(c, np.full(n, sigma * sigma))
-    median_radius(g, method="exact")
+    median_radius(g, method="auto")
     return g
 
 
@@ -215,8 +215,8 @@ def test_cross_pair_concentric_large_radius_gap():
     n = 1_000_000
     gi = make_gaussian(np.zeros(n), np.full(n, 0.01))
     gj = make_gaussian(np.zeros(n), np.full(n, 1.44))
-    median_radius(gi, method="exact")
-    median_radius(gj, method="exact")
+    median_radius(gi, method="auto")
+    median_radius(gj, method="auto")
     assert gi.median_radius == pytest.approx(100.0, rel=1e-3)
     assert gj.median_radius == pytest.approx(1200.0, rel=1e-3)
     b = cross_pair_check(gi, gj, 1.0, 10_000, np.random.default_rng(11))

@@ -22,6 +22,7 @@ from sepmix.errors import (
 from sepmix.kmedian import (
     FitResult,
     LocalSearchConfig,
+    _UpperTriangle,
     fit_spherical_mixture,
     kmedian_cost,
     kmedian_exhaustive,
@@ -186,6 +187,19 @@ def _direct_swap_costs(d2, current):
     return np.array(rows)
 
 
+def _assert_swap_costs_match_direct_evaluation(points, rng, k, draws):
+    tri = _UpperTriangle(points)
+    d2 = pairwise_sq_dists(points)
+    for _ in range(draws):
+        current = np.sort(rng.choice(points.shape[0], size=k, replace=False))
+        np.testing.assert_allclose(
+            sepmix.kmedian._swap_costs(tri, current),
+            _direct_swap_costs(d2, current),
+            rtol=1e-12,
+        )
+    return len(tri.blocks)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_swap_costs_match_direct_evaluation(k):
     rng = np.random.default_rng(30 + k)
@@ -193,25 +207,22 @@ def test_swap_costs_match_direct_evaluation(k):
     pts[60:75] = pts[:15]  # duplicate points
     lattice = rng.integers(-2, 3, size=(40, 2)).astype(float)  # exact ties
     for points in (pts, lattice):
-        d2 = pairwise_sq_dists(points)
-        for _ in range(5):
-            current = np.sort(rng.choice(points.shape[0], size=k, replace=False))
-            np.testing.assert_allclose(
-                sepmix.kmedian._swap_costs(d2, current),
-                _direct_swap_costs(d2, current),
-                rtol=1e-12,
-            )
+        _assert_swap_costs_match_direct_evaluation(points, rng, k, 5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    m=st.integers(min_value=4, max_value=40),
-    n=st.integers(min_value=1, max_value=4),
-    k=st.integers(min_value=1, max_value=4),
-    lattice=st.booleans(),
-)
-def test_local_search_matches_reference_loop(seed, m, n, k, lattice):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_swap_costs_match_direct_evaluation_across_blocks(k):
+    # 350 and 400 points make 3 and 4 triangle blocks of uneven heights, so
+    # entries beyond each block's leading square price both of their points
+    rng = np.random.default_rng(40 + k)
+    pts = rng.normal(size=(400, 3))
+    pts[300:330] = pts[:30]  # duplicate points, in other blocks
+    lattice = rng.integers(-3, 4, size=(350, 2)).astype(float)  # exact ties
+    for points in (pts, lattice):
+        assert _assert_swap_costs_match_direct_evaluation(points, rng, k, 3) >= 3
+
+
+def _assert_local_search_matches_reference(seed, m, n, k, lattice):
     rng = np.random.default_rng(seed)
     if lattice:  # integer points: exact, so even ties must break the same way
         pts = rng.integers(-2, 3, size=(m, n)).astype(float)
@@ -225,6 +236,33 @@ def test_local_search_matches_reference_loop(seed, m, n, k, lattice):
         # summation order may only break a genuine tie differently
         tied = kmedian_cost(pts, pts[want])
         assert have.objective == pytest.approx(tied, rel=1e-12)
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=4, max_value=40),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    lattice=st.booleans(),
+)
+def test_local_search_matches_reference_loop(seed, m, n, k, lattice):
+    _assert_local_search_matches_reference(seed, m, n, k, lattice)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=300, max_value=400),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    lattice=st.booleans(),
+)
+def test_local_search_matches_reference_across_blocks(seed, m, n, k, lattice):
+    # 300 to 400 points store their triangle in at least 3 blocks
+    pts = _assert_local_search_matches_reference(seed, m, n, k, lattice)
+    assert len(_UpperTriangle(pts).blocks) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Peak-memory guards for the M x M kernels and the Monte Carlo draws.
 
-pairwise_sq_dists, the warm-up and k-median may each hold the one M x M
-squared distance matrix they build, plus temporaries far smaller than it.  A
-second M x M temporary, such as an unblocked Gram expansion or a rooted copy
-of the matrix, lifts the peak to 2 M^2 * 8 bytes or more and fails these
-tests.  classify_general on the matrix-free path holds no matrix at all:
-row blocks of O(B M) entries, the points and vectors of one entry per point.
-numpy reports its data buffers to tracemalloc, so the traced peak covers
-every array allocated.
+pairwise_sq_dists may hold the one M x M squared distance matrix it builds,
+plus temporaries far smaller than it, and the k-median search the upper
+triangle of it.  A second M x M temporary, such as an unblocked Gram
+expansion or a rooted copy of the matrix, lifts the peak to 2 M^2 * 8 bytes
+or more and fails these tests.  The warm-up and classify_general on the
+matrix-free path hold no matrix at all: row blocks of O(B M) entries, the
+points and vectors of one entry per point.  numpy reports its data buffers
+to tracemalloc, so the traced peak covers every array allocated.
 """
 
 import gc
@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepmix import classify
+from sepmix import classify, kmedian
 from sepmix.classify import (
     ClassifierConfig,
     classify_general,
@@ -24,6 +24,7 @@ from sepmix.classify import (
     pairwise_sq_dists,
 )
 from sepmix.concentration import covariance_concentration_check, pair_distance_check
+from sepmix.errors import InstanceTooLarge
 from sepmix.kmedian import kmedian_local_search
 from sepmix.model import median_radius
 
@@ -79,6 +80,32 @@ def test_classify_general_holds_no_distance_matrix(three_clusters):
     assert peak <= 0.05 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
 
 
+def test_warm_up_holds_no_distance_matrix(three_clusters):
+    peak = _traced_peak(lambda: classify_spherical(three_clusters, k=3, t=100.0))
+    assert peak <= 0.05 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
+
+
+def test_kmedian_holds_half_a_distance_matrix(three_clusters):
+    # the upper triangle is M (M + B) / 2 entries for blocks of B rows
+    peak = _traced_peak(
+        lambda: kmedian_local_search(three_clusters, 3, np.random.default_rng(1))
+    )
+    assert peak <= 0.6 * M * M * 8, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"
+
+
+def test_kmedian_refuses_triangle_beyond_physical_memory(monkeypatch, three_clusters):
+    # a machine with a quarter of the matrix: the triangle takes half of it,
+    # and the search stops before forming any block
+    monkeypatch.setattr(kmedian, "_physical_memory", lambda: M * M * 8 // 4)
+
+    def search():
+        with pytest.raises(InstanceTooLarge, match="physical memory"):
+            kmedian_local_search(three_clusters, 3, np.random.default_rng(1))
+
+    peak = _traced_peak(search)
+    assert peak <= 0.01 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
+
+
 def _two_blobs(m, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(m, n))
@@ -93,6 +120,20 @@ def test_classify_general_at_ten_thousand_points():
     config = ClassifierConfig(k=2, w_min=0.5)
     clusters = []
     peak = _traced_peak(lambda: clusters.extend(classify_general(pts, config).clusters))
+    assert sorted(c.size for c in clusters) == [m // 2, m // 2]
+    assert peak <= 0.01 * m * m * 8, f"peak {peak / (m * m * 8):.4f} x M^2 * 8 bytes"
+
+
+def test_warm_up_at_ten_thousand_points():
+    # an 800 MB matrix is never formed: the peak stays under 1% of it
+    m = 10_000
+    pts = _two_blobs(m, 16, 9)
+    clusters = []
+
+    def warm_up():
+        clusters.extend(classify_spherical(pts, k=2, t=10.0).clusters)
+
+    peak = _traced_peak(warm_up)
     assert sorted(c.size for c in clusters) == [m // 2, m // 2]
     assert peak <= 0.01 * m * m * 8, f"peak {peak / (m * m * 8):.4f} x M^2 * 8 bytes"
 

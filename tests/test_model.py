@@ -244,7 +244,7 @@ def test_median_radius_1d_monte_carlo():
 
 def test_median_radius_spherical_exact_n4():
     g = make_gaussian(np.zeros(4), np.ones(4))
-    r, half = median_radius(g, method="exact")
+    r, half = median_radius(g, method="auto")
     assert abs(r - 1.8320) < 0.005
     assert half == 0.0
 
@@ -387,14 +387,16 @@ def test_exact_radius_scales_and_ignores_rotation_and_center(seed, n, c, offset)
 def test_auto_and_exact_draw_nothing(eigs):
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
-    for method in ("auto", "exact"):
-        median_radius(make_gaussian(np.zeros(len(eigs)), eigs), rng, method=method)
+    # the closed form and the exact quadrature both run under "auto"
+    median_radius(make_gaussian(np.zeros(len(eigs)), eigs), rng, method="auto")
     assert rng.bit_generator.state == before
 
 
-def test_exact_path_matches_auto():
+def test_exact_method_is_rejected():
+    # "auto" is already exact for every spectrum; "exact" is no second name
     g = make_gaussian(np.zeros(3), [4.0, 2.0, 1.0])
-    assert median_radius(g, method="exact") == median_radius(g)
+    with pytest.raises(ValueError, match="unknown method"):
+        median_radius(g, method="exact")
 
 
 def _skewed(rule, check_order, shift):
@@ -535,7 +537,7 @@ def test_require_median_radius_raises_until_estimated():
     g = make_gaussian(np.zeros(2), [1.0, 1.0])
     with pytest.raises(MissingMedianRadius):
         g.require_median_radius()
-    median_radius(g, method="exact")
+    median_radius(g, method="auto")
     assert g.require_median_radius() > 0
 
 

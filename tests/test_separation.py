@@ -19,7 +19,7 @@ from sepmix.separation import (
 def _spherical(center, sigma):
     n = len(center)
     g = make_gaussian(np.asarray(center, dtype=float), np.full(n, sigma * sigma))
-    median_radius(g, method="exact")
+    median_radius(g, method="auto")
     return g
 
 
