@@ -17,18 +17,25 @@ and subset covariance spectra, so the output is invariant under rigid
 motions and (up to index relabeling) under point order.  None of the radii
 depends on the separation scale t, so the classifier takes no t.
 
+Every M x M pass, here and in the k-median fit, reads its squared distances
+from one row engine, _SqDistRows.  It owns the squared norms, the block grid,
+the Gram expansion (finished by _expand), the choice between storing the
+M x M matrix and forming row blocks on demand under _MATRIX_BUDGET, the
+refusal of an array larger than physical memory, and the per-row roundoff
+slack.
+
 classify_general centers the points on their mean and reads squared-distance
-rows over the live points from one of two sources.  When the threshold is at
-least the dimension n, every ball holds at least n points and its beta comes
-from the n x n covariance, so no block of the M x M matrix is ever needed:
-rows are formed on demand, a block at a time, from the centered points by
-the Gram expansion.  So are they when the matrix would not fit the memory
-budget; a ball with fewer points than dimensions then forms its own squared
-distances.  Otherwise the matrix is formed once, and such a ball
-double-centers its block of it into its Gram matrix, -1/2 J D J / m.  A
-row's threshold-th smallest entry can only grow as points leave, so each
-peel ranks rows in ascending order of their value at the last peel that
-ranked them, and stops at the first block that cannot beat the best radius.
+rows over the live points.  When the threshold is at least the dimension n,
+every ball holds at least n points and its beta comes from the n x n
+covariance, so no block of the M x M matrix is ever needed: rows are formed
+on demand, a block at a time, from the centered points.  So are they when
+the matrix would not fit the memory budget; a ball with fewer points than
+dimensions then forms its own squared distances.  Otherwise the matrix is
+formed once, and such a ball double-centers its block of it into its Gram
+matrix, -1/2 J D J / m.  A row's threshold-th smallest entry can only grow
+as points leave, so each peel ranks rows in ascending order of their value
+at the last peel that ranked them, and stops at the first block that cannot
+beat the best radius.
 
 The spherical warm-up instead removes, k times, the ball of radius
 |x0 - y0| * (1 + 3 t / sqrt(n)) around the closest remaining pair (x0, y0).
@@ -76,8 +83,8 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-# classify_general stores its M x M squared distance matrix only when the
-# matrix takes at most this many bytes; otherwise it forms rows on demand.
+# The row engine stores an M x M squared distance matrix only when it takes
+# at most this many bytes; otherwise it forms rows on demand.
 _MATRIX_BUDGET = _physical_memory() // 4
 
 
@@ -170,8 +177,8 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared euclidean distances between rows, via the Gram expansion.
 
     Computes ``aa[:, None] + bb[None, :] - 2 (a @ b.T)`` clipped at 0, with the
-    same rounding, while allocating only the output matrix: the expansion is
-    finished in place, one row block of about ``_BLOCK_BYTES`` at a time.
+    same rounding, while allocating only the output matrix and one row block:
+    the expansion is finished in place (see _expand).
 
     Raises:
         InstanceTooLarge: the rows x cols float64 result would not fit in
@@ -179,38 +186,42 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """
     b = a if b is None else b
     rows, cols = a.shape[0], b.shape[0]
-    need = rows * cols * 8
-    if need > _physical_memory():
-        raise InstanceTooLarge(
-            f"a {rows} x {cols} distance matrix needs {need} bytes, more than "
-            "physical memory"
-        )
+    _SqDistRows.check_memory(rows * cols, f"a {rows} x {cols} distance matrix")
     aa = np.einsum("ij,ij->i", a, a)
     bb = aa if b is a else np.einsum("ij,ij->i", b, b)
-    return _finish_sq_dists(a @ b.T, aa, bb)
+    return _expand(a @ b.T, aa, bb, scale=-2.0)
 
 
-def _finish_sq_dists(g: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """Squared distances from the inner products ``g = a @ b.T``, in place.
+def _expand(
+    g: np.ndarray,
+    aa: np.ndarray,
+    bb: np.ndarray,
+    out: np.ndarray | None = None,
+    scale: float | None = None,
+) -> np.ndarray:
+    """Squared distances from the inner products ``g = a @ (-2 b).T``.
 
-    ``g`` becomes ``(aa[:, None] + bb[None, :]) - 2 g`` clipped at 0, with aa
-    and bb the squared norms of the rows of a and b.  It is finished one row
-    block of about ``_BLOCK_BYTES`` at a time, so each pass over a block runs
-    in cache; the doubling is exact, so the rounding matches 2.0 * (a @ b.T).
-    pairwise_sq_dists, the warm-up's rows and the k-median's triangle blocks
-    are all finished here.
+    ``out`` (default ``g`` itself) becomes ``(aa[:, None] + bb[None, :]) + g``
+    clipped at 0, with aa and bb the squared norms of the rows of a and b.
+    Given ``scale`` = -2, ``g`` holds a @ b.T and is scaled in place first.
+    Scaling by -2 is exact, so both forms round as (aa + bb) - 2 (a @ b.T).
+    The work goes one row block of about ``_BLOCK_BYTES`` at a time, so each
+    pass over a block runs in cache.  Every squared distance in the package
+    is finished here.
     """
     rows, cols = g.shape
     step = _block_rows(cols)
-    buf = np.empty((min(step, rows), cols))
+    buf = np.empty((min(step, rows), cols)) if out is None else None
+    out = g if out is None else out
     for lo in range(0, rows, step):
-        blk = g[lo : lo + step]
-        blk *= 2.0
-        norms = buf[: blk.shape[0]]
+        blk, dst = g[lo : lo + step], out[lo : lo + step]
+        if scale is not None:
+            blk *= scale
+        norms = dst if buf is None else buf[: blk.shape[0]]
         np.add(aa[lo : lo + step, None], bb[None, :], out=norms)
-        np.subtract(norms, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-    return g
+        np.add(norms, blk, out=dst)
+        np.maximum(dst, 0.0, out=dst)
+    return out
 
 
 def _block_rows(cols: int) -> int:
@@ -218,8 +229,116 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(cols, 1)))
 
 
+class _SqDistRows:
+    """Squared-distance rows between the rows of ``points``, in row blocks.
+
+    Every M x M pass reads its distances here: classify_general's dense
+    ball, the warm-up's nearest neighbours and the k-median's triangle.  A
+    block holds some rows' squared distances to the live columns, all points
+    until ``live`` narrows them, clipped at 0.
+
+    With ``store`` set, the M x M matrix is formed once by pairwise_sq_dists
+    if it fits _MATRIX_BUDGET, and a block is a copy of its entries.
+    Otherwise a block is one GEMM of its rows against the live points,
+    finished by _expand, so memory is O(B M) for B rows.
+
+    An inner product can round differently in GEMMs of different shapes, by
+    at most n eps |x_i| |x_j| each way, so an entry formed in two block
+    shapes differs by at most 2 (n + 2) eps (|x_i|^2 + |x_j|^2), counting
+    the rounding of the expansion; ``slack`` holds that allowance per row, 0
+    for stored rows.  A block formed again from the same rows and columns
+    has the same bits.
+    """
+
+    def __init__(self, points: np.ndarray, store: bool = False):
+        m, n = points.shape
+        self.points = points
+        self.norms = np.einsum("ij,ij->i", points, points)
+        self.d2 = None
+        if store and m * m * 8 <= _MATRIX_BUDGET:
+            self.d2 = pairwise_sq_dists(points)
+            self.slack = np.zeros(m)
+        else:
+            eps = np.finfo(float).eps
+            self.slack = 2.0 * (n + 2) * eps * (self.norms + self.norms.max())
+        self.live(None)
+
+    @staticmethod
+    def gemm_rows(cols: int) -> int:
+        """Rows of a block of ``cols`` columns: about _BLOCK_BYTES, and at
+        least _MIN_GEMM_ROWS, so each GEMM reads its columns for enough rows."""
+        return max(_block_rows(cols), _MIN_GEMM_ROWS)
+
+    @staticmethod
+    def check_memory(entries: int, what: str):
+        """Refuse ``what``, a float64 array of ``entries`` entries, before it
+        is allocated when it would not fit in physical memory.
+
+        Raises:
+            InstanceTooLarge: it would not fit.
+        """
+        need = entries * 8
+        if need > _physical_memory():
+            raise InstanceTooLarge(
+                f"{what} needs {need} bytes, more than physical memory"
+            )
+
+    def live(self, cols: np.ndarray | None):
+        """Take the points indexed by ``cols`` (None: all points) as columns.
+
+        Gathered columns are copied as -2 times the points, so a block needs
+        no doubling pass.  All points are used as they are, so that a block
+        holding every row is numpy's symmetric product, as in
+        pairwise_sq_dists.
+        """
+        self.cols = cols
+        width = self.points.shape[0] if cols is None else cols.size
+        self.step = self.gemm_rows(width)
+        if self.d2 is not None:
+            return
+        if cols is None:
+            self.x, self.xx, self.scale = self.points, self.norms, -2.0
+        else:
+            self.x, self.xx, self.scale = self.points[cols], self.norms[cols], None
+            self.x *= -2.0
+
+    def block(
+        self, rows, lo: int = 0, out: np.ndarray | None = None, keep: bool = False
+    ) -> np.ndarray:
+        """Squared distances of ``rows`` (indices, or a slice when no columns
+        are gathered) to the live columns from the lo-th on.
+
+        The GEMM writes into ``out`` when given, and the block is finished in
+        place.  With ``keep``, it is finished into a new array instead and
+        the GEMM output is kept, so that ``row`` can finish one of its rows
+        again.  Stored rows are a copy.
+        """
+        self.rows = rows
+        if self.d2 is not None:
+            if self.cols.size == self.d2.shape[1]:
+                return self.d2[rows]
+            return self.d2[np.ix_(rows, self.cols)]
+        g = np.matmul(self.points[rows], self.x[lo:].T, out=out)
+        if not keep:
+            return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
+        self.g, self.bb = g, self.xx[lo:]
+        return _expand(g, self.norms[rows], self.bb, np.empty_like(g), self.scale)
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j of the last block formed with ``keep``, as it was formed.
+
+        It is finished again from the same GEMM output: a GEMM of another
+        shape may round differently and move a point across a ball's edge.
+        """
+        if self.d2 is not None:
+            return self.d2[self.rows[j], self.cols]
+        g = self.g[j : j + 1].copy()
+        aa = self.norms[self.rows[j : j + 1]]
+        return _expand(g, aa, self.bb, scale=self.scale)[0]
+
+
 def _dense_ball(
-    source, alive: np.ndarray, threshold: int, lower: np.ndarray
+    source: _SqDistRows, alive: np.ndarray, threshold: int, lower: np.ndarray
 ) -> tuple[int, float, np.ndarray]:
     """Densest ball over the live rows and columns of a squared-distance source.
 
@@ -247,9 +366,9 @@ def _dense_ball(
         rows = alive[pos]
         if math.sqrt(lower[rows[0]]) > best:
             break
-        blk = source.block(rows)
+        blk = source.block(rows, keep=True)
         blk.partition(threshold - 1, axis=1)
-        kth = np.maximum(blk[:, threshold - 1], 0.0)
+        kth = blk[:, threshold - 1]
         lower[rows] = np.maximum(kth - source.slack[rows], 0.0)
         rooted = np.sqrt(kth)
         ties = np.flatnonzero(rooted == rooted.min())
@@ -257,102 +376,6 @@ def _dense_ball(
         if rooted[j] < best or (rooted[j] == best and pos[j] < best_pos):
             best, best_pos, best_row = float(rooted[j]), int(pos[j]), source.row(j)
     return best_pos, best, best_row
-
-
-class _StoredRows:
-    """Squared-distance rows read from the stored M x M matrix of ``points``.
-
-    Every read gives the same value for an entry, so the dense-ball bound
-    needs no slack.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.d2 = pairwise_sq_dists(points)
-        self.slack = np.zeros(points.shape[0])
-
-    def live(self, alive: np.ndarray):
-        self.alive = alive
-        self.step = _block_rows(alive.size)
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """A copy of ``rows`` over the live columns."""
-        self.rows = rows
-        if self.alive.size == self.d2.shape[1]:
-            return self.d2[rows]
-        return self.d2[np.ix_(rows, self.alive)]
-
-    def row(self, j: int) -> np.ndarray:
-        """Row j of the last block, as it was formed."""
-        return self.d2[self.rows[j], self.alive]
-
-    def ball_variance(self, ball: np.ndarray) -> float:
-        return _ball_variance(self.points, self.d2, ball)
-
-
-class _MatrixFreeRows:
-    """Squared-distance rows formed on demand from ``points``.
-
-    ``live`` gathers -2 times the live points, and their squared norms, once
-    per peel.  A block of rows is one GEMM against them, g = a @ (-2 b).T,
-    which is exactly -2 (a @ b.T), plus the norm sums: the same
-    (aa + bb) - 2 a @ b.T that pairwise_sq_dists forms, without its clip at 0
-    (the order statistics are clipped instead).  Memory is O(B M) for a
-    block of B rows, plus the gathered points.  A ball with fewer points
-    than dimensions forms its own squared distances for its Gram matrix.
-
-    An inner product can round differently in GEMMs of different shapes, by
-    at most n eps |x_i| |x_j| each way, so an entry formed at two peels
-    differs by at most 2 (n + 2) eps (|x_i|^2 + |x_j|^2), counting the
-    rounding of the expansion; ``slack`` holds that allowance per row.
-    """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.norms = np.einsum("ij,ij->i", points, points)
-        eps = np.finfo(float).eps
-        self.slack = 2.0 * (points.shape[1] + 2) * eps * (self.norms + self.norms.max())
-
-    def live(self, alive: np.ndarray):
-        self.cols = self.points[alive]
-        self.cols *= -2.0
-        self.col_norms = self.norms[alive]
-        self.step = max(_block_rows(alive.size), _MIN_GEMM_ROWS)
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """The unclipped squared distances of ``rows`` to the live points."""
-        self.rows = rows
-        self.g = self.points[rows] @ self.cols.T
-        blk = np.add(self.norms[rows, None], self.col_norms[None, :])
-        blk += self.g
-        return blk
-
-    def row(self, j: int) -> np.ndarray:
-        """Row j of the last block, as it was formed, clipped at 0.
-
-        It is re-added from the same GEMM output: a GEMM of another shape
-        may round differently and move a point across the ball's edge.
-        """
-        row = self.norms[self.rows[j]] + self.col_norms
-        row += self.g[j]
-        return np.maximum(row, 0.0, out=row)
-
-    def ball_variance(self, ball: np.ndarray) -> float:
-        return _ball_variance(self.points, None, ball)
-
-
-def _row_source(points: np.ndarray, threshold: int):
-    """The row source classify_general peels ``points`` with.
-
-    Every ball holds at least ``threshold`` points, so at a threshold of at
-    least the dimension every ball goes to max_variance and reads no block
-    of the matrix.  The matrix is stored only when some ball may take its
-    Gram matrix from it and it fits in _MATRIX_BUDGET.
-    """
-    m, n = points.shape
-    if threshold < n and m * m * 8 <= _MATRIX_BUDGET:
-        return _StoredRows(points)
-    return _MatrixFreeRows(points)
 
 
 def max_variance(points) -> tuple[float, np.ndarray]:
@@ -482,12 +505,12 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
 
     The points are centered on their mean, which keeps the Gram expansion
     free of cancellation far from the origin.  Each peel reads them through
-    squared-distance rows over the live points (see _row_source): rows
+    squared-distance rows over the live points (see _SqDistRows): rows
     formed on demand in row blocks when the threshold is at least the
     dimension n or the M x M matrix would not fit the memory budget, and
-    otherwise rows of that matrix, formed once and never copied.  Memory is
-    O(B M) for a block of B rows on the first path, and the matrix on the
-    second; an M = 10^5 sample needs no 80 GB matrix.
+    otherwise rows of that matrix, formed once.  Memory is O(B M) for a
+    block of B rows on the first path, and the matrix on the second; an
+    M = 10^5 sample needs no 80 GB matrix.
 
     The dense ball takes ranked rows' threshold-th smallest squared entries
     and roots only those order statistics and the center's row.  A row's
@@ -519,7 +542,10 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
     log_term = math.log(m_total / config.delta) + 1.0
     trace = PeelTrace(threshold=threshold, delta=config.delta)
     points = points - points.mean(axis=0)
-    source = _row_source(points, threshold)
+    # every ball holds at least threshold points, so at a threshold of at
+    # least n every ball goes to max_variance and reads no block of a
+    # stored matrix
+    source = _SqDistRows(points, store=threshold < points.shape[1])
     lower = np.zeros(m_total)
     alive = np.arange(m_total)
     clusters: list[np.ndarray] = []
@@ -531,11 +557,11 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
             )
         x_loc, alpha, row = _dense_ball(source, alive, threshold, lower)
         np.sqrt(row, out=row)
-        beta = source.ball_variance(alive[row <= alpha])
+        beta = _ball_variance(points, source.d2, alive[row <= alpha])
         nu = math.sqrt(config.w_min * beta / 8.0)
         s = _gap_steps(np.sort(row), alpha, nu)
         r_gap = alpha + s * nu
-        beta_prime = source.ball_variance(alive[row <= r_gap])
+        beta_prime = _ball_variance(points, source.d2, alive[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
         removed_mask = row <= removal_radius
         if not np.any(removed_mask):
@@ -595,9 +621,11 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     T ∩ B(x0, |x0 - y0| * (1 + 3 t / sqrt(n))).
 
     No M x M matrix is stored.  Squared-distance rows are formed in fixed,
-    aligned blocks of B rows (see _SphericalRows), one GEMM against all
-    points each, so a row has the same value whenever it is formed, and
-    memory is O(B M).  Each live row keeps its nearest live neighbour and
+    aligned blocks of B rows, [b B, (b + 1) B), one GEMM against all points
+    each (see _SqDistRows).  A GEMM may round an entry differently at
+    another shape (a 1-row product goes to GEMV), so a row formed at a later
+    peel, or the center's row, has exactly the value the first pass saw.
+    Memory is O(B M).  Each live row keeps its nearest live neighbour and
     that squared distance; after a peel only the live rows whose neighbour
     was removed are searched again, with dead columns masked out.  The pair
     is ranked on rooted distances: with r the square root of the least live
@@ -622,12 +650,12 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     if meta is not None and meta.ambient_dim is not None:
         n = meta.ambient_dim
     factor = 1.0 + 3.0 * t / math.sqrt(n)
-    source = _SphericalRows(points)
+    source = _SqDistRows(points)
     nn = np.empty(m_total, dtype=int)
     nd = np.empty(m_total)
     live = np.ones(m_total, dtype=bool)
     alive = np.arange(m_total)
-    source.nearest_live(alive, live, nn, nd)
+    _nearest_live(source, alive, live, nn, nd)
     clusters: list[np.ndarray] = []
     for _ in range(k):
         if alive.size == 0:
@@ -640,13 +668,14 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
         i_loc = int(np.argmin(rooted))  # first minimum = lowest live index
         center = min(int(alive[i_loc]), int(nn[alive[i_loc]]))
         radius = float(rooted[i_loc]) * factor
-        row = source.row(center)[alive]
+        lo, blk = _aligned_block(source, center)
+        row = blk[center - lo, alive]
         removed_mask = np.sqrt(row) <= radius
         removed = alive[removed_mask]
         clusters.append(removed)
         live[removed] = False
         alive = alive[~removed_mask]
-        source.nearest_live(alive[~live[nn[alive]]], live, nn, nd)
+        _nearest_live(source, alive[~live[nn[alive]]], live, nn, nd)
     if alive.size:
         raise ResidualPointsAfterKPeels(
             f"{alive.size} points remain after {k} peels"
@@ -654,50 +683,29 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     return Partition(clusters=clusters)
 
 
-class _SphericalRows:
-    """Squared-distance rows of ``points`` to all points, formed on demand.
+def _aligned_block(source: _SqDistRows, r: int) -> tuple[int, np.ndarray]:
+    """(lo, the block of rows [lo, lo + B)) holding row r, lo = r - r mod B
+    for B = ``source.step``: a row is always formed in the same block."""
+    lo = r - r % source.step
+    return lo, source.block(slice(lo, lo + source.step))
 
-    Row r is always formed in the aligned block of rows [b B, (b + 1) B)
-    holding it, B = max(_block_rows(M), _MIN_GEMM_ROWS), by one GEMM against
-    all points finished by _finish_sq_dists.  A GEMM may round an entry
-    differently at another shape (a 1-row product goes to GEMV), so a row
-    formed at a later peel, or the center's row, has exactly the value the
-    first pass saw.  When one block holds every row the product is the
-    symmetric one pairwise_sq_dists forms.
+
+def _nearest_live(source: _SqDistRows, rows, live, nn, nd):
+    """Set nn[r], nd[r] to each row's nearest live column, other than r
+    itself, and its squared distance (ties to the lowest column).
+
+    ``rows`` is ascending; each aligned block holding some of them is formed
+    once.
     """
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.norms = np.einsum("ij,ij->i", points, points)
-        self.step = max(_block_rows(points.shape[0]), _MIN_GEMM_ROWS)
-
-    def block(self, lo: int) -> np.ndarray:
-        """The block of rows starting at ``lo``, a multiple of ``step``."""
-        hi = min(lo + self.step, self.points.shape[0])
-        g = self.points[lo:hi] @ self.points.T
-        return _finish_sq_dists(g, self.norms[lo:hi], self.norms)
-
-    def row(self, r: int) -> np.ndarray:
-        lo = r - r % self.step
-        return self.block(lo)[r - lo]
-
-    def nearest_live(self, rows, live, nn, nd):
-        """Set nn[r], nd[r] to each row's nearest live column, other than r
-        itself, and its squared distance (ties to the lowest column).
-
-        ``rows`` is ascending; each aligned block holding some of them is
-        formed once.
-        """
-        dead = np.flatnonzero(~live)
-        firsts = np.flatnonzero(np.diff(rows // self.step, prepend=-1))
-        for i, j in zip(firsts, [*firsts[1:], rows.size]):
-            r = rows[i:j]
-            lo = r[0] - r[0] % self.step
-            vals = self.block(lo)
-            if r.size < vals.shape[0]:
-                vals = vals[r - lo]
-            vals[np.arange(r.size), r] = np.inf
-            vals[:, dead] = np.inf
-            near = np.argmin(vals, axis=1)
-            nn[r] = near
-            nd[r] = vals[np.arange(r.size), near]
+    dead = np.flatnonzero(~live)
+    firsts = np.flatnonzero(np.diff(rows // source.step, prepend=-1))
+    for i, j in zip(firsts, [*firsts[1:], rows.size]):
+        r = rows[i:j]
+        lo, vals = _aligned_block(source, r[0])
+        if r.size < vals.shape[0]:
+            vals = vals[r - lo]
+        vals[np.arange(r.size), r] = np.inf
+        vals[:, dead] = np.inf
+        near = np.argmin(vals, axis=1)
+        nn[r] = near
+        nd[r] = vals[np.arange(r.size), near]

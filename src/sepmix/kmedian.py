@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (
-    _MIN_GEMM_ROWS,
-    _block_rows,
-    _finish_sq_dists,
-    _physical_memory,
-    pairwise_sq_dists,
-)
+from .classify import _SqDistRows, pairwise_sq_dists
 from .errors import (
     DimensionMismatch,
     InconsistentSigma,
@@ -64,24 +58,6 @@ class KMedianSolution:
         return self.center_indices.shape[0]
 
 
-def kmedian_cost(points, centers) -> float:
-    """Sum over points of the squared distance to the nearest center.
-
-    Nearest centers are found with the Gram expansion; the returned value is
-    then recomputed from explicit differences, so a point sitting exactly on
-    a center contributes exactly zero.
-    """
-    points, _ = _points_of(points)
-    centers, _ = _points_of(np.atleast_2d(centers))
-    if centers.shape[1] != points.shape[1]:
-        raise DimensionMismatch(
-            f"centers have dim {centers.shape[1]}, points {points.shape[1]}"
-        )
-    nearest = np.argmin(pairwise_sq_dists(points, centers), axis=1)
-    diff = points - centers[nearest]
-    return float(np.einsum("ij,ij->", diff, diff))
-
-
 def _solution_from_indices(points, idx, to_centers) -> KMedianSolution:
     """Canonical solution for the ascending center indices ``idx``, ties to
     the lowest center index; ``to_centers`` holds the M x k squared
@@ -101,11 +77,11 @@ class _UpperTriangle:
     """The symmetric squared-distance matrix D of ``points``, upper triangle only.
 
     Stored as row blocks D[lo:hi, lo:], laid end to end in one buffer, each
-    formed by one GEMM of its rows against the trailing points and finished
-    by _finish_sq_dists.  A block is about _BLOCK_BYTES and at least
-    _MIN_GEMM_ROWS rows, so blocks grow taller as they narrow.  A GEMM need
-    not round (i, j) and (j, i) alike, so each block's leading square is
-    made symmetric from its upper half: every unordered pair then has one
+    formed by _SqDistRows as one GEMM of its rows against the trailing
+    points.  A block is about _BLOCK_BYTES and at least _MIN_GEMM_ROWS rows
+    (_SqDistRows.gemm_rows), so blocks grow taller as they narrow.  A GEMM
+    need not round (i, j) and (j, i) alike, so each block's leading square
+    is made symmetric from its upper half: every unordered pair then has one
     value, read both ways.  Memory is about M^2 / 2 entries.
 
     Raises:
@@ -117,14 +93,12 @@ class _UpperTriangle:
         bounds = [0]
         while bounds[-1] < m:
             lo = bounds[-1]
-            bounds.append(min(m, lo + max(_block_rows(m - lo), _MIN_GEMM_ROWS)))
+            bounds.append(min(m, lo + _SqDistRows.gemm_rows(m - lo)))
         sizes = [(hi - lo) * (m - lo) for lo, hi in zip(bounds, bounds[1:])]
-        need = sum(sizes) * 8
-        if need > _physical_memory():
-            raise InstanceTooLarge(
-                f"the upper triangle of a {m} x {m} distance matrix needs "
-                f"{need} bytes, more than physical memory"
-            )
+        _SqDistRows.check_memory(
+            sum(sizes), f"the upper triangle of a {m} x {m} distance matrix"
+        )
+        source = _SqDistRows(points)
         self.m = m
         self.los = bounds[:-1]
         self.flat = np.empty(sum(sizes))
@@ -133,12 +107,10 @@ class _UpperTriangle:
         # at flat[base[j] + c]
         self.row_lo = np.empty(m, dtype=np.intp)
         self.base = np.empty(m, dtype=np.intp)
-        norms = np.einsum("ij,ij->i", points, points)
         offset = 0
         for lo, hi, size in zip(bounds, bounds[1:], sizes):
             blk = self.flat[offset : offset + size].reshape(hi - lo, m - lo)
-            np.matmul(points[lo:hi], points[lo:].T, out=blk)
-            _finish_sq_dists(blk, norms[lo:hi], norms[lo:])
+            source.block(slice(lo, hi), lo, out=blk)
             for r in range(1, hi - lo):
                 blk[r, :r] = blk[:r, r]
             self.blocks.append(blk)

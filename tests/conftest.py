@@ -1,10 +1,12 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
-prints them after the run, outside pytest's output capture, and provides the
-malformed point sets every point-taking entry point must reject."""
+prints them after the run, outside pytest's output capture, provides the
+malformed point sets every point-taking entry point must reject, and the
+k-median cost oracle."""
 
 import numpy as np
 import pytest
 
+from sepmix.classify import pairwise_sq_dists
 from sepmix.errors import DimensionMismatch, NonFiniteInput
 
 acceptance_lines: list[str] = []
@@ -35,3 +37,17 @@ def bad_points(request):
     """(points, the SepmixError the boundary check must raise for them)."""
     make, error = _BAD_POINTS[request.param]
     return make(), error
+
+
+def kmedian_cost(points, centers) -> float:
+    """Sum over points of the squared distance to the nearest center.
+
+    Nearest centers are found with the Gram expansion; the returned value is
+    then recomputed from explicit differences, so a point sitting exactly on
+    a center contributes exactly zero.
+    """
+    points = np.asarray(points, dtype=float)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    nearest = np.argmin(pairwise_sq_dists(points, centers), axis=1)
+    diff = points - centers[nearest]
+    return float(np.einsum("ij,ij->", diff, diff))

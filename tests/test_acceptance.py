@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import kmedian_cost
 from sepmix.classify import (
     ClassifierConfig,
     classify_general,
@@ -26,7 +27,6 @@ from sepmix.experiment import (
 )
 from sepmix.kmedian import (
     KMedianSolution,
-    kmedian_cost,
     kmedian_exhaustive,
     kmedian_local_search,
     sigma_hat,
@@ -203,9 +203,14 @@ def test_criterion_03_spherical_warmup():
         seed = 606 ^ i
         rng = np.random.default_rng(seed)
         s = sample_mixture(mix, rng, size, seed=seed)
-        d2 = pairwise_sq_dists(s.points)
-        cross = s.labels[:, None] != s.labels[None, :]
-        separated += int(d2[cross].min() >= rhs)
+        # the least cross-component squared distance, label pair by label pair
+        groups = [s.points[s.labels == a] for a in range(k)]
+        least = min(
+            pairwise_sq_dists(groups[a], groups[b]).min()
+            for a in range(k)
+            for b in range(a + 1, k)
+        )
+        separated += int(least >= rhs)
         part = classify_spherical(s, k=k, t=t)
         exact += int(partition_compare(part, s.labels).exact_match)
     _record(

@@ -9,8 +9,7 @@ import hypothesis.strategies as st
 from sepmix import classify as classify_module
 from sepmix.classify import (
     ClassifierConfig,
-    _MatrixFreeRows,
-    _StoredRows,
+    _SqDistRows,
     _ball_variance,
     _dense_ball,
     _gap_steps,
@@ -108,7 +107,12 @@ def test_pairwise_sq_dists_refuses_matrix_beyond_physical_memory():
 # ---------------------------------------------------------------------------
 
 
-_SOURCES = (_StoredRows, _MatrixFreeRows)
+def _stored_rows(points):
+    return _SqDistRows(points, store=True)
+
+
+# the row engine's two modes: rows of the stored matrix, rows formed on demand
+_SOURCES = (_stored_rows, _SqDistRows)
 
 
 def _dense_ball_of(pts, T, threshold, source):
@@ -194,7 +198,7 @@ def test_dense_ball_on_live_rows_matches_subset_matrix(seed, m, lattice):
         alive = np.array([m - 1])
     threshold = int(rng.integers(1, alive.size + 1))
     sub_local, want, _ = _dense_ball(
-        _StoredRows(pts[alive]), np.arange(alive.size), threshold, np.zeros(alive.size)
+        _stored_rows(pts[alive]), np.arange(alive.size), threshold, np.zeros(alive.size)
     )
     for source in _SOURCES:
         local, alpha, _ = _dense_ball(source(pts), alive, threshold, np.zeros(m))
@@ -206,8 +210,9 @@ def test_dense_ball_on_live_rows_matches_subset_matrix(seed, m, lattice):
 
 
 def _blocks_of(monkeypatch, rows):
-    """Row blocks of ``rows`` rows in both sources, so that small inputs
-    span several blocks and the dense-ball bound can stop early."""
+    """Row blocks of ``rows`` rows in every pass of the row engine, so that
+    small inputs span several blocks and the dense-ball bound can stop
+    early."""
     monkeypatch.setattr(classify_module, "_block_rows", lambda cols: rows)
     monkeypatch.setattr(classify_module, "_MIN_GEMM_ROWS", 1)
 
@@ -738,7 +743,8 @@ def _blobs(rng, k, per_blob, n, lattice):
     """k blobs of per_blob points around centers about 100 apart.  Lattice
     blobs are integer points, symmetric about integer centers that sum to 0:
     their mean is exactly 0 and every inner product is an exact integer, so
-    distances that tie in exact arithmetic tie in both row sources."""
+    distances that tie in exact arithmetic tie in both modes of the row
+    engine."""
     centers = rng.normal(scale=100.0, size=(k, n))
     if not lattice:
         return centers[np.arange(k * per_blob) % k] + rng.normal(size=(k * per_blob, n))
@@ -748,9 +754,14 @@ def _blobs(rng, k, per_blob, n, lattice):
     return (centers[:, None, :] + np.concatenate([half, -half], axis=1)).reshape(-1, n)
 
 
-def _outcome_with(source, points, config, block=None):
+def _outcome_with(stored, points, config, block=None):
+    """classify_general's outcome with its rows read from the stored matrix
+    (``stored``) or formed on demand, whatever the threshold."""
+    init = _SqDistRows.__init__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_row_source", lambda pts, threshold: source(pts))
+        mp.setattr(
+            _SqDistRows, "__init__", lambda self, pts, store: init(self, pts, stored)
+        )
         if block is not None:
             _blocks_of(mp, block)
         return _general_outcome(points, config)
@@ -782,8 +793,8 @@ def test_matrix_free_rows_peel_as_the_stored_matrix(
     # early on these small samples.
     pts = _blobs(np.random.default_rng(seed), k, per_blob, n, lattice) + offset
     config = ClassifierConfig(k=k, w_min=1.0 / k)
-    stored = _outcome_with(_StoredRows, pts, config, block)
-    free = _outcome_with(_MatrixFreeRows, pts, config, block)
+    stored = _outcome_with(True, pts, config, block)
+    free = _outcome_with(False, pts, config, block)
     if isinstance(stored, str):
         assert free == stored
         return
@@ -802,38 +813,39 @@ def test_general_picks_its_row_source_from_threshold_and_budget(monkeypatch):
     # the matrix is stored only when a ball may go to the Gram side
     # (threshold < n) and the matrix fits the budget
     picked = []
-    choose = classify_module._row_source
+    init = _SqDistRows.__init__
 
-    def record(points, threshold):
-        picked.append(type(source := choose(points, threshold)))
-        return source
+    def record(self, points, store=False):
+        init(self, points, store)
+        picked.append("stored" if self.d2 is not None else "formed")
 
-    monkeypatch.setattr(classify_module, "_row_source", record)
+    monkeypatch.setattr(_SqDistRows, "__init__", record)
     pts = _blobs(np.random.default_rng(4), 2, 20, 30, False)
     config = ClassifierConfig(k=2, w_min=0.5)  # threshold 15
     classify_general(pts, config)
     classify_general(pts[:, :15], config)
     monkeypatch.setattr(classify_module, "_MATRIX_BUDGET", 40 * 40 * 8 - 1)
     classify_general(pts, config)
-    assert picked == [_StoredRows, _MatrixFreeRows, _MatrixFreeRows]
+    assert picked == ["stored", "formed", "formed"]
 
 
 def test_later_peels_rank_few_rows_on_a_planted_mixture(monkeypatch):
     # the dense-ball bound: after the first peel, which ranks every row, a
     # peel on a separated mixture forms fewer than 5% of its live rows
     formed = []
-    live, block = _MatrixFreeRows.live, _MatrixFreeRows.block
+    live, block = _SqDistRows.live, _SqDistRows.block
 
     def count_live(self, alive):
-        formed.append([alive.size, 0])
+        if alive is not None:  # a peel's live columns, not the constructor's
+            formed.append([alive.size, 0])
         live(self, alive)
 
-    def count_block(self, rows):
+    def count_block(self, rows, **kwargs):
         formed[-1][1] += rows.size
-        return block(self, rows)
+        return block(self, rows, **kwargs)
 
-    monkeypatch.setattr(_MatrixFreeRows, "live", count_live)
-    monkeypatch.setattr(_MatrixFreeRows, "block", count_block)
+    monkeypatch.setattr(_SqDistRows, "live", count_live)
+    monkeypatch.setattr(_SqDistRows, "block", count_block)
     mix = plant_separated_mixture(
         n=16, k=3, shape_spec=(1.0, 2.0), config=SeparationConfig(t=10.0, mode="practical"),
         slack=1.5, rng=np.random.default_rng(20),
@@ -1039,11 +1051,11 @@ def test_spherical_refreshes_stale_rows_block_by_block(monkeypatch):
     pts = np.vstack([np.zeros((2, 200)), np.eye(200)[2:]])
     pts[1, 0] = 1e-3
     formed = []
-    block = classify_module._SphericalRows.block
+    block = _SqDistRows.block
     monkeypatch.setattr(
-        classify_module._SphericalRows,
+        _SqDistRows,
         "block",
-        lambda self, lo: formed.append(lo) or block(self, lo),
+        lambda self, rows: formed.append(rows.start) or block(self, rows),
     )
     part = classify_spherical(pts, k=2, t=0.01)
     assert [c.tolist() for c in part.clusters] == [[0, 1], list(range(2, 200))]

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import sepmix.kmedian
+from conftest import kmedian_cost
+from sepmix import classify as classify_module
 from sepmix.classify import pairwise_sq_dists
 from sepmix.errors import (
     DimensionMismatch,
@@ -24,7 +26,6 @@ from sepmix.kmedian import (
     LocalSearchConfig,
     _UpperTriangle,
     fit_spherical_mixture,
-    kmedian_cost,
     kmedian_exhaustive,
     kmedian_local_search,
     sigma_hat,
@@ -37,7 +38,7 @@ def _col(vals):
 
 
 # ---------------------------------------------------------------------------
-# cost
+# cost oracle
 # ---------------------------------------------------------------------------
 
 
@@ -58,11 +59,6 @@ def test_cost_matches_double_loop():
     for x in pts:
         brute += min(float(np.sum((x - c) ** 2)) for c in centers)
     assert kmedian_cost(pts, centers) == pytest.approx(brute, rel=1e-12)
-
-
-def test_cost_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        kmedian_cost(np.zeros((4, 3)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +259,17 @@ def test_local_search_matches_reference_across_blocks(seed, m, n, k, lattice):
     # 300 to 400 points store their triangle in at least 3 blocks
     pts = _assert_local_search_matches_reference(seed, m, n, k, lattice)
     assert len(_UpperTriangle(pts).blocks) >= 3
+
+
+def test_triangle_takes_the_row_engines_block_grid(monkeypatch):
+    # the triangle's blocks come from the row engine's grid, so patching the
+    # grid reaches them: blocks of 3 rows cut 40 points into 14 blocks
+    monkeypatch.setattr(classify_module, "_block_rows", lambda cols: 3)
+    monkeypatch.setattr(classify_module, "_MIN_GEMM_ROWS", 1)
+    rng = np.random.default_rng(50)
+    pts = rng.normal(size=(40, 3))
+    for k in (1, 2, 3):
+        assert _assert_swap_costs_match_direct_evaluation(pts, rng, k, 3) == 14
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +531,16 @@ def test_fit_rejects_non_finite_points(bad):
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda p: kmedian_cost(p, np.zeros((1, 2))),
         lambda p: kmedian_local_search(p, 2, np.random.default_rng(0)),
         lambda p: kmedian_exhaustive(p, 2),
         lambda p: fit_spherical_mixture(p, 2, np.random.default_rng(0)),
     ],
-    ids=["cost", "local_search", "exhaustive", "fit"],
+    ids=["local_search", "exhaustive", "fit"],
 )
 def test_entry_points_reject_malformed_points(entry, bad_points):
     points, error = bad_points
     with pytest.raises(error):
         entry(points)
-
-
-def test_cost_rejects_non_finite_centers():
-    pts = np.random.default_rng(23).normal(size=(10, 2))
-    with pytest.raises(NonFiniteInput):
-        kmedian_cost(pts, [[0.0, np.inf]])
 
 
 def test_fit_k1_center_minimizes_total_distance():

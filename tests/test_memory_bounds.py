@@ -1,13 +1,17 @@
 """Peak-memory guards for the M x M kernels and the Monte Carlo draws.
 
-pairwise_sq_dists may hold the one M x M squared distance matrix it builds,
-plus temporaries far smaller than it, and the k-median search the upper
-triangle of it.  A second M x M temporary, such as an unblocked Gram
-expansion or a rooted copy of the matrix, lifts the peak to 2 M^2 * 8 bytes
-or more and fails these tests.  The warm-up and classify_general on the
-matrix-free path hold no matrix at all: row blocks of O(B M) entries, the
-points and vectors of one entry per point.  numpy reports its data buffers
-to tracemalloc, so the traced peak covers every array allocated.
+Every M x M pass forms its squared distances in the one row engine,
+classify._SqDistRows, under one memory rule: a matrix is stored only within
+classify._MATRIX_BUDGET, and an array larger than physical memory is refused
+before it is allocated.  pairwise_sq_dists may hold the one M x M squared
+distance matrix it builds, plus temporaries far smaller than it, and the
+k-median search the upper triangle of it.  A second M x M temporary, such as
+an unblocked Gram expansion or a rooted copy of the matrix, lifts the peak
+to 2 M^2 * 8 bytes or more and fails these tests.  The warm-up and
+classify_general on rows formed on demand hold no matrix at all: row blocks
+of O(B M) entries, the points and vectors of one entry per point.  numpy
+reports its data buffers to tracemalloc, so the traced peak covers every
+array allocated.
 """
 
 import gc
@@ -16,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepmix import classify, kmedian
+from sepmix import classify
 from sepmix.classify import (
     ClassifierConfig,
     classify_general,
@@ -96,13 +100,28 @@ def test_kmedian_holds_half_a_distance_matrix(three_clusters):
 def test_kmedian_refuses_triangle_beyond_physical_memory(monkeypatch, three_clusters):
     # a machine with a quarter of the matrix: the triangle takes half of it,
     # and the search stops before forming any block
-    monkeypatch.setattr(kmedian, "_physical_memory", lambda: M * M * 8 // 4)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: M * M * 8 // 4)
 
     def search():
         with pytest.raises(InstanceTooLarge, match="physical memory"):
             kmedian_local_search(three_clusters, 3, np.random.default_rng(1))
 
     peak = _traced_peak(search)
+    assert peak <= 0.01 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
+
+
+def test_pairwise_sq_dists_refuses_before_forming_the_product(
+    monkeypatch, three_clusters
+):
+    # the same machine, and the same rule: the matrix is refused before its
+    # product is formed
+    monkeypatch.setattr(classify, "_physical_memory", lambda: M * M * 8 // 4)
+
+    def form():
+        with pytest.raises(InstanceTooLarge, match="physical memory"):
+            pairwise_sq_dists(three_clusters)
+
+    peak = _traced_peak(form)
     assert peak <= 0.01 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
 
 
