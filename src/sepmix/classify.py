@@ -198,11 +198,13 @@ def _expand(
     bb: np.ndarray,
     out: np.ndarray | None = None,
     scale: float | None = None,
+    clip: bool = True,
 ) -> np.ndarray:
     """Squared distances from the inner products ``g = a @ (-2 b).T``.
 
     ``out`` (default ``g`` itself) becomes ``(aa[:, None] + bb[None, :]) + g``
-    clipped at 0, with aa and bb the squared norms of the rows of a and b.
+    clipped at 0 (unclipped when ``clip`` is false), with aa and bb the
+    squared norms of the rows of a and b.
     Given ``scale`` = -2, ``g`` holds a @ b.T and is scaled in place first.
     Scaling by -2 is exact, so both forms round as (aa + bb) - 2 (a @ b.T).
     The work goes one row block of about ``_BLOCK_BYTES`` at a time, so each
@@ -220,7 +222,8 @@ def _expand(
         norms = dst if buf is None else buf[: blk.shape[0]]
         np.add(aa[lo : lo + step, None], bb[None, :], out=norms)
         np.add(norms, blk, out=dst)
-        np.maximum(dst, 0.0, out=dst)
+        if clip:
+            np.maximum(dst, 0.0, out=dst)
     return out
 
 
@@ -309,9 +312,9 @@ class _SqDistRows:
         are gathered) to the live columns from the lo-th on.
 
         The GEMM writes into ``out`` when given, and the block is finished in
-        place.  With ``keep``, it is finished into a new array instead and
-        the GEMM output is kept, so that ``row`` can finish one of its rows
-        again.  Stored rows are a copy.
+        place.  With ``keep``, it is finished into a new array instead, not
+        clipped at 0, and the GEMM output is kept, so that ``row`` can finish
+        one of its rows again.  Stored rows are a copy.
         """
         self.rows = rows
         if self.d2 is not None:
@@ -322,7 +325,9 @@ class _SqDistRows:
         if not keep:
             return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
         self.g, self.bb = g, self.xx[lo:]
-        return _expand(g, self.norms[rows], self.bb, np.empty_like(g), self.scale)
+        return _expand(
+            g, self.norms[rows], self.bb, np.empty_like(g), self.scale, clip=False
+        )
 
     def row(self, j: int) -> np.ndarray:
         """Row j of the last block formed with ``keep``, as it was formed.
@@ -344,8 +349,8 @@ def _dense_ball(
 
     A ranked row's threshold-th smallest squared entry over the live columns
     is found by partition, in row blocks of ``source.step`` rows; only those
-    order statistics are rooted, and the square root is monotone, so they
-    equal the order statistics of the rooted rows.
+    order statistics are clipped at 0 and rooted.  Both are monotone, so they
+    equal the order statistics of the clipped, rooted rows.
 
     ``lower[r]`` is a lower bound on row r's order statistic.  Columns only
     leave, so the value a row had at an earlier peel (less the source's
@@ -368,7 +373,7 @@ def _dense_ball(
             break
         blk = source.block(rows, keep=True)
         blk.partition(threshold - 1, axis=1)
-        kth = blk[:, threshold - 1]
+        kth = np.maximum(blk[:, threshold - 1], 0.0)
         lower[rows] = np.maximum(kth - source.slack[rows], 0.0)
         rooted = np.sqrt(kth)
         ties = np.flatnonzero(rooted == rooted.min())

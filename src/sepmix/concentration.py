@@ -20,6 +20,19 @@ exactly as if the points had been sampled, and the measured distances and
 moments differ from those of sampled points only by roundoff.  Only the
 cross-component check samples points, because its two components rotate
 differently.
+
+Every check but the covariance one draws its standard normals in
+consecutive row blocks of about 1 MiB (model._normal_blocks) and reduces
+each block as it is drawn, so it holds one block and at most one value per
+draw, never the whole draw.  Each step on a row (scaling, shift, rotation,
+row sum) rounds the same whatever the block height, as long as no block is
+only a few rows high, which _normal_blocks ensures; so the reports are those
+of the one-block draw, bit for bit, and the generator ends in the same
+state.  The two-sample checks pair row i with row N + i of their stream, so
+they keep the first N rows whole (the pair check its normals, the
+cross-pair check its points x) and stream the second half against them:
+half the one-block draw.  The covariance check keeps its one block, because
+blocks would reorder the sums in z^T z.
 """
 
 from __future__ import annotations
@@ -37,7 +50,13 @@ from .errors import (
     PairNotSeparated,
     TooFewSamples,
 )
-from .model import GaussianParams, _sq_dists, sample
+from .model import (
+    GaussianParams,
+    _from_standard_normal,
+    _normal_blocks,
+    _sq_dists,
+    sample,  # noqa: F401  # the benchmark rebinds sepmix.concentration.sample
+)
 from .separation import _PRACTICAL_CONSTANTS, SeparationConfig, pair_margin
 
 
@@ -103,9 +122,11 @@ def shell_mass_check(
     if num_samples < 10_000:
         raise TooFewSamples(f"num_samples={num_samples} < 10000")
     radius, sigma = _require_scale(params)
-    z = rng.standard_normal((num_samples, params.dim))
-    dist = np.sqrt(_sq_dists(params, z))
-    hits = int(np.count_nonzero((dist >= radius - t * sigma) & (dist <= radius + t * sigma)))
+    lo, hi = radius - t * sigma, radius + t * sigma
+    hits = 0
+    for _, z in _normal_blocks(rng, num_samples, params.dim):
+        dist = np.sqrt(_sq_dists(params, z))
+        hits += int(np.count_nonzero((dist >= lo) & (dist <= hi)))
     return _bound(1.0 - math.exp(-t), hits, num_samples)
 
 
@@ -131,8 +152,10 @@ def point_distance_check(
     cross = 2.0 * math.sqrt(2.0 * t) * zp * sigma
     lo = max(radius - t * sigma, 0.0) ** 2 + zp * zp - cross
     hi = (radius + t * sigma) ** 2 + zp * zp + cross
-    d2 = _sq_dists(params, rng.standard_normal((num_samples, params.dim)), point=z)
-    hits = int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+    hits = 0
+    for _, block in _normal_blocks(rng, num_samples, params.dim):
+        d2 = _sq_dists(params, block, point=z)
+        hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 2.0 * math.exp(-t), hits, num_samples)
 
 
@@ -147,14 +170,17 @@ def pair_distance_check(
     if num_pairs < 10_000:
         raise TooFewSamples(f"num_pairs={num_pairs} < 10000")
     radius, sigma = _require_scale(params)
-    # x - y = R diag(sqrt(lambda)) (z1 - z2): the centers cancel
-    z = rng.standard_normal((2 * num_pairs, params.dim))
-    diff = z[:num_pairs]
-    diff -= z[num_pairs:]
-    d2 = _sq_dists(params, diff)
     lo = 2.0 * radius * radius - 8.0 * t * sigma * radius
     hi = 2.0 * (radius + 2.0 * t * sigma) ** 2
-    hits = int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+    # x - y = R diag(sqrt(lambda)) (z1 - z2): the centers cancel.  z1 is the
+    # first half of one (2 num_pairs, n) block, z2 its second half.
+    z1 = rng.standard_normal((num_pairs, params.dim))
+    hits = 0
+    for a, z2 in _normal_blocks(rng, num_pairs, params.dim):
+        diff = z1[a : a + len(z2)]
+        diff -= z2
+        d2 = _sq_dists(params, diff)
+        hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 3.0 * math.exp(-t), hits, num_pairs)
 
 
@@ -248,11 +274,18 @@ def cross_pair_check(
             num_pairs,
             rng,
         )
+        hits = int(np.count_nonzero(d2 >= bound))
     else:
-        x = sample(params_i, rng, num_pairs)
-        y = sample(params_j, rng, num_pairs)
-        d2 = np.sum((x - y) ** 2, axis=1)
-    hits = int(np.count_nonzero(d2 >= bound))
+        # the points of sample(params_i, ...) then sample(params_j, ...)
+        x = np.empty((num_pairs, n))
+        for a, z in _normal_blocks(rng, num_pairs, n):
+            x[a : a + len(z)] = _from_standard_normal(params_i, z)
+        hits = 0
+        for a, z in _normal_blocks(rng, num_pairs, n):
+            diff = x[a : a + len(z)]
+            diff -= _from_standard_normal(params_j, z)
+            diff *= diff
+            hits += int(np.count_nonzero(np.sum(diff, axis=1) >= bound))
     return _bound(1.0 - 6.0 * math.exp(-t), hits, num_pairs)
 
 
@@ -313,8 +346,9 @@ def ball_growth_check(
     radii = np.sort(np.asarray(radius_grid, dtype=float).reshape(-1))
     if radii.size < 2 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ValueError("radius grid needs >= 2 finite nonnegative radii")
-    z = rng.standard_normal((num_samples, params.dim))
-    dist = np.sqrt(_sq_dists(params, z, point=x))
+    dist = np.empty(num_samples)
+    for a, z in _normal_blocks(rng, num_samples, params.dim):
+        dist[a : a + len(z)] = np.sqrt(_sq_dists(params, z, point=x))
     dist.sort()
     counts = np.searchsorted(dist, radii, side="right")
     mass = counts / num_samples

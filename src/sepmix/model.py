@@ -33,7 +33,8 @@ from .errors import (
 _ORTHO_TOL = 1e-8
 # Eigenvalues within this relative spread of each other count as spherical.
 _SPHERICAL_RTOL = 1e-12
-# Values per 1 MiB block: Monte Carlo radius draws, and the node-by-eigenvalue
+# Values per 1 MiB block: every Monte Carlo draw (the concentration checks'
+# and median_radius's, through _normal_blocks), and the node-by-eigenvalue
 # tables of the exact median-radius solver.
 _DRAW_CHUNK = 1 << 17
 
@@ -164,6 +165,32 @@ def _from_standard_normal(params: GaussianParams, z: np.ndarray) -> np.ndarray:
     return params.center + dev
 
 
+def _normal_blocks(rng: np.random.Generator, rows: int, dim: int):
+    """Yield (lo, z): the standard normal block of ``rows`` x ``dim`` draws,
+    as consecutive row blocks of at most _DRAW_CHUNK values (one row when a
+    row is longer), z holding rows lo, lo + 1, ... of it.
+
+    The generator fills a block value by value in row order, so the blocks
+    consume exactly the stream of one (rows, dim) block and leave ``rng`` in
+    the same state.  Each z is a view of one buffer that the next block
+    overwrites, so only about 1 MiB of draws is held; the caller may work on
+    z in place, must copy what it keeps, and must consume every block.  A
+    caller whose per-row arithmetic does not depend on the block height gets
+    the bits of the one-block draw.  The heights differ by at most one row,
+    so none is far shorter than a chunk: a GEMM of only a few rows can round
+    differently from one of many (OpenBLAS does at n >= 32 and fewer than
+    about 1200 / n rows).
+    """
+    step = max(_DRAW_CHUNK // dim, 1)
+    count = max(-(-rows // step), 1)  # blocks of at most step rows
+    buf = np.empty((-(-rows // count), dim))
+    for b in range(count):
+        lo = rows * b // count
+        z = buf[: rows * (b + 1) // count - lo]
+        rng.standard_normal(out=z)
+        yield lo, z
+
+
 def _sq_dists(params: GaussianParams, z: np.ndarray, point=None) -> np.ndarray:
     """|x - point|^2 for each draw x = _from_standard_normal(params, z),
     without forming x; ``point`` defaults to the center.
@@ -232,8 +259,9 @@ def median_radius(
 
     Under method="mc", R is the sample median of |x - center| over
     ``num_samples`` draws, with a distribution-free 99% order-statistic
-    interval attached.  The draws are never rotated, and one partition
-    selects the four order statistics the estimate reads.
+    interval attached.  The draws are never rotated and are drawn in blocks
+    of about 1 MiB (``_normal_blocks``), and one partition selects the four
+    order statistics the estimate reads.
 
     Args:
         method: "auto" (closed form when spherical, quadrature otherwise)
@@ -253,13 +281,8 @@ def median_radius(
             raise ValueError("Monte Carlo path needs an rng")
         if num_samples < 1000:
             raise TooFewSamples(f"num_samples={num_samples} < 1000")
-        # The generator fills a block value by value in row order, so drawing
-        # it in row chunks consumes the stream of one (num_samples, n) block
-        # while holding only the distances and one chunk of about 1 MiB.
         d2 = np.empty(num_samples)
-        step = max(_DRAW_CHUNK // params.dim, 1)
-        for a in range(0, num_samples, step):
-            z = rng.standard_normal((min(step, num_samples - a), params.dim))
+        for a, z in _normal_blocks(rng, num_samples, params.dim):
             d2[a : a + len(z)] = _sq_dists(params, z)
         # distribution-free 99% interval for the median from order statistics
         half_span = 2.576 * math.sqrt(num_samples) / 2.0
@@ -676,10 +699,14 @@ def sample_concentric_spherical_embedded(
     if ambient_dim < count:
         raise ValueError("embedding needs ambient_dim >= count")
     labels = _draw_labels(weights, rng, count)
-    a = np.tril(rng.standard_normal((count, count)), k=-1)
+    # A is made from the drawn block in place, its upper triangle and
+    # diagonal cleared row by row, so no second count x count array is formed
+    points = rng.standard_normal((count, count))
+    for i in range(count):
+        points[i, i:] = 0.0
     dof = ambient_dim - np.arange(count)
-    np.fill_diagonal(a, np.sqrt(rng.chisquare(dof)))
-    points = sigmas[labels][:, None] * a
+    np.fill_diagonal(points, np.sqrt(rng.chisquare(dof)))
+    points *= sigmas[labels][:, None]
     radii = np.array([spherical_median_radius(s, ambient_dim) for s in sigmas])
     return LabeledSampleSet(
         points=points,

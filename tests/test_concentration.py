@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import sepmix.concentration as concentration
+import sepmix.model as model
 from sepmix.concentration import (
     ball_growth_check,
     covariance_concentration_check,
@@ -329,9 +331,10 @@ def test_covariance_passes_moderate_sample():
 # ---------------------------------------------------------------------------
 #
 # Each reference below is the old body of a checker: it samples the rotated
-# points and measures them directly.  The checkers now work on the same
-# standard normal block in eigen coordinates, so on pinned seeds they must
-# report the same hits, and leave the generator in the same state.
+# points in one block and measures them directly.  The checkers now work on
+# the same standard normal draws in eigen coordinates, block by block, so on
+# pinned seeds they must report the same hits, and leave the generator in the
+# same state, however many blocks the draws take.
 
 
 def _old_shell_hits(g, t, num, rng):
@@ -357,6 +360,19 @@ def _old_pair_hits(g, t, num, rng):
     lo = 2.0 * r * r - 8.0 * t * s * r
     hi = 2.0 * (r + 2.0 * t * s) ** 2
     return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+
+
+def _old_cross_hits(gi, gj, t, num, rng):
+    c1, c2 = 60.0, 30.0  # the practical separation constants
+    r_i, s_i, r_j, s_j = gi.median_radius, gi.sigma_max, gj.median_radius, gj.sigma_max
+    bound = (
+        2.0 * min(r_i, r_j) ** 2
+        + c1 * t * (s_i + s_j) * (r_i + r_j)
+        + c2 * t * t * (s_i * s_i + s_j * s_j)
+    )
+    x = sample(gi, rng, num)
+    y = sample(gj, rng, num)
+    return int(np.count_nonzero(np.sum((x - y) ** 2, axis=1) >= bound))
 
 
 def _old_growth_mass(g, x, radii, num, rng):
@@ -391,6 +407,12 @@ def _near(g, seed):
     return g.center + np.random.default_rng(seed).normal(size=g.dim)
 
 
+def _partner(g):
+    """Another rotated eccentric component, far enough from g to be
+    separated at t = 1 with the paper's constants."""
+    return _rotated_eccentric(g.dim, g.center + 1e3, 99)
+
+
 # (new call, old call), each on (component, seed-derived rng); both return
 # something that must compare equal.
 _CHECKER_PAIRS = {
@@ -406,6 +428,10 @@ _CHECKER_PAIRS = {
         lambda g, rng: pair_distance_check(g, 1.0, 20_000, rng).observed,
         lambda g, rng: _old_pair_hits(g, 1.0, 20_000, rng) / 20_000,
     ),
+    "cross_pair": (
+        lambda g, rng: cross_pair_check(g, _partner(g), 1.0, 20_000, rng).observed,
+        lambda g, rng: _old_cross_hits(g, _partner(g), 1.0, 20_000, rng) / 20_000,
+    ),
     "ball_growth": (
         lambda g, rng: ball_growth_check(
             g, _near(g, 2), np.linspace(0.0, 30.0, 40), 40_000, rng
@@ -420,12 +446,45 @@ _CHECKER_PAIRS = {
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("seed", [5, 61])
 @pytest.mark.parametrize("checker", sorted(_CHECKER_PAIRS))
-def test_checker_matches_materialized_draws(checker, seed, offset):
+def test_checker_matches_materialized_draws(checker, seed, offset, monkeypatch):
+    # at the default chunk every draw takes one or two blocks; 11 111 values
+    # is 1851 rows at n = 6, so 20 000 draws take 11 blocks of 1818 or 1819
+    # rows and 40 000 draws take 22
     g = _rotated_eccentric(6, offset, seed)
     new, old = _CHECKER_PAIRS[checker]
-    rng_new = np.random.default_rng(seed + 1)
-    rng_old = np.random.default_rng(seed + 1)
-    assert new(g, rng_new) == old(g, rng_old)
+    for chunk in (model._DRAW_CHUNK, 11_111):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
+        rng_new = np.random.default_rng(seed + 1)
+        rng_old = np.random.default_rng(seed + 1)
+        assert new(g, rng_new) == old(g, rng_old), f"chunk {chunk}"
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("n, chunk", [(3, 11_111), (64, 1 << 17)])
+def test_cross_pair_streams_the_points_sample_draws(n, chunk, monkeypatch):
+    # The direct path maps its blocks with sample's rotation GEMM, so every
+    # point must keep the bits sample gives it in one block.  At n = 3 the
+    # draws take 6 blocks; at n = 64, 2048 rows make a chunk and 10 245 pairs
+    # take 6 blocks of 1707 or 1708 rows, where five blocks of 2048 rows and
+    # one of 5 would round that last GEMM differently.
+    monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
+    gi = _rotated_eccentric(n, 0.0, 7)
+    gj = _partner(gi)
+    num = 20_000 if n == 3 else 5 * 2048 + 5
+    mapped = {id(gi): [], id(gj): []}
+
+    def spy(params, z):
+        points = model._from_standard_normal(params, z)
+        mapped[id(params)].append(points.copy())
+        return points
+
+    monkeypatch.setattr(concentration, "_from_standard_normal", spy)
+    rng_new = np.random.default_rng(8)
+    rng_old = np.random.default_rng(8)
+    cross_pair_check(gi, gj, 1.0, num, rng_new)
+    for params in (gi, gj):
+        want = sample(params, rng_old, num)
+        assert np.array_equal(np.concatenate(mapped[id(params)]), want)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 

@@ -9,9 +9,16 @@ k-median search the upper triangle of it.  A second M x M temporary, such as
 an unblocked Gram expansion or a rooted copy of the matrix, lifts the peak
 to 2 M^2 * 8 bytes or more and fails these tests.  The warm-up and
 classify_general on rows formed on demand hold no matrix at all: row blocks
-of O(B M) entries, the points and vectors of one entry per point.  numpy
-reports its data buffers to tracemalloc, so the traced peak covers every
-array allocated.
+of O(B M) entries, the points and vectors of one entry per point.
+
+The Monte Carlo checks and median_radius draw their standard normals in
+blocks of model._DRAW_CHUNK values (1 MiB) into one reused buffer and reduce
+each block as it is drawn, so none forms its whole draw: each holds one
+block plus at most one vector of one entry per draw.  The two-sample checks
+also keep the first half of their draw (the pair check its normals, the
+cross-pair check its points x), and the covariance check keeps its whole
+block.  numpy reports its data buffers to tracemalloc, so the traced peak
+covers every array allocated.
 """
 
 import gc
@@ -20,14 +27,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepmix import classify
+from sepmix import classify, model
 from sepmix.classify import (
     ClassifierConfig,
     classify_general,
     classify_spherical,
     pairwise_sq_dists,
 )
-from sepmix.concentration import covariance_concentration_check, pair_distance_check
+from sepmix.concentration import (
+    ball_growth_check,
+    covariance_concentration_check,
+    cross_pair_check,
+    pair_distance_check,
+    point_distance_check,
+    shell_mass_check,
+)
 from sepmix.errors import InstanceTooLarge
 from sepmix.kmedian import kmedian_local_search
 from sepmix.model import median_radius
@@ -175,10 +189,11 @@ def test_classify_general_gram_side_balls_over_budget(monkeypatch):
     assert peak <= limit, f"peak {peak / limit:.2f} x the bound"
 
 
-# The Monte Carlo checks and radii work on their standard normal block in
+# The Monte Carlo checks and radii work on their standard normal draws in
 # place in eigen coordinates; the rotated draws, their deviations from the
-# center and a projection of them are never formed.  Each may hold the block
-# (median_radius only a chunk of it) plus vectors of one entry per draw.
+# center and a projection of them are never formed.  The covariance check may
+# hold its block, the others less (see the streamed cases below), plus
+# vectors of one entry per draw.
 DRAWS, DIM = 100_000, 8
 BLOCK = DRAWS * DIM * 8
 
@@ -207,3 +222,69 @@ def test_peak_stays_near_one_standard_normal_block(call, rotated_component):
     rng = np.random.default_rng(2)
     peak = _traced_peak(lambda: call(rotated_component, rng))
     assert peak <= 1.35 * BLOCK, f"peak {peak / BLOCK:.2f} x the normal block"
+
+
+# Draws whose one block would be 51 MB (102 MB for the two-sample checks,
+# which take two draws per pair).  A streamed check holds one draw block,
+# with the few vectors of one entry per row of it, plus the vectors of one
+# entry per draw it keeps; the two-sample checks hold half their draw.
+WIDE_DRAWS, WIDE_DIM = 100_000, 64
+WIDE_BLOCK = WIDE_DRAWS * WIDE_DIM * 8
+DRAW_BLOCK = 1.25 * model._DRAW_CHUNK * 8
+PER_DRAW = WIDE_DRAWS * 8
+
+
+@pytest.fixture(scope="module")
+def wide_pair():
+    from sepmix.model import make_gaussian, random_rotation
+
+    rng = np.random.default_rng(16)
+    pair = []
+    for offset in (0.0, 1e3):
+        lam = rng.uniform(0.5, 3.0, size=WIDE_DIM)
+        rot = random_rotation(WIDE_DIM, rng)
+        g = make_gaussian(offset + rng.normal(size=WIDE_DIM), lam, rot)
+        g.median_radius = 11.0
+        pair.append(g)
+    return pair
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (
+            lambda g, h, rng: shell_mass_check(g, 1.0, WIDE_DRAWS, rng),
+            DRAW_BLOCK,
+        ),
+        (
+            lambda g, h, rng: point_distance_check(g, h.center, 1.0, WIDE_DRAWS, rng),
+            DRAW_BLOCK,
+        ),
+        (
+            lambda g, h, rng: ball_growth_check(
+                g, g.center, np.linspace(0.0, 20.0, 40), WIDE_DRAWS, rng
+            ),
+            DRAW_BLOCK + PER_DRAW,
+        ),
+        (
+            lambda g, h, rng: pair_distance_check(g, 1.0, WIDE_DRAWS, rng),
+            0.55 * 2 * WIDE_BLOCK,
+        ),
+        # the points x, the draw block and the mapping's two temporaries
+        (
+            lambda g, h, rng: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng),
+            WIDE_BLOCK + 3 * DRAW_BLOCK,
+        ),
+    ],
+    ids=[
+        "shell_mass_check",
+        "point_distance_check",
+        "ball_growth_check",
+        "pair_distance_check",
+        "cross_pair_check",
+    ],
+)
+def test_streamed_check_holds_no_draw_block(call, limit, wide_pair):
+    rng = np.random.default_rng(4)
+    peak = _traced_peak(lambda: call(*wide_pair, rng))
+    assert peak <= limit, f"peak {peak / limit:.3f} x the bound"

@@ -19,6 +19,7 @@ from sepmix.model import (
     GaussianParams,
     Mixture,
     _from_standard_normal,
+    _normal_blocks,
     _sq_dists,
     log_density,
     make_gaussian,
@@ -517,6 +518,36 @@ def test_median_radius_matches_materialized_draws(seed, offset):
     else:
         assert abs(half - want_half) <= 1e-12 * want_radius
     # the same block of the generator is consumed
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "rows, dim, chunk",
+    [
+        (10, 3, 1 << 17),  # one block
+        (20_001, 6, 11_111),  # 11 blocks of 1818 or 1819 rows
+        (2 * 2048 + 5, 64, 1 << 17),  # not two full blocks and 5 rows
+        (7, 300, 100),  # rows longer than a chunk: one row a block
+        (0, 4, 1 << 17),
+    ],
+)
+def test_normal_blocks_are_the_one_block_draw(rows, dim, chunk, monkeypatch):
+    # the blocks are the rows of the one (rows, dim) block, bit for bit, and
+    # leave the generator where that block does; none holds more than a
+    # chunk (or one row), and their heights differ by at most one row
+    monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
+    rng_new = np.random.default_rng(3)
+    rng_old = np.random.default_rng(3)
+    starts, blocks = [], []
+    for lo, z in _normal_blocks(rng_new, rows, dim):
+        starts.append(lo)
+        blocks.append(z.copy())
+    heights = [len(z) for z in blocks]
+    assert starts == np.cumsum([0] + heights[:-1]).tolist()
+    assert max(heights) - min(heights) <= 1
+    assert max(heights) <= max(chunk // dim, 1)
+    want = rng_old.standard_normal((rows, dim))
+    assert np.array_equal(np.concatenate(blocks), want)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
