@@ -21,8 +21,16 @@ Every M x M pass, here and in the k-median fit, reads its squared distances
 from one row engine, _SqDistRows.  It owns the squared norms, the block grid,
 the Gram expansion (finished by _expand), the choice between storing the
 M x M matrix and forming row blocks on demand under _MATRIX_BUDGET, the
-refusal of an array larger than physical memory, and the per-row roundoff
-slack.
+refusal of an array larger than physical memory, the per-row roundoff
+slack, and a float32 screen: row blocks formed in float32 from a centered
+copy of the points, each row with a certified bound on how far any float64
+entry the engine forms for it may lie from its screened one.  Both
+classifiers screen first and form a float64 block only where one of its
+rows may still win or tie.  The warm-up reads every float64 row as it would
+without the screen.  The dense ball forms a float64 row in a block of the
+height it would otherwise have had, but among other rows, so at a later
+peel the last entries of the row may round otherwise, within the slack its
+bounds allow.
 
 classify_general centers the points on their mean and reads squared-distance
 rows over the live points.  When the threshold is at least the dimension n,
@@ -33,16 +41,19 @@ the matrix would not fit the memory budget; a ball with fewer points than
 dimensions then forms its own squared distances.  Otherwise the matrix is
 formed once, and such a ball double-centers its block of it into its Gram
 matrix, -1/2 J D J / m.  A row's threshold-th smallest entry can only grow
-as points leave, so each peel ranks rows in ascending order of their value
-at the last peel that ranked them, and stops at the first block that cannot
-beat the best radius.
+as points leave, so each peel ranks rows in ascending order of their bound
+from the last peel that ranked them, and stops at the first block that
+cannot beat the best radius.  Rows formed on demand are ranked on their
+screened order statistic, and a block is formed in float64, at the height
+it was screened at, only when one of its rows' bounds reaches the best
+radius.
 
 The spherical warm-up instead removes, k times, the ball of radius
 |x0 - y0| * (1 + 3 t / sqrt(n)) around the closest remaining pair (x0, y0).
-It stores no matrix either: each live point keeps its nearest live
-neighbour, found from squared-distance rows formed in fixed, aligned row
-blocks, and after a peel only the points whose neighbour left are searched
-again, so memory is O(B M) for blocks of B rows.
+It stores no matrix either.  One float32 pass bounds every point's nearest
+squared distance from below; each peel then forms float64 rows only in
+fixed, aligned row blocks, and only for rows whose bound does not exceed
+the closest distance found, so memory is O(B M) for blocks of B rows.
 """
 
 from __future__ import annotations
@@ -209,11 +220,11 @@ def _expand(
     Scaling by -2 is exact, so both forms round as (aa + bb) - 2 (a @ b.T).
     The work goes one row block of about ``_BLOCK_BYTES`` at a time, so each
     pass over a block runs in cache.  Every squared distance in the package
-    is finished here.
+    is finished here, in the dtype of ``g``.
     """
     rows, cols = g.shape
     step = _block_rows(cols)
-    buf = np.empty((min(step, rows), cols)) if out is None else None
+    buf = np.empty((min(step, rows), cols), g.dtype) if out is None else None
     out = g if out is None else out
     for lo in range(0, rows, step):
         blk, dst = g[lo : lo + step], out[lo : lo + step]
@@ -249,8 +260,15 @@ class _SqDistRows:
     at most n eps |x_i| |x_j| each way, so an entry formed in two block
     shapes differs by at most 2 (n + 2) eps (|x_i|^2 + |x_j|^2), counting
     the rounding of the expansion; ``slack`` holds that allowance per row, 0
-    for stored rows.  A block formed again from the same rows and columns
-    has the same bits.
+    for stored rows.  It is twice what one formation can lie from the exact
+    squared distance.  A block formed again from the same rows and columns
+    has the same bits, and so has a row formed at the same position of
+    another block of the same height (the tests check this of the BLAS in
+    use).  At another position or height its last entries may round
+    otherwise.
+
+    ``screen`` forms rows formed on demand in float32 first, with a bound
+    on how far every float64 entry of them may lie; see there.
     """
 
     def __init__(self, points: np.ndarray, store: bool = False):
@@ -258,6 +276,7 @@ class _SqDistRows:
         self.points = points
         self.norms = np.einsum("ij,ij->i", points, points)
         self.d2 = None
+        self.err = None
         if store and m * m * 8 <= _MATRIX_BUDGET:
             self.d2 = pairwise_sq_dists(points)
             self.slack = np.zeros(m)
@@ -295,6 +314,7 @@ class _SqDistRows:
         pairwise_sq_dists.
         """
         self.cols = cols
+        self.yt = None
         width = self.points.shape[0] if cols is None else cols.size
         self.step = self.gemm_rows(width)
         if self.d2 is not None:
@@ -341,6 +361,86 @@ class _SqDistRows:
         aa = self.norms[self.rows[j : j + 1]]
         return _expand(g, aa, self.bb, scale=self.scale)[0]
 
+    def screen(self, rows, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 squared distances of ``rows`` to the live columns from the
+        lo-th on, unclipped, and the rows' bounds err: every float64 entry
+        the engine forms between points r and c, in any block and with
+        either of them as the row, lies within err[r] of their screened
+        entry, whichever of them was screened as the row.
+
+        For rows formed on demand only.  A screened block is one float32
+        GEMM of rows of y, the points less their mean rounded to float32,
+        against the live columns held as a contiguous, transposed -2 y
+        operand, finished by _expand.  Rows of y are rounded as they are
+        screened, so only the operand is stored: O(M n) float32.  With
+        u = 2^-24, gamma_m = m u / (1 - m u) and |y|^2 the squared norms of
+        y taken in float64,
+
+            err[r] = 2 gamma_(n+4) (|y_r|^2 + max_j |y_j|^2)
+                     + 2^-100 + slack[r] / 2.
+
+        Derivation.  A computed m-term dot product lies within
+        gamma_m |a| |b| of the exact one (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed. 2002, section 3.1), so the float32
+        norms and inner product, and the two float32 additions that finish
+        an entry, leave it within 2 gamma_(n+2) (|y_i|^2 + |y_j|^2) of
+        |y_i - y_j|^2, whichever of i and j is the row.  The translation
+        cancels in exact arithmetic, and rounding a centered coordinate to
+        float64 and then float32 moves it by at most u (1 + u) of itself,
+        which moves |y_i - y_j|^2 from the exact squared distance by at most
+        4 u (1 + 5 u) (|y_i|^2 + |y_j|^2); 2 gamma_(n+4) - 2 gamma_(n+2) >=
+        4 u (1 + (2 n + 6) u) covers that and the float64 rounding of err.
+        Gradual underflow adds at most 2^-150 to a float32 product or
+        conversion, so a few n 2^-150 to an entry, which 2^-100 covers.  A
+        float64 entry lies within slack / 2 of the exact squared distance,
+        in any block.  When a float32 entry could overflow
+        (4 max |y|^2 >= 2^126) or the bound is void ((n + 4) u > 1/8), the
+        screen is void: its entries are 0 and err is inf for every row, so
+        every row is a candidate.
+        """
+        if self.err is None:
+            self._screen_bound()
+        if self.void:
+            width = self.norms.size if self.cols is None else self.cols.size
+            shape = (self.norms[rows].size, width - lo)
+            return np.zeros(shape, np.float32), self.err[rows]
+        if self.yt is None:
+            m, n = self.points.shape
+            cols = np.arange(m) if self.cols is None else self.cols
+            self.yt = np.empty((n, cols.size), np.float32)
+            step = _block_rows(n)
+            for c in range(0, cols.size, step):
+                self.yt[:, c : c + step] = self._centered32(cols[c : c + step]).T
+            self.yt *= np.float32(-2.0)
+            self.yyt = self.yy[cols]
+        g = np.matmul(self._centered32(rows), self.yt[:, lo:])
+        return _expand(g, self.yy[rows], self.yyt[lo:], clip=False), self.err[rows]
+
+    def _centered32(self, rows) -> np.ndarray:
+        """Rows of the screen's copy y: the points less their mean, rounded
+        to float64 and then to float32."""
+        return (self.points[rows] - self.mean).astype(np.float32)
+
+    def _screen_bound(self):
+        """The squared norms of y, in float32 and in float64, and err."""
+        m, n = self.points.shape
+        self.mean = self.points.mean(axis=0)
+        step = _block_rows(n)
+        yy = np.empty(m)
+        with np.errstate(over="ignore"):
+            for lo in range(0, m, step):
+                y = self._centered32(slice(lo, lo + step))
+                yy[lo : lo + step] = np.einsum("ij,ij->i", y, y, dtype=float)
+        u = 2.0**-24
+        top = yy.max()
+        self.void = (n + 4) * u > 0.125 or not 4.0 * top < 2.0**126
+        if self.void:
+            self.err = np.full(m, np.inf)
+            return
+        self.yy = yy.astype(np.float32)
+        gamma = (n + 4) * u / (1.0 - (n + 4) * u)
+        self.err = 2.0 * gamma * (yy + top) + 2.0**-100 + 0.5 * self.slack
+
 
 def _dense_ball(
     source: _SqDistRows, alive: np.ndarray, threshold: int, lower: np.ndarray
@@ -359,6 +459,12 @@ def _dense_ball(
     strictly greater than the best radius found: no row after it can win or
     tie.  Ranked rows get their new value as bound.
 
+    Rows formed on demand are screened first (_SqDistRows.screen): a ranked
+    block's float32 order statistics less their err bound every float64
+    formation of them, and become the rows' bounds.  Only a block with a
+    row whose rooted bound is at most the best radius is formed in float64,
+    with the same rows, so at the same height, and partitioned as above.
+
     Returns (position in ``alive`` of the center, radius alpha, the center's
     squared row over ``alive``), ties in the rooted radius to the lowest
     position.  The row holds the entries alpha was taken from.
@@ -371,6 +477,10 @@ def _dense_ball(
         rows = alive[pos]
         if math.sqrt(lower[rows[0]]) > best:
             break
+        if source.d2 is None:
+            lower[rows] = _screened_kth(source, rows, threshold)
+            if math.sqrt(lower[rows].min()) > best:
+                continue
         blk = source.block(rows, keep=True)
         blk.partition(threshold - 1, axis=1)
         kth = np.maximum(blk[:, threshold - 1], 0.0)
@@ -381,6 +491,17 @@ def _dense_ball(
         if rooted[j] < best or (rooted[j] == best and pos[j] < best_pos):
             best, best_pos, best_row = float(rooted[j]), int(pos[j]), source.row(j)
     return best_pos, best, best_row
+
+
+def _screened_kth(
+    source: _SqDistRows, rows: np.ndarray, threshold: int
+) -> np.ndarray:
+    """Lower bounds on the rows' threshold-th smallest float64 entries: their
+    screened order statistics less err, clipped at 0.  The float32 block is
+    freed on return, before a float64 block of the same rows is formed."""
+    screened, err = source.screen(rows)
+    screened.partition(threshold - 1, axis=1)
+    return np.fmax(screened[:, threshold - 1] - err, 0.0)
 
 
 def max_variance(points) -> tuple[float, np.ndarray]:
@@ -625,22 +746,28 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     (ties to the lexicographically first index pair), then remove
     T ∩ B(x0, |x0 - y0| * (1 + 3 t / sqrt(n))).
 
-    No M x M matrix is stored.  Squared-distance rows are formed in fixed,
-    aligned blocks of B rows, [b B, (b + 1) B), one GEMM against all points
-    each (see _SqDistRows).  A GEMM may round an entry differently at
-    another shape (a 1-row product goes to GEMV), so a row formed at a later
-    peel, or the center's row, has exactly the value the first pass saw.
-    Memory is O(B M).  Each live row keeps its nearest live neighbour and
-    that squared distance; after a peel only the live rows whose neighbour
-    was removed are searched again, with dead columns masked out.  The pair
-    is ranked on rooted distances: with r the square root of the least live
-    neighbour distance, the pair is the lowest live index whose rooted
-    neighbour distance equals r and that neighbour, so squared distances
-    that round to the same root tie as they would on a rooted matrix.  x0 is
-    the pair's lower index: the two blocks holding a pair's entries may
-    round them differently, and the lower index wins either way.  The
-    removal ball tests rooted entries of x0's row, its own (clipped
-    roundoff) entry included.
+    No M x M matrix is stored.  Every float64 row is formed in its aligned
+    block of B rows, [b B, (b + 1) B), one GEMM against all points (see
+    _SqDistRows).  A GEMM may round an entry differently at another shape
+    (a 1-row product goes to GEMV), so a row has the same value whenever it
+    is formed, the center's row included.  Memory is O(B M).
+
+    One float32 pass (_SqDistRows.screen) first bounds each row's nearest
+    squared distance from below.  Each live row holds its nearest live
+    neighbour and that squared distance once resolved, and a lower bound on
+    it until then; a resolved row whose neighbour is removed keeps its old
+    distance as its bound.  Each peel resolves rows in ascending order of
+    their bound, a whole aligned block at a time, and stops at the first
+    row whose rooted bound exceeds the least rooted distance found (see
+    _closest_live).  The pair is ranked on rooted distances: with r the
+    square root of the least live neighbour distance, the pair is the
+    lowest live index whose rooted neighbour distance equals r and that
+    neighbour, so squared distances that round to the same root tie as they
+    would on a rooted matrix.  x0 is the pair's lower index: the two blocks
+    holding a pair's entries may round them differently, and the lower
+    index wins either way.  The removal ball tests rooted entries of x0's
+    row, its own (clipped roundoff) entry included; the row is read from
+    x0's aligned block, kept from the search when the search formed it.
 
     Raises:
         ValueError: k is not an integer >= 1, or t is not positive and finite.
@@ -656,11 +783,11 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
         n = meta.ambient_dim
     factor = 1.0 + 3.0 * t / math.sqrt(n)
     source = _SqDistRows(points)
-    nn = np.empty(m_total, dtype=int)
-    nd = np.empty(m_total)
+    nn = np.zeros(m_total, dtype=int)
+    nd = _screened_nearest(source)
+    exact = np.zeros(m_total, dtype=bool)
     live = np.ones(m_total, dtype=bool)
     alive = np.arange(m_total)
-    _nearest_live(source, alive, live, nn, nd)
     clusters: list[np.ndarray] = []
     for _ in range(k):
         if alive.size == 0:
@@ -669,18 +796,17 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
             clusters.append(alive.copy())
             alive = alive[:0]
             continue
-        rooted = np.sqrt(nd[alive])
-        i_loc = int(np.argmin(rooted))  # first minimum = lowest live index
-        center = min(int(alive[i_loc]), int(nn[alive[i_loc]]))
-        radius = float(rooted[i_loc]) * factor
-        lo, blk = _aligned_block(source, center)
+        i, formed = _closest_live(source, alive, live, nn, nd, exact)
+        center = min(i, int(nn[i]))
+        radius = math.sqrt(nd[i]) * factor
+        lo, blk = _aligned_block(source, center, formed)
         row = blk[center - lo, alive]
         removed_mask = np.sqrt(row) <= radius
         removed = alive[removed_mask]
         clusters.append(removed)
         live[removed] = False
         alive = alive[~removed_mask]
-        _nearest_live(source, alive[~live[nn[alive]]], live, nn, nd)
+        exact[alive[~live[nn[alive]]]] = False
     if alive.size:
         raise ResidualPointsAfterKPeels(
             f"{alive.size} points remain after {k} peels"
@@ -688,29 +814,80 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     return Partition(clusters=clusters)
 
 
-def _aligned_block(source: _SqDistRows, r: int) -> tuple[int, np.ndarray]:
+def _aligned_block(
+    source: _SqDistRows, r: int, formed: dict | None = None
+) -> tuple[int, np.ndarray]:
     """(lo, the block of rows [lo, lo + B)) holding row r, lo = r - r mod B
-    for B = ``source.step``: a row is always formed in the same block."""
+    for B = ``source.step``: a row is always formed in the same block.  A
+    block in ``formed``, by its lo, is taken as it is."""
     lo = r - r % source.step
+    if formed is not None and lo in formed:
+        return lo, formed[lo]
     return lo, source.block(slice(lo, lo + source.step))
 
 
-def _nearest_live(source: _SqDistRows, rows, live, nn, nd):
-    """Set nn[r], nd[r] to each row's nearest live column, other than r
-    itself, and its squared distance (ties to the lowest column).
+def _screened_nearest(source: _SqDistRows) -> np.ndarray:
+    """Lower bounds on each row's least squared distance to another point,
+    from one screened pass over the upper triangle: each block of rows
+    [lo, hi) is screened against the columns from lo on, and an entry
+    bounds both of its points.  Blocks grow taller as they narrow."""
+    m = source.points.shape[0]
+    least = np.full(m, np.inf, np.float32)
+    err = np.empty(m)
+    lo = 0
+    while lo < m:
+        hi = min(m, lo + source.gemm_rows(m - lo))
+        screened, err[lo:hi] = source.screen(slice(lo, hi), lo)
+        screened[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
+        np.minimum(least[lo:hi], screened.min(axis=1), out=least[lo:hi])
+        np.minimum(least[lo:], screened.min(axis=0), out=least[lo:])
+        lo = hi
+    return np.fmax(least - err, 0.0)
 
-    ``rows`` is ascending; each aligned block holding some of them is formed
-    once.
+
+def _closest_live(source: _SqDistRows, alive, live, nn, nd, exact):
+    """The lowest live row whose rooted nearest-live distance is least, and
+    its aligned block by its lo if this search formed it (else empty).
+
+    nd[r] is row r's squared distance to its nearest live neighbour nn[r]
+    where exact[r], and a lower bound on it elsewhere.  Rows are taken in
+    ascending order of nd; a row not yet exact has its aligned block formed,
+    which resolves every live row of the block that is not.  The search
+    stops at the first row whose rooted bound exceeds the least rooted
+    distance found: neither it nor any row after it can win or tie.
     """
+    order = alive[np.argsort(nd[alive], kind="stable")]
+    keys = np.sqrt(nd[order])
     dead = np.flatnonzero(~live)
-    firsts = np.flatnonzero(np.diff(rows // source.step, prepend=-1))
-    for i, j in zip(firsts, [*firsts[1:], rows.size]):
-        r = rows[i:j]
-        lo, vals = _aligned_block(source, r[0])
-        if r.size < vals.shape[0]:
-            vals = vals[r - lo]
-        vals[np.arange(r.size), r] = np.inf
-        vals[:, dead] = np.inf
-        near = np.argmin(vals, axis=1)
-        nn[r] = near
-        nd[r] = vals[np.arange(r.size), near]
+    best, best_r = math.inf, -1
+    formed: dict[int, np.ndarray] = {}
+    for r, key in zip(order, keys):
+        if key > best:
+            break
+        if not exact[r]:
+            _resolve_block(source, r, live, dead, nn, nd, exact, formed)
+        d = math.sqrt(nd[r])
+        if d < best or (d == best and r < best_r):
+            best, best_r = d, r
+        keep = best_r - best_r % source.step
+        formed = {lo: blk for lo, blk in formed.items() if lo == keep}
+    return int(best_r), formed
+
+
+def _resolve_block(source: _SqDistRows, r: int, live, dead, nn, nd, exact, formed):
+    """Form row r's aligned block into ``formed``, by its lo, and set nn, nd
+    of each live row in it not yet exact to its nearest live column other
+    than itself (ties to the lowest column) and that squared distance.  The
+    block's dead columns are left inf: no later peel reads them."""
+    lo, blk = _aligned_block(source, r)
+    hi = lo + blk.shape[0]
+    rows = lo + np.flatnonzero(live[lo:hi] & ~exact[lo:hi])
+    own = blk[rows - lo, rows]
+    blk[rows - lo, rows] = np.inf
+    blk[:, dead] = np.inf
+    near = np.argmin(blk, axis=1)[rows - lo]
+    nn[rows] = near
+    nd[rows] = blk[rows - lo, near]
+    exact[rows] = True
+    blk[rows - lo, rows] = own
+    formed[lo] = blk
