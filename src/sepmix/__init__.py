@@ -24,7 +24,6 @@ from .classify import (
     classify_spherical,
 )
 from .errors import (
-    DegenerateSample,
     DiagnosticWarning,
     DimensionMismatch,
     EigenSolverFailed,
@@ -69,7 +68,6 @@ from .io import (
 from .kmedian import (
     FitResult,
     KMedianSolution,
-    LocalSearchConfig,
     fit_spherical_mixture,
     kmedian_exhaustive,
 )
@@ -92,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierConfig",
-    "DegenerateSample",
     "DiagnosticWarning",
     "DimensionMismatch",
     "EigenSolverFailed",
@@ -110,7 +107,6 @@ __all__ = [
     "KMedianSolution",
     "LabeledSampleSet",
     "LocalSearchCapWarning",
-    "LocalSearchConfig",
     "MatchResult",
     "MedianRadiusNotConverged",
     "MissingMedianRadius",

@@ -74,7 +74,7 @@ from .errors import (
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
-from .model import LabeledSampleSet, _cluster_count, _points_of
+from .model import LabeledSampleSet, _int_at_least, _points_of
 
 # Row blocks of M x M passes are kept near this size, so no pass allocates a
 # second M x M array and a block's few temporaries stay in a per-core L2
@@ -114,7 +114,7 @@ class ClassifierConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        _cluster_count(self.k)
+        _int_at_least(self.k, 1, "k")
         if not (0 < self.w_min <= 1) or self.k * self.w_min > 1 + 1e-12:
             raise ValueError(f"need 0 < w_min and k * w_min <= 1, got {self.w_min}")
         if not (0 < self.delta <= 1):
@@ -175,13 +175,6 @@ class Partition:
         for cid, cluster in enumerate(self.clusters):
             labels[cluster] = cid
         return labels
-
-    def validate(self):
-        seen = np.concatenate(self.clusters) if self.clusters else np.array([], int)
-        if len(np.unique(seen)) != len(seen):
-            raise ValueError("clusters overlap")
-        if seen.size and (seen.min() < 0 or len(seen) != seen.max() + 1):
-            raise ValueError("clusters do not cover a 0..M-1 index range")
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -777,7 +770,7 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     points, meta = _points_of(samples)
     if not (0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
-    k = _cluster_count(k)
+    k = _int_at_least(k, 1, "k")
     m_total, n = points.shape
     if meta is not None and meta.ambient_dim is not None:
         n = meta.ambient_dim

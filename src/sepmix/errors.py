@@ -24,7 +24,7 @@ class TooFewSamples(SepmixError):
 
 
 class NonFiniteInput(SepmixError):
-    """Input points contain NaN or an infinity."""
+    """Input points or component parameters contain NaN or an infinity."""
 
 
 class MissingMedianRadius(SepmixError):
@@ -82,7 +82,7 @@ class TooFewPoints(SepmixError):
 
 class InstanceTooLarge(SepmixError):
     """An instance exceeds what can be computed: exhaustive enumeration over
-    more subsets than the configured budget, or a pairwise distance matrix,
+    more than a million center subsets, or a pairwise distance matrix,
     or the k-median search's upper triangle of one, larger than physical
     memory.  classify_general and the spherical warm-up never raise it for
     their sample size: they form distance rows on demand."""
@@ -115,10 +115,6 @@ class SchemaError(SepmixError):
 
 
 # -- warnings -----------------------------------------------------------------
-
-class DegenerateSample(UserWarning):
-    """All sample rows identical; the fitted covariance is the zero matrix."""
-
 
 class ZeroSigmaWarning(UserWarning):
     """Every point coincides with its center; the log-likelihood is infinite."""

@@ -36,7 +36,7 @@ from .errors import DiagnosticWarning, SampleBalanceWarning, SepmixError
 from .kmedian import fit_spherical_mixture
 from .model import (
     LabeledSampleSet,
-    Mixture,
+    _int_at_least,
     make_gaussian,
     median_radius,
     random_rotation,
@@ -56,8 +56,10 @@ class ExperimentConfig:
 
     ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``.  The
     separation scale ``t`` and the step cap that older configs carry there
-    are ignored, and so is ``source.radius_samples``: median radii are
-    computed exactly, without draws.
+    are ignored, and so are ``source.radius_samples`` and
+    ``source.estimate_radii``: median radii are computed exactly, without
+    draws, where they are needed.  ``trials``, ``master_seed`` and
+    ``sample_size`` are integers (not bools), at least 1, 0 and 0.
     """
 
     scenario: str
@@ -75,10 +77,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        _int_at_least(self.trials, 1, "trials")
+        _int_at_least(self.master_seed, 0, "master_seed")
+        _int_at_least(self.sample_size, 0, "sample_size")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -170,9 +171,6 @@ def _build_samples(config: ExperimentConfig, rng, seed, cache: dict) -> LabeledS
     if kind == "params":
         if "mixture" not in cache:
             cache["mixture"] = load_params(src["path"])
-            if src.get("estimate_radii", False):
-                for comp in cache["mixture"].components:
-                    median_radius(comp)
         return sample_mixture(cache["mixture"], rng, config.sample_size, seed=seed)
     if kind == "mixture":
         return sample_mixture(src["object"], rng, config.sample_size, seed=seed)

@@ -169,8 +169,8 @@ def load_params(path) -> Mixture:
     Raises:
         ParseError: not valid JSON.
         SchemaError: valid JSON violating the component schema (missing
-            keys, bad shapes, nonpositive eigenvalues, non-orthonormal
-            rotation, weights not summing to 1).
+            keys, bad shapes, NaN or infinite entries, nonpositive
+            eigenvalues, non-orthonormal rotation, weights not summing to 1).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -194,7 +194,12 @@ def load_params(path) -> Mixture:
                     entry["center"], entry["eigenvalues"], entry.get("rotation")
                 )
             )
-        except (NonPositiveEigenvalue, NonOrthonormalRotation, DimensionMismatch) as exc:
+        except (
+            NonFiniteInput,
+            NonPositiveEigenvalue,
+            NonOrthonormalRotation,
+            DimensionMismatch,
+        ) as exc:
             raise SchemaError(f"component {i}: {exc}") from None
         weights.append(float(entry["weight"]))
     try:

@@ -27,21 +27,16 @@ from .errors import (
     TooFewPoints,
     ZeroSigmaWarning,
 )
-from .model import _cluster_count, _points_of
+from .model import _int_at_least, _points_of
 
 _NORMALIZATIONS = ("paper", "standard")
-
-
-@dataclass(frozen=True)
-class LocalSearchConfig:
-    max_rounds: int = 100
-    improvement_factor: float = 1e-3
-
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if not (0 < self.improvement_factor < 1):
-            raise ValueError("improvement_factor must be in (0, 1)")
+# The local search stops after _MAX_ROUNDS swap rounds, warning if the last
+# one still improved, or at the first round that improves the objective by
+# less than the factor (1 - _IMPROVEMENT_FACTOR / k).
+_MAX_ROUNDS = 100
+_IMPROVEMENT_FACTOR = 1e-3
+# kmedian_exhaustive enumerates at most this many center subsets.
+_MAX_SUBSETS = 1_000_000
 
 
 @dataclass
@@ -133,14 +128,12 @@ class _UpperTriangle:
         return self.columns(np.array([c]))[:, 0]
 
 
-def kmedian_local_search(
-    points, k: int, rng: np.random.Generator, config: LocalSearchConfig | None = None
-) -> KMedianSolution:
+def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSolution:
     """Farthest-point seeding plus best-single-swap descent.
 
     Each round evaluates every (current center, candidate point) swap and
     applies the best one as long as it improves the objective by the factor
-    (1 - improvement_factor / k); otherwise the search stops.  The objective
+    (1 - _IMPROVEMENT_FACTOR / k); otherwise the search stops.  The objective
     is nonincreasing round to round.  Among equal swap costs the first out
     position, then the lowest candidate index, wins.
 
@@ -163,15 +156,14 @@ def kmedian_local_search(
         InstanceTooLarge: the triangle would not fit in physical memory.
 
     Warns:
-        LocalSearchCapWarning: ``max_rounds`` ran out while the last round
+        LocalSearchCapWarning: _MAX_ROUNDS ran out while the last round
             still improved the objective.
     """
     points, _ = _points_of(points)
-    k = _cluster_count(k)
+    k = _int_at_least(k, 1, "k")
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
-    config = config or LocalSearchConfig()
     tri = _UpperTriangle(points)
 
     chosen = [int(rng.integers(m))]
@@ -183,8 +175,8 @@ def kmedian_local_search(
 
     current = np.array(sorted(chosen), dtype=int)
     cost = float(tri.columns(current).min(axis=1).sum())
-    shrink = 1.0 - config.improvement_factor / k
-    for _ in range(config.max_rounds):
+    shrink = 1.0 - _IMPROVEMENT_FACTOR / k
+    for _ in range(_MAX_ROUNDS):
         swap_costs = _swap_costs(tri, current)
         swap_costs[:, current] = np.inf
         best_cost, best_pair = cost, None
@@ -200,7 +192,7 @@ def kmedian_local_search(
         cost = best_cost
     else:
         warnings.warn(
-            f"local search stopped at max_rounds={config.max_rounds} while "
+            f"local search stopped at max_rounds={_MAX_ROUNDS} while "
             "still improving",
             LocalSearchCapWarning,
         )
@@ -247,22 +239,22 @@ def _swap_costs(tri: _UpperTriangle, current: np.ndarray) -> np.ndarray:
     return kept + lost
 
 
-def kmedian_exhaustive(points, k: int, max_subsets: int = 1_000_000) -> KMedianSolution:
+def kmedian_exhaustive(points, k: int) -> KMedianSolution:
     """Exact optimum over all C(M, k) center subsets (ties: first subset).
 
     Raises:
         TooFewPoints: fewer points than centers.
         ValueError: k is not an integer >= 1.
-        InstanceTooLarge: C(M, k) exceeds ``max_subsets``.
+        InstanceTooLarge: C(M, k) exceeds _MAX_SUBSETS.
     """
     points, _ = _points_of(points)
-    k = _cluster_count(k)
+    k = _int_at_least(k, 1, "k")
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
     total = math.comb(m, k)
-    if total > max_subsets:
-        raise InstanceTooLarge(f"C({m}, {k}) = {total} > {max_subsets}")
+    if total > _MAX_SUBSETS:
+        raise InstanceTooLarge(f"C({m}, {k}) = {total} > {_MAX_SUBSETS}")
     d2 = pairwise_sq_dists(points)
     best_cost, best_idx = math.inf, None
     combos = itertools.combinations(range(m), k)
@@ -378,7 +370,6 @@ def fit_spherical_mixture(
     points,
     k: int,
     rng: np.random.Generator,
-    config: LocalSearchConfig | None = None,
     normalization: str = "paper",
 ) -> FitResult:
     """Local-search k-median fit plus width, likelihood, and cluster weights.
@@ -388,7 +379,7 @@ def fit_spherical_mixture(
         ValueError: k is not an integer >= 1.
     """
     points = np.asarray(points, dtype=float)
-    solution = kmedian_local_search(points, k, rng, config)
+    solution = kmedian_local_search(points, k, rng)
     sig = sigma_hat(points, solution, normalization)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroSigmaWarning)

@@ -2,8 +2,8 @@
 
 A component is stored as (center, eigenvalues, rotation): the covariance is
 ``rotation @ diag(eigenvalues) @ rotation.T`` and never materialized as a
-dense matrix for sampling or density evaluation.  Radii of median mass are
-computed once and cached on the component.
+dense matrix for sampling.  Radii of median mass are computed once and cached
+on the component.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .errors import (
-    DegenerateSample,
     DiagnosticWarning,
     DimensionMismatch,
     MedianRadiusNotConverged,
@@ -109,6 +108,8 @@ def make_gaussian(center, eigenvalues, rotation=None) -> GaussianParams:
         rotation: optional n x n orthonormal matrix; identity when omitted.
 
     Raises:
+        NonFiniteInput: a center, eigenvalue or rotation entry is NaN or
+            infinite.
         NonPositiveEigenvalue: any eigenvalue <= 0.
         NonOrthonormalRotation: Gram test ``max|R^T R - I|`` fails at 1e-8.
         DimensionMismatch: inconsistent shapes.
@@ -120,6 +121,8 @@ def make_gaussian(center, eigenvalues, rotation=None) -> GaussianParams:
         raise DimensionMismatch(
             f"center has dim {n} but spectrum has {eigenvalues.shape[0]} entries"
         )
+    if not (np.isfinite(center).all() and np.isfinite(eigenvalues).all()):
+        raise NonFiniteInput("center or eigenvalues contain NaN or an infinity")
     if np.any(eigenvalues <= 0):
         raise NonPositiveEigenvalue(f"min eigenvalue {eigenvalues.min()} <= 0")
     if rotation is not None:
@@ -128,6 +131,8 @@ def make_gaussian(center, eigenvalues, rotation=None) -> GaussianParams:
             raise DimensionMismatch(
                 f"rotation shape {rotation.shape} does not match dim {n}"
             )
+        if not np.isfinite(rotation).all():
+            raise NonFiniteInput("rotation contains NaN or an infinity")
         gram_err = np.max(np.abs(rotation.T @ rotation - np.eye(n)))
         if gram_err > _ORTHO_TOL:
             raise NonOrthonormalRotation(
@@ -207,36 +212,6 @@ def _sq_dists(params: GaussianParams, z: np.ndarray, point=None) -> np.ndarray:
             v = v @ params.rotation
         z -= v
     return np.einsum("ij,ij->i", z, z)
-
-
-def log_density(params: GaussianParams, x) -> np.ndarray | float:
-    """Log density at x (single vector) or at each row of x (matrix).
-
-    Evaluated in spectral form: no inverse or determinant of the dense
-    covariance is ever formed.
-
-    Raises:
-        DimensionMismatch: x does not have the component's dimension.
-        NonFiniteInput: a coordinate is NaN or infinite.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != params.dim:
-        raise DimensionMismatch(
-            f"points have dim {pts.shape[1]}, component has dim {params.dim}"
-        )
-    if not np.isfinite(pts).all():
-        raise NonFiniteInput("points contain NaN or an infinity")
-    y = pts - params.center
-    if params.rotation is not None:
-        y = y @ params.rotation  # coordinates along eigenvectors
-    quad = np.sum(y * y / params.eigenvalues, axis=1)
-    log_norm = -0.5 * params.dim * math.log(2 * math.pi) - 0.5 * float(
-        np.sum(np.log(params.eigenvalues))
-    )
-    out = log_norm - 0.5 * quad
-    return float(out[0]) if single else out
 
 
 def median_radius(
@@ -498,21 +473,6 @@ def _imhof_rule(lam, mult, u_max: float, panels: int, order: int):
     return cdf, root_error
 
 
-def sample_covariance_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and (1/M)-normalized covariance of the rows of ``points``.
-
-    All-identical rows yield the zero matrix and a DegenerateSample warning;
-    the fit is still returned.
-    """
-    points, _ = _points_of(points)
-    mean = points.mean(axis=0)
-    centered = points - mean
-    cov = centered.T @ centered / points.shape[0]
-    if np.all(points == points[0]):
-        warnings.warn("all rows identical; covariance is zero", DegenerateSample)
-    return mean, cov
-
-
 @dataclass
 class Mixture:
     """Weighted list of components with a minimum-weight floor."""
@@ -529,11 +489,13 @@ class Mixture:
             )
         if len(self.components) == 0:
             raise DimensionMismatch("mixture needs at least one component")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights contain NaN or an infinity")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
         if self.w_min == 0.0:
             self.w_min = float(self.weights.min())
-        if self.w_min <= 0 or np.any(self.weights < self.w_min - 1e-15):
+        if not self.w_min > 0 or np.any(self.weights < self.w_min - 1e-15):
             raise ValueError("every weight must be >= w_min > 0")
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
@@ -552,8 +514,8 @@ class Mixture:
 class LabeledSampleSet:
     """Sampled points with ground-truth component labels.
 
-    ``component_sigmas`` / ``component_radii`` carry generation metadata used
-    by runtime diagnostics; ``ambient_dim`` records the true dimension when
+    ``component_sigmas`` carries generation metadata used by runtime
+    diagnostics; ``ambient_dim`` records the true dimension when
     the stored coordinates are an isometric reduction of higher-dimensional
     draws (pairwise geometry is preserved exactly in that case).
     """
@@ -562,7 +524,6 @@ class LabeledSampleSet:
     labels: np.ndarray
     seed: int | None = None
     component_sigmas: np.ndarray | None = None
-    component_radii: np.ndarray | None = None
     ambient_dim: int | None = None
 
     @property
@@ -594,17 +555,18 @@ def _points_of(samples) -> tuple[np.ndarray, LabeledSampleSet | None]:
     return points, meta
 
 
-def _cluster_count(k) -> int:
-    """The boundary check on a cluster count: ``k`` as an int >= 1.
+def _int_at_least(value, low: int, name: str) -> int:
+    """The boundary check on a count or a seed: ``value`` as an int >= ``low``.
 
     Raises:
-        ValueError: k is a bool, not an integer (2.0 included), or < 1.
+        ValueError: value is a bool, not an integer (2.0 included), or below
+            ``low``; the message names it ``name``.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(k)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
 
 
 def _draw_labels(weights: np.ndarray, rng: np.random.Generator, count: int):
@@ -647,15 +609,11 @@ def sample_mixture(
             SampleBalanceWarning,
         )
     sigmas = np.array([c.sigma_max for c in mixture.components])
-    radii = None
-    if all(c.median_radius is not None for c in mixture.components):
-        radii = np.array([c.median_radius for c in mixture.components])
     return LabeledSampleSet(
         points=points,
         labels=labels,
         seed=seed,
         component_sigmas=sigmas,
-        component_radii=radii,
         ambient_dim=mixture.dim,
     )
 
@@ -707,12 +665,10 @@ def sample_concentric_spherical_embedded(
     dof = ambient_dim - np.arange(count)
     np.fill_diagonal(points, np.sqrt(rng.chisquare(dof)))
     points *= sigmas[labels][:, None]
-    radii = np.array([spherical_median_radius(s, ambient_dim) for s in sigmas])
     return LabeledSampleSet(
         points=points,
         labels=labels,
         seed=seed,
         component_sigmas=sigmas.copy(),
-        component_radii=radii,
         ambient_dim=ambient_dim,
     )

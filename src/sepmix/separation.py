@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePlacement
-from .model import GaussianParams, Mixture, make_gaussian, median_radius, random_rotation
+from .model import Mixture, make_gaussian, median_radius, random_rotation
 
 _PAPER_CONSTANTS = (500.0, 100.0)
 _PRACTICAL_CONSTANTS = (60.0, 30.0)
@@ -32,7 +32,8 @@ class SeparationConfig:
     """Separation scale t plus the inequality constants.
 
     t = 0 is accepted for diagnostics (the margin is then just the distance
-    term against the radius gap); classification refuses it.
+    term against the radius gap); classification refuses it.  t and the
+    constants must be finite.
     """
 
     t: float
@@ -41,8 +42,8 @@ class SeparationConfig:
     c2: float | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.mode not in ("paper", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         defaults = _PAPER_CONSTANTS if self.mode == "paper" else _PRACTICAL_CONSTANTS
@@ -50,8 +51,8 @@ class SeparationConfig:
         c2 = defaults[1] if self.c2 is None else float(self.c2)
         if self.mode == "paper" and (c1, c2) != _PAPER_CONSTANTS:
             raise ValueError("paper mode fixes the constants at (500, 100)")
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError("constants must be positive")
+        if not (0 < c1 < math.inf and 0 < c2 < math.inf):
+            raise ValueError(f"constants must be positive and finite, got {c1}, {c2}")
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
 
@@ -66,8 +67,13 @@ class SeparationReport:
 
     @property
     def min_margin(self) -> float:
-        off = self.margins[~np.isnan(self.margins)]
+        """Least off-diagonal margin: NaN if any is NaN, inf when k = 1."""
+        off = _off_diagonal(self.margins)
         return float(off.min()) if off.size else math.inf
+
+
+def _off_diagonal(margins: np.ndarray) -> np.ndarray:
+    return margins[~np.eye(margins.shape[0], dtype=bool)]
 
 
 def pair_separation_rhs(
@@ -99,6 +105,7 @@ def separation_margin(mixture: Mixture, config: SeparationConfig) -> SeparationR
 
     Every component must carry an estimated median radius.  The matrix is
     exactly symmetric: each unordered pair is evaluated once and mirrored.
+    A NaN margin, as from a NaN radius, counts as not separated.
     """
     k = mixture.k
     radii = [c.require_median_radius() for c in mixture.components]
@@ -111,7 +118,7 @@ def separation_margin(mixture: Mixture, config: SeparationConfig) -> SeparationR
             m = pair_margin(radii[i], sigmas[i], radii[j], sigmas[j], d2, config)
             margins[i, j] = m
             margins[j, i] = m
-    satisfied = bool(k == 1 or np.all(margins[~np.isnan(margins)] >= 0))
+    satisfied = bool(np.all(_off_diagonal(margins) >= 0))
     return SeparationReport(margins=margins, satisfied=satisfied, config=config)
 
 
@@ -156,8 +163,8 @@ def plant_separated_mixture(
     random unit directions with a verification loop and raises
     InfeasiblePlacement after 100 rejected attempts.
     """
-    if slack < 1.0:
-        raise ValueError(f"slack must be >= 1, got {slack}")
+    if not 1.0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and >= 1, got {slack}")
     if k < 1:
         raise ValueError("k must be >= 1")
     specs = shape_spec if isinstance(shape_spec, list) else [shape_spec] * k

@@ -79,6 +79,15 @@ def test_check_sep_takes_no_radius_draw_options(tmp_path, option):
         main(["check-sep", "--params", str(params), "--t", "10", option, "5"])
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_check_sep_non_finite_t_exits_two(tmp_path, capsys, t):
+    params, _ = _gen(tmp_path, count=1)
+    capsys.readouterr()
+    rc = main(["check-sep", "--params", str(params), "--t", t])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ValueError")
+
+
 def test_check_sep_close_centers_fails(tmp_path, capsys):
     comps = [
         make_gaussian(np.zeros(4), np.ones(4)),
@@ -220,6 +229,20 @@ def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["check-sep", "--params", str(tmp_path / "gone.json"), "--t", "5"])
     assert rc == 2
     assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("master_seed", 1.5), ("trials", "2"), ("trials", True), ("sample_size", 2.5)],
+)
+def test_non_integer_experiment_field_exits_two(tmp_path, capsys, field, value):
+    cfg = tmp_path / "exp.json"
+    doc = {"scenario": "fit", "trials": 1, "master_seed": 0, "fit": {"k": 1}}
+    cfg.write_text(json.dumps(doc | {field: value}))
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ValueError: {field} must be")
 
 
 def test_bad_experiment_config_exits_two(tmp_path, capsys):

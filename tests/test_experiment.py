@@ -128,14 +128,17 @@ def test_run_experiment_deterministic_artifacts(tmp_path):
 
 
 def test_source_radius_samples_is_ignored(tmp_path):
-    # configs written for Monte Carlo radii still load; the key changes
-    # nothing, not even at a size the Monte Carlo path would have refused
-    plain, sized = tmp_path / "plain", tmp_path / "sized"
+    # configs written for Monte Carlo or precomputed radii still load; each
+    # key changes nothing, not even at a size the Monte Carlo path would
+    # have refused
+    plain = tmp_path / "plain"
     run_experiment(_plant_config(trials=1, out_dir=str(plain)))
-    doc = _plant_config().source | {"radius_samples": 5}
-    run_experiment(_plant_config(trials=1, source=doc, out_dir=str(sized)))
-    for name in sorted(p.name for p in plain.iterdir()):
-        assert (plain / name).read_bytes() == (sized / name).read_bytes()
+    for key, value in (("radius_samples", 5), ("estimate_radii", True)):
+        sized = tmp_path / key
+        doc = _plant_config().source | {key: value}
+        run_experiment(_plant_config(trials=1, source=doc, out_dir=str(sized)))
+        for name in sorted(p.name for p in plain.iterdir()):
+            assert (plain / name).read_bytes() == (sized / name).read_bytes()
 
 
 def test_summary_csv_shape(tmp_path):

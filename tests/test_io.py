@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -281,6 +282,27 @@ def test_load_params_bad_rotation(tmp_path):
         ]
     }
     path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_params(path)
+
+
+@pytest.mark.parametrize("field", ["weight", "center", "eigenvalues", "rotation"])
+def test_load_params_rejects_non_finite_entries(tmp_path, field):
+    # json reads NaN, so the schema check must refuse it
+    entry = {
+        "weight": 1.0,
+        "center": [0.0, 0.0],
+        "eigenvalues": [1.0, 1.0],
+        "rotation": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    if field == "weight":
+        entry["weight"] = math.nan
+    elif field == "rotation":
+        entry["rotation"][0][0] = math.nan
+    else:
+        entry[field][0] = math.nan
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"components": [entry]}))
     with pytest.raises(SchemaError):
         load_params(path)
 

@@ -23,7 +23,6 @@ from sepmix.errors import (
 )
 from sepmix.kmedian import (
     FitResult,
-    LocalSearchConfig,
     _UpperTriangle,
     fit_spherical_mixture,
     kmedian_exhaustive,
@@ -101,7 +100,7 @@ def test_local_search_assignment_consistent():
     assert sol.objective == pytest.approx(recomputed, rel=1e-12)
 
 
-def test_local_search_no_worse_than_seeding():
+def test_local_search_no_worse_than_seeding(monkeypatch):
     # accepted swaps only ever lower the objective, so the result can never
     # exceed the plain farthest-point seed cost for the same stream
     rng_pts = np.random.default_rng(7)
@@ -109,11 +108,9 @@ def test_local_search_no_worse_than_seeding():
         [rng_pts.normal(size=(30, 2)), rng_pts.normal(size=(30, 2)) + 12.0]
     )
     sol = kmedian_local_search(pts, 2, np.random.default_rng(8))
+    monkeypatch.setattr(sepmix.kmedian, "_MAX_ROUNDS", 1)
     with pytest.warns(LocalSearchCapWarning):
-        seeded_only = kmedian_local_search(
-            pts, 2, np.random.default_rng(8),
-            LocalSearchConfig(max_rounds=1, improvement_factor=1e-3),
-        )
+        seeded_only = kmedian_local_search(pts, 2, np.random.default_rng(8))
     assert sol.objective <= seeded_only.objective + 1e-9
 
 
@@ -139,9 +136,10 @@ def test_local_search_scale_equivariance(seed, scale):
 # ---------------------------------------------------------------------------
 
 
-def _reference_local_search(points, k, rng, config=LocalSearchConfig()):
-    """kmedian_local_search with one M x M temporary per out-position;
-    returns the sorted center indices."""
+def _reference_local_search(points, k, rng):
+    """kmedian_local_search with one M x M temporary per out-position, under
+    the module's round cap and improvement factor; returns the sorted center
+    indices."""
     m = points.shape[0]
     d2 = pairwise_sq_dists(points)
     chosen = [int(rng.integers(m))]
@@ -152,8 +150,8 @@ def _reference_local_search(points, k, rng, config=LocalSearchConfig()):
         np.minimum(nearest, d2[:, far], out=nearest)
     current = np.array(sorted(chosen), dtype=int)
     cost = float(d2[:, current].min(axis=1).sum())
-    shrink = 1.0 - config.improvement_factor / k
-    for _ in range(config.max_rounds):
+    shrink = 1.0 - sepmix.kmedian._IMPROVEMENT_FACTOR / k
+    for _ in range(sepmix.kmedian._MAX_ROUNDS):
         best_cost, best_pair = cost, None
         in_set = np.zeros(m, dtype=bool)
         in_set[current] = True
@@ -282,23 +280,23 @@ def _two_cluster_points():
     return np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 12.0])
 
 
-def test_local_search_warns_when_cap_cuts_an_improving_search():
+def test_local_search_warns_when_cap_cuts_an_improving_search(monkeypatch):
     pts = _two_cluster_points()
     with warnings.catch_warnings():
         warnings.simplefilter("error", LocalSearchCapWarning)
         full = kmedian_local_search(pts, 2, np.random.default_rng(8))
+    monkeypatch.setattr(sepmix.kmedian, "_MAX_ROUNDS", 1)
     with pytest.warns(LocalSearchCapWarning, match="max_rounds=1"):
-        capped = kmedian_local_search(
-            pts, 2, np.random.default_rng(8), LocalSearchConfig(max_rounds=1)
-        )
+        capped = kmedian_local_search(pts, 2, np.random.default_rng(8))
     assert capped.objective > full.objective  # the search needed a second round
 
 
-def test_local_search_silent_when_first_round_finds_no_swap():
+def test_local_search_silent_when_first_round_finds_no_swap(monkeypatch):
     pts = np.random.default_rng(9).normal(size=(4, 2))
+    monkeypatch.setattr(sepmix.kmedian, "_MAX_ROUNDS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", LocalSearchCapWarning)
-        kmedian_local_search(pts, 4, np.random.default_rng(0), LocalSearchConfig(max_rounds=1))
+        kmedian_local_search(pts, 4, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 import sepmix.model as model
 from sepmix.errors import (
-    DegenerateSample,
     DimensionMismatch,
     MedianRadiusNotConverged,
     NonFiniteInput,
@@ -21,13 +20,11 @@ from sepmix.model import (
     _from_standard_normal,
     _normal_blocks,
     _sq_dists,
-    log_density,
     make_gaussian,
     median_radius,
     random_rotation,
     sample,
     sample_concentric_spherical_embedded,
-    sample_covariance_fit,
     sample_mixture,
     spherical_median_radius,
 )
@@ -73,6 +70,16 @@ def test_center_eigenvalue_length_mismatch():
 def test_rotation_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         make_gaussian([0.0, 0.0], [1.0, 1.0], np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["center", "eigenvalues", "rotation"])
+def test_non_finite_parameter_rejected(field, bad):
+    # NaN passes both the eigenvalue sign test and the Gram test
+    args = {"center": np.zeros(2), "eigenvalues": np.ones(2), "rotation": np.eye(2)}
+    args[field][0] = bad
+    with pytest.raises(NonFiniteInput):
+        make_gaussian(**args)
 
 
 def test_random_rotation_is_orthonormal():
@@ -121,7 +128,8 @@ def test_sample_covariance_concentrates():
     g = make_gaussian([0.0, 0.0], [3.0, 0.5])
     draws = sample(g, rng, 1_000_000)
     eps = 20 * 2 * (math.sqrt(math.log(2)) + math.sqrt(math.log(10))) / 1000.0
-    _, cov = sample_covariance_fit(draws)
+    centered = draws - draws.mean(axis=0)
+    cov = centered.T @ centered / draws.shape[0]
     true = np.diag([3.0, 0.5])
     for w in (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(2) / math.sqrt(2)):
         have = float(w @ cov @ w)
@@ -129,104 +137,20 @@ def test_sample_covariance_concentrates():
         assert abs(have - want) <= eps * want
 
 
-# ---------------------------------------------------------------------------
-# log_density
-# ---------------------------------------------------------------------------
-
-
-def test_log_density_1d_standard_at_zero():
-    g = make_gaussian([0.0], [1.0])
-    assert log_density(g, [0.0]) == pytest.approx(-0.5 * math.log(2 * math.pi))
-
-
-def test_log_density_2d_identity_at_center():
-    g = make_gaussian([1.0, 2.0], [1.0, 1.0])
-    assert log_density(g, [1.0, 2.0]) == pytest.approx(-math.log(2 * math.pi))
-
-
-def test_log_density_matches_dense_inverse_oracle():
-    # independent path: build the covariance matrix, use slogdet and solve
-    rng = np.random.default_rng(23)
-    center = rng.normal(size=3)
-    eigs = np.array([0.3, 1.7, 4.0])
-    rot = random_rotation(3, rng)
-    g = make_gaussian(center, eigs, rot)
-    cov = rot @ np.diag(eigs) @ rot.T
-    _, logdet = np.linalg.slogdet(cov)
-    for _ in range(20):
-        x = rng.normal(scale=3.0, size=3)
-        d = x - center
-        want = -0.5 * (3 * math.log(2 * math.pi) + logdet + d @ np.linalg.solve(cov, d))
-        assert abs(log_density(g, x) - want) < 1e-10
-
-
-def test_log_density_vectorized_matches_scalar():
-    g = make_gaussian([0.0, 1.0], [2.0, 0.5], random_rotation(2, np.random.default_rng(2)))
-    xs = np.random.default_rng(4).normal(size=(10, 2))
-    vec = log_density(g, xs)
-    assert vec.shape == (10,)
-    for i in range(10):
-        assert vec[i] == pytest.approx(log_density(g, xs[i]), rel=1e-12)
-
-
-def test_log_density_dimension_mismatch():
-    g = make_gaussian([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(DimensionMismatch):
-        log_density(g, [0.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_log_density_rejects_non_finite_points(bad):
-    g = make_gaussian([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(NonFiniteInput):
-        log_density(g, [[0.0, 0.0], [bad, 0.0]])
-
-
-@pytest.mark.parametrize("n,eigs", [(1, [0.7]), (2, [1.3, 0.4])])
-def test_density_integrates_to_one(n, eigs):
-    # Gauss-Legendre quadrature of exp(log_density) over a +-10 sigma box
-    g = make_gaussian(np.zeros(n), eigs)
-    lim = 10.0 * g.sigma_max
-    nodes, weights = np.polynomial.legendre.leggauss(200)
-    nodes = nodes * lim
-    weights = weights * lim
-    if n == 1:
-        vals = np.exp(log_density(g, nodes[:, None]))
-        total = float(weights @ vals)
-    else:
-        xx, yy = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = np.exp(log_density(g, pts)).reshape(200, 200)
-        total = float(weights @ vals @ weights)
-    assert abs(total - 1.0) < 1e-6
-
-
-def test_log_density_rotation_invariance():
-    rng = np.random.default_rng(31)
-    eigs = np.array([2.0, 1.0, 0.3, 0.3])
+def test_covariance_fit_recovers_known_gaussian():
+    rng = np.random.default_rng(29)
     rot = random_rotation(4, rng)
+    eigs = np.array([5.0, 2.0, 1.0, 0.2])
     g = make_gaussian(np.zeros(4), eigs, rot)
-    extra = random_rotation(4, rng)
-    g_rot = make_gaussian(np.zeros(4), eigs, extra @ rot)
-    for _ in range(10):
-        x = rng.normal(size=4)
-        assert abs(log_density(g, x) - log_density(g_rot, extra @ x)) < 1e-10
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    scale=st.floats(min_value=0.1, max_value=10.0),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_log_density_shift_scale_consistency(scale, seed):
-    # N(0, s^2) density at s*x equals N(0,1) density at x minus ln(s)
-    rng = np.random.default_rng(seed)
-    x = float(rng.normal())
-    base = make_gaussian([0.0], [1.0])
-    scaled = make_gaussian([0.0], [scale * scale])
-    assert log_density(scaled, [scale * x]) == pytest.approx(
-        log_density(base, [x]) - math.log(scale), rel=1e-10, abs=1e-10
-    )
+    draws = sample(g, rng, 100_000)
+    centered = draws - draws.mean(axis=0)
+    cov = centered.T @ centered / draws.shape[0]
+    true = rot @ np.diag(eigs) @ rot.T
+    eps = 20 * 4 * (math.sqrt(math.log(4)) + math.sqrt(math.log(10))) / math.sqrt(1e5)
+    for _ in range(20):
+        w = rng.normal(size=4)
+        w /= np.linalg.norm(w)
+        assert abs(w @ cov @ w - w @ true @ w) <= eps * (w @ true @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -573,52 +497,6 @@ def test_require_median_radius_raises_until_estimated():
 
 
 # ---------------------------------------------------------------------------
-# sample_covariance_fit
-# ---------------------------------------------------------------------------
-
-
-def test_covariance_fit_two_point_example():
-    mean, cov = sample_covariance_fit(np.array([[-1.0], [1.0]]))
-    assert mean == pytest.approx([0.0])
-    assert cov == pytest.approx(np.array([[1.0]]))
-
-
-def test_covariance_fit_uses_1_over_m():
-    pts = np.array([[0.0], [1.0], [2.0]])
-    _, cov = sample_covariance_fit(pts)
-    assert cov[0, 0] == pytest.approx(2.0 / 3.0)  # not the 1/(M-1) variant
-
-
-def test_covariance_fit_degenerate_rows_warn():
-    pts = np.ones((5, 3))
-    with pytest.warns(DegenerateSample):
-        mean, cov = sample_covariance_fit(pts)
-    assert np.array_equal(cov, np.zeros((3, 3)))
-    assert mean == pytest.approx(np.ones(3))
-
-
-def test_covariance_fit_rejects_malformed_points(bad_points):
-    points, error = bad_points
-    with pytest.raises(error):
-        sample_covariance_fit(points)
-
-
-def test_covariance_fit_recovers_known_gaussian():
-    rng = np.random.default_rng(29)
-    rot = random_rotation(4, rng)
-    eigs = np.array([5.0, 2.0, 1.0, 0.2])
-    g = make_gaussian(np.zeros(4), eigs, rot)
-    draws = sample(g, rng, 100_000)
-    _, cov = sample_covariance_fit(draws)
-    true = rot @ np.diag(eigs) @ rot.T
-    eps = 20 * 4 * (math.sqrt(math.log(4)) + math.sqrt(math.log(10))) / math.sqrt(1e5)
-    for _ in range(20):
-        w = rng.normal(size=4)
-        w /= np.linalg.norm(w)
-        assert abs(w @ cov @ w - w @ true @ w) <= eps * (w @ true @ w)
-
-
-# ---------------------------------------------------------------------------
 # mixtures
 # ---------------------------------------------------------------------------
 
@@ -634,6 +512,16 @@ def test_mixture_weight_sum_validated():
     b = make_gaussian(np.ones(1), [1.0])
     with pytest.raises(ValueError):
         Mixture(components=[a, b], weights=np.array([0.5, 0.4]))
+
+
+@pytest.mark.parametrize(
+    "weights,w_min", [([np.nan, 1.0], 0.0), ([0.5, 0.5], np.nan)], ids=["weight", "w_min"]
+)
+def test_mixture_rejects_nan_weights(weights, w_min):
+    a = make_gaussian(np.zeros(1), [1.0])
+    b = make_gaussian(np.ones(1), [1.0])
+    with pytest.raises(ValueError):
+        Mixture(components=[a, b], weights=np.array(weights), w_min=w_min)
 
 
 def test_mixture_w_min_default():

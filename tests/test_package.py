@@ -1,7 +1,17 @@
+import ast
+import re
 import types
+from pathlib import Path
 
 import sepmix
 from sepmix import errors
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sepmix"
+
+# Module-level functions and classes that no code in the package or the
+# benchmark reads, kept for library users alone, each with its reason.
+LIBRARY_ONLY: set[str] = set()
 
 
 def test_all_names_resolve():
@@ -26,3 +36,27 @@ def test_every_error_class_is_exported():
         if isinstance(value, type) and value.__module__ == errors.__name__
     }
     assert classes <= set(sepmix.__all__)
+
+
+def test_every_module_level_name_is_read_somewhere():
+    # A name counts as read when it occurs as a word on a line outside its
+    # own definition, in the package (its __init__ re-exports do not count)
+    # or in the benchmark; tests do not count.
+    readers = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    readers += sorted((ROOT / "perfbench").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in readers}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(
+                word.search(line)
+                for reader, text in lines.items()
+                for number, line in enumerate(text, start=1)
+                if not (reader == path and number in own)
+            ):
+                unread.append(node.name)
+    assert sorted(unread) == sorted(LIBRARY_ONLY)

@@ -44,6 +44,21 @@ def test_config_paper_mode_constants():
         SeparationConfig(t=1.0, mode="paper", c1=60.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t": math.nan},
+        {"t": math.inf},
+        {"t": 1.0, "mode": "practical", "c1": math.nan},
+        {"t": 1.0, "mode": "practical", "c2": math.inf},
+    ],
+    ids=["t-nan", "t-inf", "c1-nan", "c2-inf"],
+)
+def test_config_rejects_non_finite_scales(kwargs):
+    with pytest.raises(ValueError):
+        SeparationConfig(**kwargs)
+
+
 def test_config_practical_mode_constants():
     cfg = SeparationConfig(t=1.0, mode="practical")
     assert (cfg.c1, cfg.c2) == (60.0, 30.0)
@@ -100,6 +115,15 @@ def test_margin_matrix_symmetric_and_nan_diagonal():
     rep = separation_margin(mix, SeparationConfig(t=2.0, mode="practical"))
     assert np.array_equal(rep.margins, rep.margins.T, equal_nan=True)
     assert np.all(np.isnan(np.diag(rep.margins)))
+
+
+def test_nan_radius_is_not_separated():
+    a = _with_radius([0.0, 0.0], 1.0, math.nan)
+    b = _with_radius([100.0, 0.0], 1.0, 1.2)
+    mix = Mixture(components=[a, b], weights=np.array([0.5, 0.5]))
+    rep = separation_margin(mix, SeparationConfig(t=1.0, mode="practical"))
+    assert not rep.satisfied
+    assert math.isnan(rep.min_margin)
 
 
 def test_margin_monotone_in_t():
@@ -247,6 +271,16 @@ def test_plant_more_components_than_orthogonal_slots():
         rng=np.random.default_rng(10),
     )
     assert separation_margin(mix, cfg).satisfied
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf])
+def test_plant_rejects_non_finite_slack(slack):
+    with pytest.raises(ValueError, match="slack"):
+        plant_separated_mixture(
+            n=4, k=2, shape_spec=(1.0, 1.0),
+            config=SeparationConfig(t=5.0, mode="practical"),
+            slack=slack, rng=np.random.default_rng(0),
+        )
 
 
 def test_plant_infeasible_when_k_exceeds_attempt_budget():
