@@ -19,12 +19,13 @@ depends on the separation scale t, so the classifier takes no t.
 
 Every M x M pass, here and in the k-median fit, reads its squared distances
 from one row engine, _SqDistRows.  It owns the squared norms, the block grid,
-the Gram expansion (finished by _expand), the choice between storing the
-M x M matrix and forming row blocks on demand under _MATRIX_BUDGET, the
-refusal of an array larger than physical memory, the per-row roundoff
-slack, and a float32 screen: row blocks formed in float32 from a centered
-copy of the points, each row with a certified bound on how far any float64
-entry the engine forms for it may lie from its screened one.  Both
+the Gram expansion, the choice between storing the M x M matrix and forming
+row blocks on demand under _MATRIX_BUDGET, the refusal of an array larger
+than physical memory, the per-row roundoff slack, and a float32 screen: row
+blocks formed in float32 from a centered copy of the points, each row with a
+certified bound on how far any float64 entry the engine forms for it may lie
+from its screened one.  A block, in either dtype, is one GEMM finished in
+place by _expand and clipped at 0, and the engine keeps nothing of it.  Both
 classifiers screen first and form a float64 block only where one of its
 rows may still win or tie.  The warm-up reads every float64 row as it would
 without the screen.  The dense ball forms a float64 row in a block of the
@@ -74,7 +75,7 @@ from .errors import (
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
-from .model import LabeledSampleSet, _int_at_least, _points_of
+from .model import LabeledSampleSet, _int_at_least, _points_of, _real
 
 # Row blocks of M x M passes are kept near this size, so no pass allocates a
 # second M x M array and a block's few temporaries stay in a per-core L2
@@ -106,7 +107,7 @@ class ClassifierConfig:
     ``k`` peels are made (an integer: not a bool, nor 2.0); ``w_min`` (the
     least component weight) sets the dense-ball threshold and the gap step;
     ``delta`` (the failure probability) sets the removal margin through
-    ln(|S| / delta).
+    ln(|S| / delta).  Both are numbers, not strings.
     """
 
     k: int
@@ -115,6 +116,8 @@ class ClassifierConfig:
 
     def __post_init__(self):
         _int_at_least(self.k, 1, "k")
+        _real(self.w_min, "w_min")
+        _real(self.delta, "delta")
         if not (0 < self.w_min <= 1) or self.k * self.w_min > 1 + 1e-12:
             raise ValueError(f"need 0 < w_min and k * w_min <= 1, got {self.w_min}")
         if not (0 < self.delta <= 1):
@@ -197,18 +200,12 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def _expand(
-    g: np.ndarray,
-    aa: np.ndarray,
-    bb: np.ndarray,
-    out: np.ndarray | None = None,
-    scale: float | None = None,
-    clip: bool = True,
+    g: np.ndarray, aa: np.ndarray, bb: np.ndarray, scale: float | None = None
 ) -> np.ndarray:
     """Squared distances from the inner products ``g = a @ (-2 b).T``.
 
-    ``out`` (default ``g`` itself) becomes ``(aa[:, None] + bb[None, :]) + g``
-    clipped at 0 (unclipped when ``clip`` is false), with aa and bb the
-    squared norms of the rows of a and b.
+    ``g`` becomes ``(aa[:, None] + bb[None, :]) + g`` clipped at 0, in place,
+    with aa and bb the squared norms of the rows of a and b.
     Given ``scale`` = -2, ``g`` holds a @ b.T and is scaled in place first.
     Scaling by -2 is exact, so both forms round as (aa + bb) - 2 (a @ b.T).
     The work goes one row block of about ``_BLOCK_BYTES`` at a time, so each
@@ -217,18 +214,16 @@ def _expand(
     """
     rows, cols = g.shape
     step = _block_rows(cols)
-    buf = np.empty((min(step, rows), cols), g.dtype) if out is None else None
-    out = g if out is None else out
+    buf = np.empty((min(step, rows), cols), g.dtype)
     for lo in range(0, rows, step):
-        blk, dst = g[lo : lo + step], out[lo : lo + step]
+        blk = g[lo : lo + step]
         if scale is not None:
             blk *= scale
-        norms = dst if buf is None else buf[: blk.shape[0]]
+        norms = buf[: blk.shape[0]]
         np.add(aa[lo : lo + step, None], bb[None, :], out=norms)
-        np.add(norms, blk, out=dst)
-        if clip:
-            np.maximum(dst, 0.0, out=dst)
-    return out
+        np.add(norms, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+    return g
 
 
 def _block_rows(cols: int) -> int:
@@ -247,7 +242,8 @@ class _SqDistRows:
     With ``store`` set, the M x M matrix is formed once by pairwise_sq_dists
     if it fits _MATRIX_BUDGET, and a block is a copy of its entries.
     Otherwise a block is one GEMM of its rows against the live points,
-    finished by _expand, so memory is O(B M) for B rows.
+    finished in place by _expand, so memory is O(B M) for B rows.  Nothing
+    of a block is kept once it is returned: a row read again is formed again.
 
     An inner product can round differently in GEMMs of different shapes, by
     at most n eps |x_i| |x_j| each way, so an entry formed in two block
@@ -318,48 +314,26 @@ class _SqDistRows:
             self.x, self.xx, self.scale = self.points[cols], self.norms[cols], None
             self.x *= -2.0
 
-    def block(
-        self, rows, lo: int = 0, out: np.ndarray | None = None, keep: bool = False
-    ) -> np.ndarray:
+    def block(self, rows, lo: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """Squared distances of ``rows`` (indices, or a slice when no columns
         are gathered) to the live columns from the lo-th on.
 
-        The GEMM writes into ``out`` when given, and the block is finished in
-        place.  With ``keep``, it is finished into a new array instead, not
-        clipped at 0, and the GEMM output is kept, so that ``row`` can finish
-        one of its rows again.  Stored rows are a copy.
+        A block is one GEMM, written into ``out`` when given, and finished in
+        place by _expand; nothing of it is kept.  Stored rows are a copy.
         """
-        self.rows = rows
         if self.d2 is not None:
             if self.cols.size == self.d2.shape[1]:
                 return self.d2[rows]
             return self.d2[np.ix_(rows, self.cols)]
         g = np.matmul(self.points[rows], self.x[lo:].T, out=out)
-        if not keep:
-            return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
-        self.g, self.bb = g, self.xx[lo:]
-        return _expand(
-            g, self.norms[rows], self.bb, np.empty_like(g), self.scale, clip=False
-        )
-
-    def row(self, j: int) -> np.ndarray:
-        """Row j of the last block formed with ``keep``, as it was formed.
-
-        It is finished again from the same GEMM output: a GEMM of another
-        shape may round differently and move a point across a ball's edge.
-        """
-        if self.d2 is not None:
-            return self.d2[self.rows[j], self.cols]
-        g = self.g[j : j + 1].copy()
-        aa = self.norms[self.rows[j : j + 1]]
-        return _expand(g, aa, self.bb, scale=self.scale)[0]
+        return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
 
     def screen(self, rows, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Float32 squared distances of ``rows`` to the live columns from the
-        lo-th on, unclipped, and the rows' bounds err: every float64 entry
-        the engine forms between points r and c, in any block and with
-        either of them as the row, lies within err[r] of their screened
-        entry, whichever of them was screened as the row.
+        lo-th on, and the rows' bounds err: every float64 entry the engine
+        forms between points r and c, in any block and with either of them as
+        the row, lies within err[r] of their screened entry, whichever of
+        them was screened as the row.
 
         For rows formed on demand only.  A screened block is one float32
         GEMM of rows of y, the points less their mean rounded to float32,
@@ -383,6 +357,8 @@ class _SqDistRows:
         which moves |y_i - y_j|^2 from the exact squared distance by at most
         4 u (1 + 5 u) (|y_i|^2 + |y_j|^2); 2 gamma_(n+4) - 2 gamma_(n+2) >=
         4 u (1 + (2 n + 6) u) covers that and the float64 rounding of err.
+        Clipping at 0 moves no screened entry away from a float64 one, which
+        is at least 0.
         Gradual underflow adds at most 2^-150 to a float32 product or
         conversion, so a few n 2^-150 to an entry, which 2^-100 covers.  A
         float64 entry lies within slack / 2 of the exact squared distance,
@@ -407,7 +383,7 @@ class _SqDistRows:
             self.yt *= np.float32(-2.0)
             self.yyt = self.yy[cols]
         g = np.matmul(self._centered32(rows), self.yt[:, lo:])
-        return _expand(g, self.yy[rows], self.yyt[lo:], clip=False), self.err[rows]
+        return _expand(g, self.yy[rows], self.yyt[lo:]), self.err[rows]
 
     def _centered32(self, rows) -> np.ndarray:
         """Rows of the screen's copy y: the points less their mean, rounded
@@ -442,8 +418,8 @@ def _dense_ball(
 
     A ranked row's threshold-th smallest squared entry over the live columns
     is found by partition, in row blocks of ``source.step`` rows; only those
-    order statistics are clipped at 0 and rooted.  Both are monotone, so they
-    equal the order statistics of the clipped, rooted rows.
+    order statistics are rooted.  The root is monotone, so they equal the
+    order statistics of the rooted rows.
 
     ``lower[r]`` is a lower bound on row r's order statistic.  Columns only
     leave, so the value a row had at an earlier peel (less the source's
@@ -460,7 +436,7 @@ def _dense_ball(
 
     Returns (position in ``alive`` of the center, radius alpha, the center's
     squared row over ``alive``), ties in the rooted radius to the lowest
-    position.  The row holds the entries alpha was taken from.
+    position.  The row is copied out of the block alpha was taken from.
     """
     source.live(alive)
     order = np.argsort(lower[alive], kind="stable")
@@ -474,15 +450,14 @@ def _dense_ball(
             lower[rows] = _screened_kth(source, rows, threshold)
             if math.sqrt(lower[rows].min()) > best:
                 continue
-        blk = source.block(rows, keep=True)
-        blk.partition(threshold - 1, axis=1)
-        kth = np.maximum(blk[:, threshold - 1], 0.0)
+        blk = source.block(rows)
+        kth = np.partition(blk, threshold - 1, axis=1)[:, threshold - 1]
         lower[rows] = np.maximum(kth - source.slack[rows], 0.0)
         rooted = np.sqrt(kth)
         ties = np.flatnonzero(rooted == rooted.min())
         j = ties[np.argmin(pos[ties])]
         if rooted[j] < best or (rooted[j] == best and pos[j] < best_pos):
-            best, best_pos, best_row = float(rooted[j]), int(pos[j]), source.row(j)
+            best, best_pos, best_row = float(rooted[j]), int(pos[j]), blk[j].copy()
     return best_pos, best, best_row
 
 
@@ -760,15 +735,16 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     holding a pair's entries may round them differently, and the lower
     index wins either way.  The removal ball tests rooted entries of x0's
     row, its own (clipped roundoff) entry included; the row is read from
-    x0's aligned block, kept from the search when the search formed it.
+    x0's aligned block, formed again.
 
     Raises:
-        ValueError: k is not an integer >= 1, or t is not positive and finite.
+        ValueError: k is not an integer >= 1, or t is not a positive, finite
+            number.
         EmptyPeel: no points are left for a peel.
         ResidualPointsAfterKPeels: points remain after k peels.
     """
     points, meta = _points_of(samples)
-    if not (0 < t < math.inf):
+    if not (0 < _real(t, "t") < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
     k = _int_at_least(k, 1, "k")
     m_total, n = points.shape
@@ -789,12 +765,11 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
             clusters.append(alive.copy())
             alive = alive[:0]
             continue
-        i, formed = _closest_live(source, alive, live, nn, nd, exact)
+        i = _closest_live(source, alive, live, nn, nd, exact)
         center = min(i, int(nn[i]))
         radius = math.sqrt(nd[i]) * factor
-        lo, blk = _aligned_block(source, center, formed)
-        row = blk[center - lo, alive]
-        removed_mask = np.sqrt(row) <= radius
+        lo, blk = _aligned_block(source, center)
+        removed_mask = np.sqrt(blk[center - lo, alive]) <= radius
         removed = alive[removed_mask]
         clusters.append(removed)
         live[removed] = False
@@ -807,15 +782,11 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
     return Partition(clusters=clusters)
 
 
-def _aligned_block(
-    source: _SqDistRows, r: int, formed: dict | None = None
-) -> tuple[int, np.ndarray]:
+def _aligned_block(source: _SqDistRows, r: int) -> tuple[int, np.ndarray]:
     """(lo, the block of rows [lo, lo + B)) holding row r, lo = r - r mod B
-    for B = ``source.step``: a row is always formed in the same block.  A
-    block in ``formed``, by its lo, is taken as it is."""
+    for B = ``source.step``: a row is always formed in the same block, so it
+    has the same bits whenever it is formed."""
     lo = r - r % source.step
-    if formed is not None and lo in formed:
-        return lo, formed[lo]
     return lo, source.block(slice(lo, lo + source.step))
 
 
@@ -839,8 +810,7 @@ def _screened_nearest(source: _SqDistRows) -> np.ndarray:
 
 
 def _closest_live(source: _SqDistRows, alive, live, nn, nd, exact):
-    """The lowest live row whose rooted nearest-live distance is least, and
-    its aligned block by its lo if this search formed it (else empty).
+    """The lowest live row whose rooted nearest-live distance is least.
 
     nd[r] is row r's squared distance to its nearest live neighbour nn[r]
     where exact[r], and a lower bound on it elsewhere.  Rows are taken in
@@ -853,34 +823,27 @@ def _closest_live(source: _SqDistRows, alive, live, nn, nd, exact):
     keys = np.sqrt(nd[order])
     dead = np.flatnonzero(~live)
     best, best_r = math.inf, -1
-    formed: dict[int, np.ndarray] = {}
     for r, key in zip(order, keys):
         if key > best:
             break
         if not exact[r]:
-            _resolve_block(source, r, live, dead, nn, nd, exact, formed)
+            _resolve_block(source, r, live, dead, nn, nd, exact)
         d = math.sqrt(nd[r])
         if d < best or (d == best and r < best_r):
             best, best_r = d, r
-        keep = best_r - best_r % source.step
-        formed = {lo: blk for lo, blk in formed.items() if lo == keep}
-    return int(best_r), formed
+    return int(best_r)
 
 
-def _resolve_block(source: _SqDistRows, r: int, live, dead, nn, nd, exact, formed):
-    """Form row r's aligned block into ``formed``, by its lo, and set nn, nd
-    of each live row in it not yet exact to its nearest live column other
-    than itself (ties to the lowest column) and that squared distance.  The
-    block's dead columns are left inf: no later peel reads them."""
+def _resolve_block(source: _SqDistRows, r: int, live, dead, nn, nd, exact):
+    """Form row r's aligned block and set nn, nd of each live row in it not
+    yet exact to its nearest live column other than itself (ties to the
+    lowest column) and that squared distance."""
     lo, blk = _aligned_block(source, r)
     hi = lo + blk.shape[0]
     rows = lo + np.flatnonzero(live[lo:hi] & ~exact[lo:hi])
-    own = blk[rows - lo, rows]
     blk[rows - lo, rows] = np.inf
     blk[:, dead] = np.inf
     near = np.argmin(blk, axis=1)[rows - lo]
     nn[rows] = near
     nd[rows] = blk[rows - lo, near]
     exact[rows] = True
-    blk[rows - lo, rows] = own
-    formed[lo] = blk

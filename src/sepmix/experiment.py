@@ -37,6 +37,7 @@ from .kmedian import fit_spherical_mixture
 from .model import (
     LabeledSampleSet,
     _int_at_least,
+    _real,
     make_gaussian,
     median_radius,
     random_rotation,
@@ -49,6 +50,17 @@ from .io import load_params, load_samples
 SCENARIOS = ("classify_general", "classify_spherical", "fit", "validate")
 SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
 
+# Numbers the trials read from a config's dicts, as (reals, integers >= 1) per
+# dict.  They are checked to be numbers when the config is made, so that a
+# malformed one fails the run before its first trial; their ranges are left
+# to the code that takes them.  The classifiers' k is a trial's: a trial
+# records the ValueError its classifier raises.
+_NUMBER_KEYS = {
+    "source": (("t", "c1", "c2", "slack"), ("n", "k")),
+    "spherical": (("t",), ()),
+    "classifier": (("w_min", "delta"), ()),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -59,7 +71,8 @@ class ExperimentConfig:
     are ignored, and so are ``source.radius_samples`` and
     ``source.estimate_radii``: median radii are computed exactly, without
     draws, where they are needed.  ``trials``, ``master_seed`` and
-    ``sample_size`` are integers (not bools), at least 1, 0 and 0.
+    ``sample_size`` are integers (not bools), at least 1, 0 and 0.  The
+    numbers in _NUMBER_KEYS must be numbers where given.
     """
 
     scenario: str
@@ -80,6 +93,14 @@ class ExperimentConfig:
         _int_at_least(self.trials, 1, "trials")
         _int_at_least(self.master_seed, 0, "master_seed")
         _int_at_least(self.sample_size, 0, "sample_size")
+        for part, (reals, integers) in _NUMBER_KEYS.items():
+            doc = getattr(self, part)
+            for key in reals:
+                if doc.get(key) is not None:
+                    _real(doc[key], f"{part}.{key}")
+            for key in integers:
+                if key in doc:
+                    _int_at_least(doc[key], 1, f"{part}.{key}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

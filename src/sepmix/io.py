@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .model import LabeledSampleSet, Mixture, make_gaussian
+from .model import LabeledSampleSet, Mixture, _real, make_gaussian
 
 _FLOAT_FMT = "%.17g"
 # Rows per block: save_samples formats one block per write, load_samples
@@ -169,8 +169,9 @@ def load_params(path) -> Mixture:
     Raises:
         ParseError: not valid JSON.
         SchemaError: valid JSON violating the component schema (missing
-            keys, bad shapes, NaN or infinite entries, nonpositive
-            eigenvalues, non-orthonormal rotation, weights not summing to 1).
+            keys, bad shapes, entries that are not numbers, NaN or infinite
+            entries, nonpositive eigenvalues, non-orthonormal rotation,
+            weights not summing to 1).
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -194,14 +195,16 @@ def load_params(path) -> Mixture:
                     entry["center"], entry["eigenvalues"], entry.get("rotation")
                 )
             )
+            weights.append(_real(entry["weight"], "weight"))
         except (
             NonFiniteInput,
             NonPositiveEigenvalue,
             NonOrthonormalRotation,
             DimensionMismatch,
+            TypeError,
+            ValueError,
         ) as exc:
             raise SchemaError(f"component {i}: {exc}") from None
-        weights.append(float(entry["weight"]))
     try:
         return Mixture(components=comps, weights=np.asarray(weights))
     except (ValueError, DimensionMismatch) as exc:

@@ -374,6 +374,9 @@ def fit_spherical_mixture(
 ) -> FitResult:
     """Local-search k-median fit plus width, likelihood, and cluster weights.
 
+    When every point sits on its center the likelihood is +inf, and
+    spherical_log_likelihood warns ZeroSigmaWarning once.
+
     Raises:
         NonFiniteInput: a point coordinate is NaN or infinite.
         ValueError: k is not an integer >= 1.
@@ -381,11 +384,7 @@ def fit_spherical_mixture(
     points = np.asarray(points, dtype=float)
     solution = kmedian_local_search(points, k, rng)
     sig = sigma_hat(points, solution, normalization)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroSigmaWarning)
-        loglik = spherical_log_likelihood(points, solution, None, normalization)
-    if sig == 0.0:
-        warnings.warn("all points coincide with centers", ZeroSigmaWarning)
+    loglik = spherical_log_likelihood(points, solution, None, normalization)
     counts = np.bincount(solution.assignment, minlength=k)
     return FitResult(
         solution=solution,

@@ -569,6 +569,18 @@ def _int_at_least(value, low: int, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """The boundary check on a real parameter: ``value`` as a float.
+
+    Raises:
+        ValueError: value is a bool or not a real number ("5" included); the
+            message names it ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _draw_labels(weights: np.ndarray, rng: np.random.Generator, count: int):
     """Component labels by inverse CDF on one block of ``count`` uniforms."""
     labels = np.searchsorted(np.cumsum(weights), rng.random(count), side="right")

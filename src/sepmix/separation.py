@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasiblePlacement
-from .model import Mixture, make_gaussian, median_radius, random_rotation
+from .model import (
+    Mixture,
+    _int_at_least,
+    _real,
+    make_gaussian,
+    median_radius,
+    random_rotation,
+)
 
 _PAPER_CONSTANTS = (500.0, 100.0)
 _PRACTICAL_CONSTANTS = (60.0, 30.0)
@@ -33,7 +40,7 @@ class SeparationConfig:
 
     t = 0 is accepted for diagnostics (the margin is then just the distance
     term against the radius gap); classification refuses it.  t and the
-    constants must be finite.
+    constants must be finite numbers.
     """
 
     t: float
@@ -42,13 +49,13 @@ class SeparationConfig:
     c2: float | None = None
 
     def __post_init__(self):
-        if not 0 <= self.t < math.inf:
+        if not 0 <= _real(self.t, "t") < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.mode not in ("paper", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         defaults = _PAPER_CONSTANTS if self.mode == "paper" else _PRACTICAL_CONSTANTS
-        c1 = defaults[0] if self.c1 is None else float(self.c1)
-        c2 = defaults[1] if self.c2 is None else float(self.c2)
+        c1 = defaults[0] if self.c1 is None else _real(self.c1, "c1")
+        c2 = defaults[1] if self.c2 is None else _real(self.c2, "c2")
         if self.mode == "paper" and (c1, c2) != _PAPER_CONSTANTS:
             raise ValueError("paper mode fixes the constants at (500, 100)")
         if not (0 < c1 < math.inf and 0 < c2 < math.inf):
@@ -163,10 +170,10 @@ def plant_separated_mixture(
     random unit directions with a verification loop and raises
     InfeasiblePlacement after 100 rejected attempts.
     """
-    if not 1.0 <= slack < math.inf:
+    if not 1.0 <= _real(slack, "slack") < math.inf:
         raise ValueError(f"slack must be finite and >= 1, got {slack}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n = _int_at_least(n, 1, "n")
+    k = _int_at_least(k, 1, "k")
     specs = shape_spec if isinstance(shape_spec, list) else [shape_spec] * k
     if len(specs) != k:
         raise ValueError(f"shape_spec has {len(specs)} entries for k={k}")

@@ -135,8 +135,8 @@ def _screen_points(seed, m, n, scale, offset, kind):
 @example(seed=2, m=30, n=16, scale=1e-30, offset=0.0, kind="gaussian")  # underflow
 def test_screen_bounds_every_float64_entry(seed, m, n, scale, offset, kind):
     # every float64 entry the engine forms between two points, in a block of
-    # any height, unclipped or clipped, and with either point as the row,
-    # lies within err of the screened entry; on all columns and on gathered
+    # any height, and with either point as the row, lies within err of the
+    # screened entry; on all columns and on gathered
     # live columns.  At scale 1e-30 the float32 products underflow, and at
     # 1e20 the squares overflow: err is then inf.
     pts = _screen_points(seed, m, n, scale, offset, kind)
@@ -150,7 +150,7 @@ def test_screen_bounds_every_float64_entry(seed, m, n, scale, offset, kind):
         screened, err = src.screen(rows)
         assert screened.dtype == np.float32
         assert np.all(err >= 0.0)
-        formed = [src.block(rows, keep=True), src.block(rows)]
+        formed = [src.block(rows)]
         formed.append(np.vstack([src.block(rows[i : i + 1]) for i in range(rows.size)]))
         for d2 in formed:
             assert np.all(np.abs(d2 - screened) <= err[:, None])
@@ -205,7 +205,7 @@ def test_a_row_rounds_alike_whatever_rows_share_its_block(n):
         for _ in range(2):
             rows = rng.choice(src.cols, size=height, replace=False)
             rows[j] = r
-            got.append(src.block(rows, keep=True)[j].tobytes())
+            got.append(src.block(rows)[j].tobytes())
         assert got[0] == got[1]
 
 
@@ -384,6 +384,25 @@ def _check_bound_ranks_as_fresh(seed, m, lattice):
         assert math.sqrt(np.partition(row, threshold - 1)[threshold - 1]) == alpha
         kth = np.partition(src.block(alive), threshold - 1, axis=1)[:, threshold - 1]
         assert np.all(lower[alive] <= np.maximum(kth, 0.0))
+
+
+@pytest.mark.parametrize("n", [3, 16])
+@pytest.mark.parametrize("source", _SOURCES, ids=["stored", "formed"])
+def test_dense_ball_returns_the_row_alpha_was_taken_from(source, n):
+    # at every peel the returned row is the center's clipped row over the
+    # live columns, copied out of the block alpha was taken from: its rooted
+    # threshold-th smallest entry is alpha, bit for bit, and it holds no
+    # view of the block.  Three blobs of 200 points span several row blocks.
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(600, n)) + 20.0 * rng.integers(0, 3, size=(600, 1))
+    src, lower, alive, threshold = source(pts), np.zeros(600), np.arange(600), 150
+    while alive.size >= threshold:
+        _, alpha, row = _dense_ball(src, alive, threshold, lower)
+        assert row.shape == alive.shape and row.base is None
+        assert np.all(row >= 0.0)
+        kth = np.partition(row, threshold - 1)[threshold - 1]
+        assert math.sqrt(kth) == alpha
+        alive = alive[row > kth]
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +704,11 @@ def test_classifier_config_validation():
         ClassifierConfig(k=3, w_min=0.5)  # k * w_min > 1
     with pytest.raises(ValueError):
         ClassifierConfig(k=2, w_min=0.5, delta=0.0)
+    for kwargs in ({"w_min": "0.5"}, {"w_min": 0.5, "delta": "0.05"}):
+        with pytest.raises(ValueError, match="must be a number"):
+            ClassifierConfig(k=2, **kwargs)
+    with pytest.raises(ValueError, match="t must be a number"):
+        classify_spherical(_TWELVE, k=2, t="5")
 
 
 _TWELVE = np.random.default_rng(0).normal(size=(12, 2))
@@ -1153,9 +1177,10 @@ def test_spherical_refreshes_stale_rows_block_by_block(monkeypatch):
     # a tight pair near the origin is every other point's nearest neighbour
     # (unit vectors, sqrt(2) apart), so the first peel leaves every live row
     # stale.  Every float64 row the warm-up reads comes from its aligned
-    # block of 16 rows.  The pair (0, 1) is found in block 0, and its
-    # removal row read from it; then each of the 13 blocks is formed, once,
-    # to resolve the stale rows, and the pair (2, 3) is read from block 0.
+    # block of 16 rows, formed anew each time it is read.  The pair (0, 1)
+    # is found in block 0, and block 0 is formed again for its removal row;
+    # then each of the 13 blocks is formed, once, to resolve the stale rows,
+    # the pair (2, 3) among them, and block 0 again for its removal row.
     monkeypatch.setattr(classify_module, "_BLOCK_BYTES", 0)
     pts = np.vstack([np.zeros((2, 200)), np.eye(200)[2:]])
     pts[1, 0] = 1e-3
@@ -1170,7 +1195,8 @@ def test_spherical_refreshes_stale_rows_block_by_block(monkeypatch):
     assert [c.tolist() for c in part.clusters] == [[0, 1], list(range(2, 200))]
     assert all(rows.start % 16 == 0 and rows.stop == rows.start + 16 for rows in formed)
     starts = [rows.start for rows in formed]
-    assert starts[0] == 0 and sorted(starts[1:]) == list(range(0, 200, 16))
+    assert starts[:2] == [0, 0] and starts[-1] == 0
+    assert sorted(starts[2:-1]) == list(range(0, 200, 16))
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,33 @@ def test_non_integer_experiment_field_exits_two(tmp_path, capsys, field, value):
     assert len(err) == 1 and err[0].startswith(f"error: ValueError: {field} must be")
 
 
+_PLANT = {"kind": "plant", "n": 4, "k": 2, "t": 5.0, "shapes": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"source": _PLANT | {"t": "5"}}, "source.t must be a number"),
+        ({"spherical": {"k": 2, "t": "5"}}, "spherical.t must be a number"),
+        ({"source": _PLANT | {"k": 2.0}}, "source.k must be an integer"),
+        (
+            {"scenario": "classify_general", "classifier": {"k": 2, "w_min": "0.5"}},
+            "classifier.w_min must be a number",
+        ),
+    ],
+    ids=["source-t", "spherical-t", "source-k", "classifier-w_min"],
+)
+def test_experiment_number_that_is_not_one_exits_two(tmp_path, capsys, doc, message):
+    base = {"scenario": "classify_spherical", "trials": 1, "master_seed": 0,
+            "sample_size": 200, "source": _PLANT, "spherical": {"k": 2, "t": 1.0}}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(base | doc))
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ValueError: {message}")
+
+
 def test_bad_experiment_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"scenario": "fit", "trials": 1,

@@ -307,6 +307,21 @@ def test_load_params_rejects_non_finite_entries(tmp_path, field):
         load_params(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("weight", [1.0]), ("weight", "one"), ("weight", "1.0"), ("weight", True),
+     ("center", "abc"), ("center", {"x": 0.0}), ("eigenvalues", ["a", "b"])],
+)
+def test_load_params_rejects_entries_that_are_not_numbers(tmp_path, field, value):
+    # each is a schema violation, not a bare TypeError or ValueError
+    entry = {"weight": 1.0, "center": [0.0, 0.0], "eigenvalues": [1.0, 1.0]}
+    entry[field] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"components": [entry]}))
+    with pytest.raises(SchemaError):
+        load_params(path)
+
+
 def test_load_params_top_level_not_object(tmp_path):
     path = tmp_path / "p.json"
     path.write_text("[1, 2, 3]")

@@ -432,6 +432,16 @@ def test_log_likelihood_zero_sigma_sentinel():
     assert out == math.inf
 
 
+def test_fit_on_coincident_points_warns_zero_sigma_once():
+    pts = np.ones((6, 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit_spherical_mixture(pts, 1, np.random.default_rng(0))
+    zero = [w for w in caught if issubclass(w.category, ZeroSigmaWarning)]
+    assert len(zero) == 1
+    assert result.sigma == 0.0 and result.log_likelihood == math.inf
+
+
 def test_log_likelihood_closed_form():
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(12, 3))

@@ -59,6 +59,21 @@ def test_config_rejects_non_finite_scales(kwargs):
         SeparationConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"t": "5"},
+        {"t": True},
+        {"t": 1.0, "mode": "practical", "c1": "60"},
+        {"t": 1.0, "mode": "practical", "c2": [30.0]},
+    ],
+    ids=["t-string", "t-bool", "c1-string", "c2-list"],
+)
+def test_config_rejects_scales_that_are_not_numbers(kwargs):
+    with pytest.raises(ValueError, match="must be a number"):
+        SeparationConfig(**kwargs)
+
+
 def test_config_practical_mode_constants():
     cfg = SeparationConfig(t=1.0, mode="practical")
     assert (cfg.c1, cfg.c2) == (60.0, 30.0)
@@ -271,6 +286,26 @@ def test_plant_more_components_than_orthogonal_slots():
         rng=np.random.default_rng(10),
     )
     assert separation_margin(mix, cfg).satisfied
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", 4.0, "n must be an integer"),
+        ("k", 2.0, "k must be an integer"),
+        ("k", True, "k must be an integer"),
+        ("slack", "2", "slack must be a number"),
+    ],
+)
+def test_plant_rejects_arguments_of_the_wrong_type(key, value, message):
+    # k = 2.0 used to die in [shape_spec] * k with a TypeError
+    args = {"n": 4, "k": 2, "slack": 1.5} | {key: value}
+    with pytest.raises(ValueError, match=message):
+        plant_separated_mixture(
+            **args, shape_spec=(1.0, 1.0),
+            config=SeparationConfig(t=5.0, mode="practical"),
+            rng=np.random.default_rng(0),
+        )
 
 
 @pytest.mark.parametrize("slack", [math.nan, math.inf])
