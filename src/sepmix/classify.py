@@ -27,11 +27,13 @@ certified bound on how far any float64 entry the engine forms for it may lie
 from its screened one.  A block, in either dtype, is one GEMM finished in
 place by _expand and clipped at 0, and the engine keeps nothing of it.  Both
 classifiers screen first and form a float64 block only where one of its
-rows may still win or tie.  The warm-up reads every float64 row as it would
-without the screen.  The dense ball forms a float64 row in a block of the
-height it would otherwise have had, but among other rows, so at a later
-peel the last entries of the row may round otherwise, within the slack its
-bounds allow.
+rows may still win or tie.  So does the k-median search: it stores the
+screened upper triangle, prices swaps on it, and forms float64 rows, each in
+its aligned block, only for its centers and the swaps that may still win or
+tie.  The warm-up reads every float64 row as it would without the screen.
+The dense ball forms a float64 row in a block of the height it would
+otherwise have had, but among other rows, so at a later peel the last
+entries of the row may round otherwise, within the slack its bounds allow.
 
 classify_general centers the points on their mean and reads squared-distance
 rows over the live points.  When the threshold is at least the dimension n,
@@ -281,14 +283,14 @@ class _SqDistRows:
         return max(_block_rows(cols), _MIN_GEMM_ROWS)
 
     @staticmethod
-    def check_memory(entries: int, what: str):
-        """Refuse ``what``, a float64 array of ``entries`` entries, before it
-        is allocated when it would not fit in physical memory.
+    def check_memory(entries: int, what: str, dtype=np.float64):
+        """Refuse ``what``, an array of ``entries`` entries of ``dtype``,
+        before it is allocated when it would not fit in physical memory.
 
         Raises:
             InstanceTooLarge: it would not fit.
         """
-        need = entries * 8
+        need = entries * np.dtype(dtype).itemsize
         if need > _physical_memory():
             raise InstanceTooLarge(
                 f"{what} needs {need} bytes, more than physical memory"
@@ -328,12 +330,14 @@ class _SqDistRows:
         g = np.matmul(self.points[rows], self.x[lo:].T, out=out)
         return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
 
-    def screen(self, rows, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def screen(
+        self, rows, lo: int = 0, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Float32 squared distances of ``rows`` to the live columns from the
-        lo-th on, and the rows' bounds err: every float64 entry the engine
-        forms between points r and c, in any block and with either of them as
-        the row, lies within err[r] of their screened entry, whichever of
-        them was screened as the row.
+        lo-th on, written into ``out`` when given, and the rows' bounds err:
+        every float64 entry the engine forms between points r and c, in any
+        block and with either of them as the row, lies within err[r] of their
+        screened entry, whichever of them was screened as the row.
 
         For rows formed on demand only.  A screened block is one float32
         GEMM of rows of y, the points less their mean rounded to float32,
@@ -367,9 +371,7 @@ class _SqDistRows:
         screen is void: its entries are 0 and err is inf for every row, so
         every row is a candidate.
         """
-        if self.err is None:
-            self._screen_bound()
-        if self.void:
+        if self.screen_void:
             width = self.norms.size if self.cols is None else self.cols.size
             shape = (self.norms[rows].size, width - lo)
             return np.zeros(shape, np.float32), self.err[rows]
@@ -382,8 +384,15 @@ class _SqDistRows:
                 self.yt[:, c : c + step] = self._centered32(cols[c : c + step]).T
             self.yt *= np.float32(-2.0)
             self.yyt = self.yy[cols]
-        g = np.matmul(self._centered32(rows), self.yt[:, lo:])
+        g = np.matmul(self._centered32(rows), self.yt[:, lo:], out=out)
         return _expand(g, self.yy[rows], self.yyt[lo:]), self.err[rows]
+
+    @property
+    def screen_void(self) -> bool:
+        """True when the screen is void (see screen): every err is inf."""
+        if self.err is None:
+            self._screen_bound()
+        return self.void
 
     def _centered32(self, rows) -> np.ndarray:
         """Rows of the screen's copy y: the points less their mean, rounded

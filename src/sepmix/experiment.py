@@ -52,13 +52,13 @@ SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
 
 # Numbers the trials read from a config's dicts, as (reals, integers >= 1) per
 # dict.  They are checked to be numbers when the config is made, so that a
-# malformed one fails the run before its first trial; their ranges are left
-# to the code that takes them.  The classifiers' k is a trial's: a trial
-# records the ValueError its classifier raises.
+# malformed one, a k of 2.0 in any dict among them, fails the run before its
+# first trial; the reals' ranges are left to the code that takes them.
 _NUMBER_KEYS = {
     "source": (("t", "c1", "c2", "slack"), ("n", "k")),
-    "spherical": (("t",), ()),
-    "classifier": (("w_min", "delta"), ()),
+    "spherical": (("t",), ("k",)),
+    "classifier": (("w_min", "delta"), ("k",)),
+    "fit": ((), ("k",)),
 }
 
 

@@ -7,6 +7,13 @@ density normalizer (2 pi sigma)^(-n/2); with that plug-in the quadratic term
 of the log-likelihood collapses to exactly M * n / 4.  The textbook
 normalizer (2 pi sigma^2)^(-n/2) is available behind ``normalization =
 "standard"``, where sigma^2 = objective / (M * n) instead.
+
+The local search prices its swaps on a float32 copy of the upper triangle of
+the squared-distance matrix, each price with a certified bound on its
+distance from the float64 one, and forms float64 rows only for the centers
+and for the swaps that can still win.  Its memory is that triangle, about
+M^2 / 2 float32 entries or a quarter of the float64 matrix, plus O(B M) for
+row blocks of B rows.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _SqDistRows, pairwise_sq_dists
+from .classify import _aligned_block, _SqDistRows, pairwise_sq_dists
 from .errors import (
     DimensionMismatch,
     InconsistentSigma,
@@ -69,63 +76,48 @@ def _solution_from_indices(points, idx, to_centers) -> KMedianSolution:
 
 
 class _UpperTriangle:
-    """The symmetric squared-distance matrix D of ``points``, upper triangle only.
+    """A float32 screen of the upper triangle of the squared-distance matrix
+    D of ``points``, and the row engine (``source``) that forms its float64
+    rows.
 
-    Stored as row blocks D[lo:hi, lo:], laid end to end in one buffer, each
-    formed by _SqDistRows as one GEMM of its rows against the trailing
-    points.  A block is about _BLOCK_BYTES and at least _MIN_GEMM_ROWS rows
-    (_SqDistRows.gemm_rows), so blocks grow taller as they narrow.  A GEMM
-    need not round (i, j) and (j, i) alike, so each block's leading square
-    is made symmetric from its upper half: every unordered pair then has one
-    value, read both ways.  Memory is about M^2 / 2 entries.
+    Stored as row blocks D[lo:hi, lo:], each one float32 GEMM of its rows
+    against the trailing points (_SqDistRows.screen).  A block is about
+    _BLOCK_BYTES of float64 and at least _MIN_GEMM_ROWS rows
+    (_SqDistRows.gemm_rows), so blocks grow taller as they narrow.  Row r
+    keeps err[r]: every float64 entry the engine forms for a pair lies
+    within err of the pair's stored entry, read either way.  A GEMM need not
+    round (i, j) and (j, i) alike, so each block's leading square is made
+    symmetric from its upper half: every unordered pair then has one value.
+    Memory is about M^2 / 2 float32 entries, a quarter of the float64
+    matrix.  A void screen (float32 overflow) stores no block.
 
     Raises:
         InstanceTooLarge: the blocks would not fit in physical memory.
     """
 
     def __init__(self, points: np.ndarray):
+        self.source = _SqDistRows(points)
+        self.los, self.blocks = [], []
+        if self.source.screen_void:
+            return
         m = points.shape[0]
         bounds = [0]
         while bounds[-1] < m:
             lo = bounds[-1]
             bounds.append(min(m, lo + _SqDistRows.gemm_rows(m - lo)))
-        sizes = [(hi - lo) * (m - lo) for lo, hi in zip(bounds, bounds[1:])]
         _SqDistRows.check_memory(
-            sum(sizes), f"the upper triangle of a {m} x {m} distance matrix"
+            sum((hi - lo) * (m - lo) for lo, hi in zip(bounds, bounds[1:])),
+            f"the float32 upper triangle of a {m} x {m} distance matrix",
+            np.float32,
         )
-        source = _SqDistRows(points)
-        self.m = m
-        self.los = bounds[:-1]
-        self.flat = np.empty(sum(sizes))
-        self.blocks = []
-        # D[j, c] for c >= row_lo[j], the first column stored in row j, sits
-        # at flat[base[j] + c]
-        self.row_lo = np.empty(m, dtype=np.intp)
-        self.base = np.empty(m, dtype=np.intp)
-        offset = 0
-        for lo, hi, size in zip(bounds, bounds[1:], sizes):
-            blk = self.flat[offset : offset + size].reshape(hi - lo, m - lo)
-            source.block(slice(lo, hi), lo, out=blk)
-            for r in range(1, hi - lo):
-                blk[r, :r] = blk[:r, r]
+        self.err = np.empty(m)
+        for lo, hi in zip(bounds, bounds[1:]):
+            blk = np.empty((hi - lo, m - lo), np.float32)
+            self.err[lo:hi] = self.source.screen(slice(lo, hi), lo, out=blk)[1]
+            square = blk[:, : hi - lo]
+            np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+            self.los.append(lo)
             self.blocks.append(blk)
-            self.row_lo[lo:hi] = lo
-            self.base[lo:hi] = offset - lo + (m - lo) * np.arange(hi - lo)
-            offset += size
-
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        """The M x len(idx) columns D[:, idx], read as D[j, c] where row j
-        stores column c and as D[c, j] where it does not."""
-        rows = np.arange(self.m)[:, None]
-        at = np.where(
-            idx >= self.row_lo[:, None],
-            self.base[:, None] + idx,
-            self.base[idx] + rows,
-        )
-        return self.flat[at]
-
-    def column(self, c: int) -> np.ndarray:
-        return self.columns(np.array([c]))[:, 0]
 
 
 def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSolution:
@@ -144,11 +136,24 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
         sum_j min(d1_j, D_jc)
           + sum_{j: near_j = i} [min(d2nd_j, D_jc) - min(d1_j, D_jc)],
 
-    exactly, whichever center a tie in d1_j is given to.  Only the upper
-    triangle of the distance matrix D is stored (see _UpperTriangle); the
-    seeding, the nearest centers and the final assignment read its columns,
-    and a round is one pass over it, whatever k is, pricing each stored
-    entry for both of its points.
+    exactly, whichever center a tie in d1_j is given to.
+
+    Distances are read from the points less their mean (see _centered).
+    Every float64 value is an entry of a row formed in that row's aligned
+    block of B rows (classify._aligned_block), so it has the same bits
+    whenever it is read.
+    The seeding, each round's d1, d2nd, near and cost, and the final
+    assignment read the k center rows; the objective is then computed
+    exactly from the points.  A round first prices every swap on a float32
+    screen of the triangle (see _UpperTriangle and _swap_costs), each cost
+    with a certified bound on its distance from the float64 one.  It stops
+    when no lower bound reaches the improvement the round needs; otherwise
+    only the swaps whose lower bound reaches the least upper bound, which
+    include every swap that could win or tie, are priced in float64, from
+    their candidates' rows (_price_exactly).  At k = 1 (d2nd is infinite) or
+    when the screen is void, every swap is priced in float64, one aligned
+    block at a time.  Memory is the float32 triangle, about M^2 / 2 entries,
+    plus O(B M).
 
     Raises:
         TooFewPoints: fewer points than centers.
@@ -164,20 +169,33 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
-    tri = _UpperTriangle(points)
+    centered = _centered(points)
+    tri = _UpperTriangle(centered) if k > 1 else None
+    source = _SqDistRows(centered) if tri is None else tri.source
 
+    held = {}  # the center rows read last, kept across rounds
     chosen = [int(rng.integers(m))]
-    nearest = tri.column(chosen[0])
+    nearest = _center_rows(source, chosen, held)[:, 0].copy()
     while len(chosen) < k:
         far = int(np.argmax(nearest))  # first max = lowest index on ties
         chosen.append(far)
-        np.minimum(nearest, tri.column(far), out=nearest)
+        np.minimum(nearest, _center_rows(source, chosen, held)[:, -1], out=nearest)
 
     current = np.array(sorted(chosen), dtype=int)
-    cost = float(tri.columns(current).min(axis=1).sum())
     shrink = 1.0 - _IMPROVEMENT_FACTOR / k
     for _ in range(_MAX_ROUNDS):
-        swap_costs = _swap_costs(tri, current)
+        d1, d2nd, owner = _nearest_centers(_center_rows(source, current, held))
+        cost = float(d1.sum())
+        pairs = np.ones((k, m), dtype=bool)
+        if tri is not None and tri.blocks:
+            screened, bound = _swap_costs(tri, d1, d2nd, owner)
+            if np.isfinite(bound).all():
+                screened[:, current] = np.inf
+                lower = screened - bound
+                if not (lower <= shrink * cost).any():
+                    break
+                pairs = lower <= (screened + bound).min()
+        swap_costs = _price_exactly(source, pairs, d1, d2nd, owner)
         swap_costs[:, current] = np.inf
         best_cost, best_pair = cost, None
         for out_pos in range(k):
@@ -189,54 +207,147 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
         current = current.copy()
         current[best_pair[0]] = best_pair[1]
         current.sort()
-        cost = best_cost
     else:
         warnings.warn(
             f"local search stopped at max_rounds={_MAX_ROUNDS} while "
             "still improving",
             LocalSearchCapWarning,
         )
-    return _solution_from_indices(points, current, tri.columns(current))
+    return _solution_from_indices(
+        points, current, _center_rows(source, current, held)
+    )
 
 
-def _swap_costs(tri: _UpperTriangle, current: np.ndarray) -> np.ndarray:
-    """Objective after each single swap: entry (i, c) swaps current[i] for c.
+def _centered(points: np.ndarray) -> np.ndarray:
+    """The points less their mean, rounded per coordinate to a multiple of
+    the greatest power of two q not above that coordinate's range.  A
+    centered coordinate then lies within 1.5 times its range of 0, and points
+    on a grid of spacing q or coarser, an integer lattice among them, stay on
+    it, so their squared distances stay exact."""
+    span = points.max(axis=0) - points.min(axis=0)
+    q = np.ldexp(1.0, np.frexp(span)[1] - 1)
+    return points - np.rint(points.mean(axis=0) / q) * q
 
-    Evaluated from nearest and second-nearest center distances, one stored
-    block of the triangle at a time, so that no M x M temporary is formed.
-    A block's entry D[j, c] (j in the block's rows, c >= lo) prices point j
-    against candidate c; beyond the leading square, which holds both orders
-    of its pairs, the same entry as D[c, j] also prices point c against
-    candidate j.
-    """
-    m, k = tri.m, current.size
-    to_centers = tri.columns(current)
+
+def _center_rows(source: _SqDistRows, idx, held: dict) -> np.ndarray:
+    """The M x len(idx) squared distances to the points ``idx``: column c is
+    row idx[c], read from its aligned block.  ``held`` maps the points read
+    last time to their rows, and is left holding idx's."""
+    rows = {}
+    for c in map(int, idx):
+        if c in held:
+            rows[c] = held[c]
+        else:
+            lo, blk = _aligned_block(source, c)
+            rows[c] = blk[c - lo].copy()
+    held.clear()
+    held.update(rows)
+    return np.stack([rows[c] for c in map(int, idx)], axis=1)
+
+
+def _nearest_centers(to_centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """d1, d2nd (inf at k = 1) and the M x k indicator of each point's
+    nearest center, ties to the lowest position, from the M x k squared
+    distances to the centers."""
+    m, k = to_centers.shape
     near = np.argmin(to_centers, axis=1)
     d1 = to_centers[np.arange(m), near]
-    if k == 1:
-        d2nd = np.full(m, np.inf)
-    else:
-        d2nd = np.partition(to_centers, 1, axis=1)[:, 1]
+    d2nd = np.partition(to_centers, 1, axis=1)[:, 1] if k > 1 else np.full(m, np.inf)
     owner = np.zeros((m, k))
     owner[np.arange(m), near] = 1.0
+    return d1, d2nd, owner
+
+
+def _swap_costs(
+    tri: _UpperTriangle, d1: np.ndarray, d2nd: np.ndarray, owner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screened swap costs, entry (i, c) for swapping out position i for
+    candidate c, and a bound on how far each lies from its float64 price.
+
+    ``owner`` is the M x k indicator of each point's nearest center.  One
+    pass over the stored float32 blocks, so no M x M temporary is formed.  A
+    block's entry D[j, c] (j in the block's rows, c >= lo) prices point j
+    against candidate c; beyond the leading square, which holds both orders
+    of its pairs, the same entry as D[c, j] also prices point c against
+    candidate j.  Thresholds d1 and d2nd are rounded to float32, each block's
+    sums are float32, and the blocks' sums are accumulated in float64.
+
+    With u = 2^-24, E = max err over the rows and S the screened cost,
+
+        bound = (1 + 2^-20) [M E + u sum_j d2nd_j + 3 (M + 1) u S].
+
+    Derivation.  Each term of the cost, min(d1_j, D_jc) or min(d2nd_j, D_jc),
+    moves by at most as much as D_jc or its threshold does, so the stored
+    entries move the exact-arithmetic cost by at most M E, and rounding the
+    thresholds to float32 by at most u sum_j d2nd_j (d1_j <= d2nd_j); the
+    2^-100 in err also covers rounding a subnormal threshold.  The terms
+    are nonnegative.  No float32 sum, or GEMM, adds more than M of them,
+    and forming min(d2nd, D) - min(d1, D) rounds once more, so each block's
+    float32 sums lie within gamma_(M+1) = (M + 1) u / (1 - (M + 1) u) of
+    their exact value, relative to the sum of their terms (Higham 2002,
+    section 3.1; owner's entries are 0 or 1, so its products are exact).
+    The float64 accumulation adds far less than that, so S lies within
+    2 gamma / (1 - 2 gamma) S < 3 (M + 1) u S of the exact sum of its terms
+    when (M + 1) u <= 1/16.  The factor 1 + 2^-20 covers the float64
+    summation of an exact price and the rounding of the bound and of
+    S -/+ bound.  A float32 sum that overflows is infinite, and so is its
+    bound; at (M + 1) u > 1/16 every bound is infinite.
+    """
+    m, k = owner.shape
+    a, b = d1.astype(np.float32), d2nd.astype(np.float32)
+    owner = owner.astype(np.float32)
     kept = np.zeros(m)  # sum_j min(d1_j, D_jc), the cost when j keeps its center
     lost = np.zeros((k, m))  # the correction for points whose center leaves
-    for lo, blk in zip(tri.los, tri.blocks):
-        hi = lo + blk.shape[0]
-        # rows j in [lo, hi) against candidates c >= lo
-        kept_blk = np.minimum(d1[lo:hi, None], blk)
-        kept[lo:] += kept_blk.sum(axis=0)
-        moved = np.minimum(d2nd[lo:hi, None], blk)
-        moved -= kept_blk
-        lost[:, lo:] += owner[lo:hi].T @ moved
-        # points j >= hi against candidates c in [lo, hi), read transposed
-        tail = blk[:, hi - lo :]
-        kept_blk = np.minimum(d1[None, hi:], tail)
-        kept[lo:hi] += kept_blk.sum(axis=1)
-        moved = np.minimum(d2nd[None, hi:], tail)
-        moved -= kept_blk
-        lost[:, lo:hi] += (moved @ owner[hi:]).T
-    return kept + lost
+    with np.errstate(over="ignore"):
+        for lo, blk in zip(tri.los, tri.blocks):
+            hi = lo + blk.shape[0]
+            # rows j in [lo, hi) against candidates c >= lo
+            kept_blk = np.minimum(a[lo:hi, None], blk)
+            kept[lo:] += kept_blk.sum(axis=0)
+            moved = np.minimum(b[lo:hi, None], blk)
+            moved -= kept_blk
+            lost[:, lo:] += owner[lo:hi].T @ moved
+            # points j >= hi against candidates c in [lo, hi), read transposed
+            tail = blk[:, hi - lo :]
+            kept_blk = np.minimum(a[None, hi:], tail)
+            kept[lo:hi] += kept_blk.sum(axis=1)
+            moved = np.minimum(b[None, hi:], tail)
+            moved -= kept_blk
+            lost[:, lo:hi] += (moved @ owner[hi:]).T
+    costs = kept + lost
+    u = 2.0**-24
+    if (m + 1) * u > 1.0 / 16.0:
+        return costs, np.full_like(costs, np.inf)
+    bound = m * tri.err.max() + u * d2nd.sum() + 3.0 * (m + 1) * u * costs
+    bound *= 1.0 + 2.0**-20
+    return costs, bound
+
+
+def _price_exactly(
+    source: _SqDistRows,
+    pairs: np.ndarray,
+    d1: np.ndarray,
+    d2nd: np.ndarray,
+    owner: np.ndarray,
+) -> np.ndarray:
+    """Float64 swap costs, k x M, of every candidate with a pair marked in
+    ``pairs``, and inf for the others.
+
+    Each aligned block that holds such a candidate is formed once
+    (classify._aligned_block), and all its candidates are priced for every
+    out position from their rows, so a candidate's price depends only on
+    its row, d1, d2nd and owner.  Memory is O(B M).
+    """
+    k, m = pairs.shape
+    costs = np.full((k, m), np.inf)
+    step = source.step
+    for start in np.unique(np.flatnonzero(pairs.any(axis=0)) // step):
+        lo, blk = _aligned_block(source, int(start) * step)
+        kept = np.minimum(d1, blk)
+        moved = np.minimum(d2nd, blk)
+        moved -= kept
+        costs[:, lo : lo + blk.shape[0]] = kept.sum(axis=1) + (moved @ owner).T
+    return costs
 
 
 def kmedian_exhaustive(points, k: int) -> KMedianSolution:

@@ -258,8 +258,22 @@ _PLANT = {"kind": "plant", "n": 4, "k": 2, "t": 5.0, "shapes": [1.0, 1.0]}
             {"scenario": "classify_general", "classifier": {"k": 2, "w_min": "0.5"}},
             "classifier.w_min must be a number",
         ),
+        ({"spherical": {"k": 2.0, "t": 1.0}}, "spherical.k must be an integer"),
+        (
+            {"scenario": "classify_general", "classifier": {"k": 2.0, "w_min": 0.5}},
+            "classifier.k must be an integer",
+        ),
+        ({"fit": {"k": 2.0}}, "fit.k must be an integer"),
     ],
-    ids=["source-t", "spherical-t", "source-k", "classifier-w_min"],
+    ids=[
+        "source-t",
+        "spherical-t",
+        "source-k",
+        "classifier-w_min",
+        "spherical-k",
+        "classifier-k",
+        "fit-k",
+    ],
 )
 def test_experiment_number_that_is_not_one_exits_two(tmp_path, capsys, doc, message):
     base = {"scenario": "classify_spherical", "trials": 1, "master_seed": 0,

@@ -186,11 +186,17 @@ def test_errors_recorded_without_aborting():
         assert ":" in rep.error
 
 
-def test_non_integral_k_is_recorded_as_a_trial_error():
-    # "k": 2.0 in a config fails at ClassifierConfig, inside the trial
-    result = run_experiment(_plant_config(trials=1, classifier={"k": 2.0, "w_min": 0.5}))
-    assert result.error_count == 1
-    assert result.reports[0].error == "ValueError: k must be an integer, got 2.0"
+def test_non_integral_k_fails_when_the_config_is_made():
+    # "k": 2.0 is the same error in every trial, so it fails the config, as
+    # a source's k does, in whichever dict the trials read it from
+    for part, doc in [
+        ("classifier", {"k": 2.0, "w_min": 0.5}),
+        ("spherical", {"k": 2.0, "t": 1.0}),
+        ("fit", {"k": 2.0}),
+    ]:
+        message = rf"^{part}\.k must be an integer, got 2\.0$"
+        with pytest.raises(ValueError, match=message):
+            _plant_config(trials=1, **{part: doc})
 
 
 def test_error_text_sanitized_in_summary():

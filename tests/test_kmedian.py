@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import sepmix.kmedian
 from conftest import kmedian_cost
 from sepmix import classify as classify_module
-from sepmix.classify import pairwise_sq_dists
+from sepmix.classify import _SqDistRows, pairwise_sq_dists
 from sepmix.errors import (
     DimensionMismatch,
     InconsistentSigma,
@@ -30,6 +30,7 @@ from sepmix.kmedian import (
     sigma_hat,
     spherical_log_likelihood,
 )
+from sepmix.model import Mixture, make_gaussian, sample_mixture
 
 
 def _col(vals):
@@ -181,16 +182,32 @@ def _direct_swap_costs(d2, current):
     return np.array(rows)
 
 
+def _engine_rows(source):
+    """Every point's float64 row, each formed in its aligned block, stacked:
+    entry [c, j] prices point j against candidate c, as the search reads it."""
+    m, step = source.norms.size, source.step
+    return np.vstack([source.block(slice(lo, lo + step)) for lo in range(0, m, step)])
+
+
 def _assert_swap_costs_match_direct_evaluation(points, rng, k, draws):
-    tri = _UpperTriangle(points)
-    d2 = pairwise_sq_dists(points)
+    """Against the direct evaluation on the rows the search reads: float64
+    prices agree at rtol 1e-12, and each screened cost lies within its bound
+    (at k = 1 every bound is infinite).  Returns the triangle's block count."""
+    m = points.shape[0]
+    tri = _UpperTriangle(sepmix.kmedian._centered(points))
+    d2 = _engine_rows(tri.source).T
     for _ in range(draws):
-        current = np.sort(rng.choice(points.shape[0], size=k, replace=False))
-        np.testing.assert_allclose(
-            sepmix.kmedian._swap_costs(tri, current),
-            _direct_swap_costs(d2, current),
-            rtol=1e-12,
-        )
+        current = np.sort(rng.choice(m, size=k, replace=False))
+        direct = _direct_swap_costs(d2, current)
+        d1, d2nd, owner = sepmix.kmedian._nearest_centers(d2[:, current])
+        everything = np.ones((k, m), dtype=bool)
+        exact = sepmix.kmedian._price_exactly(tri.source, everything, d1, d2nd, owner)
+        np.testing.assert_allclose(exact, direct, rtol=1e-12)
+        screened, bound = sepmix.kmedian._swap_costs(tri, d1, d2nd, owner)
+        if k == 1:
+            assert np.isinf(bound).all()
+        else:
+            assert np.all(np.abs(screened - direct) <= bound)
     return len(tri.blocks)
 
 
@@ -268,6 +285,201 @@ def test_triangle_takes_the_row_engines_block_grid(monkeypatch):
     pts = rng.normal(size=(40, 3))
     for k in (1, 2, 3):
         assert _assert_swap_costs_match_direct_evaluation(pts, rng, k, 3) == 14
+
+
+def _points_of_kind(rng, m, n, kind):
+    if kind == "lattice":  # integer points: every distance exact, ties common
+        return rng.integers(-2, 3, size=(m, n)).astype(float)
+    pts = rng.normal(size=(m, n))
+    if kind == "duplicates":
+        pts[m // 2 :] = pts[: m - m // 2]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=4, max_value=120),
+    n=st.integers(min_value=1, max_value=8),
+    k=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["normal", "lattice", "duplicates"]),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@example(seed=1, m=400, n=3, k=4, kind="duplicates", offset=1e6, scale=1.0)
+@example(seed=2, m=350, n=2, k=3, kind="lattice", offset=0.0, scale=1.0)
+def test_screened_swap_costs_are_certified(seed, m, n, k, kind, offset, scale):
+    # every screened cost lies within its bound of the float64 price, far
+    # from the origin and across blocks too (350 and 400 points make 3 and
+    # 4 blocks)
+    rng = np.random.default_rng(seed)
+    k = min(k, m)
+    pts = _points_of_kind(rng, m, n, kind) * scale + offset * rng.normal(size=n)
+    _assert_swap_costs_match_direct_evaluation(pts, rng, k, 3)
+
+
+def test_screen_bound_covers_float32_sums():
+    # A lattice closed under negation has mean exactly 0, so its float32
+    # entries are the exact integer squared distances (all below 2^24), as
+    # are d1 and d2nd.  With err zeroed only the float32 sums are left to
+    # cover; over 2000 points their rounding reached 1.74 u sum(d2nd), the
+    # bound's other term, on these draws, so the summation term is needed.
+    rng = np.random.default_rng(63)
+    half = rng.integers(-1000, 1001, size=(1000, 2)).astype(float)
+    pts = np.vstack([half, -half])
+    tri = _UpperTriangle(sepmix.kmedian._centered(pts))
+    assert tri.source.points.mean(axis=0).tolist() == [0.0, 0.0]
+    tri.err[:] = 0.0
+    d2 = _engine_rows(tri.source).T
+    for _ in range(4):
+        current = np.sort(rng.choice(2000, size=2, replace=False))
+        d1, d2nd, owner = sepmix.kmedian._nearest_centers(d2[:, current])
+        screened, bound = sepmix.kmedian._swap_costs(tri, d1, d2nd, owner)
+        assert np.all(np.abs(screened - _direct_swap_costs(d2, current)) <= bound)
+
+
+def test_local_search_on_a_void_screen_prices_every_swap(monkeypatch):
+    # a void screen stores no block and prices every swap in float64, and
+    # that finds the swaps the screen finds, bit for bit
+    rng = np.random.default_rng(60)
+    cases = [
+        (_points_of_kind(rng, m, 3, kind), k)
+        for m, kind, k in [(40, "normal", 3), (350, "duplicates", 4), (300, "lattice", 2)]
+    ]
+    want = [kmedian_local_search(p, k, np.random.default_rng(61)) for p, k in cases]
+    monkeypatch.setattr(_SqDistRows, "screen_void", property(lambda self: True))
+    screened = []
+    monkeypatch.setattr(
+        sepmix.kmedian, "_swap_costs", lambda *a: screened.append(a) or None
+    )
+    for (p, k), w in zip(cases, want):
+        assert _UpperTriangle(p).blocks == []
+        have = kmedian_local_search(p, k, np.random.default_rng(61))
+        assert have.center_indices.tolist() == w.center_indices.tolist()
+        assert have.objective == w.objective
+    assert screened == []
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e18], ids=["void", "overflowing-sums"])
+def test_local_search_outside_float32_range_matches_reference(scale):
+    # at 1e20 the screen itself would overflow, so it is void; at 1e18 its
+    # entries fit float32 but a sum of them does not, so a round's bounds are
+    # infinite.  Either way every swap is priced in float64.
+    rng = np.random.default_rng(62)
+    pts = rng.normal(size=(300, 2)) * scale
+    tri = _UpperTriangle(sepmix.kmedian._centered(pts))
+    assert (tri.blocks == []) == (scale == 1e20)
+    for k in (2, 3):
+        have = kmedian_local_search(pts, k, np.random.default_rng(k))
+        want = _reference_local_search(pts, k, np.random.default_rng(k))
+        if not np.array_equal(have.center_indices, want):
+            tied = kmedian_cost(pts, pts[want])
+            assert have.objective == pytest.approx(tied, rel=1e-12)
+    if tri.blocks:
+        d1, d2nd, owner = sepmix.kmedian._nearest_centers(
+            _engine_rows(tri.source).T[:, [0, 1]]
+        )
+        bound = sepmix.kmedian._swap_costs(tri, d1, d2nd, owner)[1]
+        assert not np.isfinite(bound).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=4, max_value=60),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(["normal", "lattice", "duplicates"]),
+    offset=st.sampled_from([1.0, 1e3, 1e6]),
+)
+def test_local_search_is_translation_invariant(seed, m, n, k, kind, offset):
+    # a lattice moves by an integer vector, so it stays exact and the search
+    # must not move at all; real points move by a real vector, and the
+    # centers may then differ only at a genuine tie
+    rng = np.random.default_rng(seed)
+    k = min(k, m)
+    pts = _points_of_kind(rng, m, n, kind)
+    shift = offset * rng.normal(size=n)
+    if kind == "lattice":
+        shift = np.round(shift)
+    a = kmedian_local_search(pts, k, np.random.default_rng(seed + 1))
+    b = kmedian_local_search(pts + shift, k, np.random.default_rng(seed + 1))
+    if kind == "lattice" or np.array_equal(a.center_indices, b.center_indices):
+        assert a.center_indices.tolist() == b.center_indices.tolist()
+    else:
+        tied = kmedian_cost(pts, pts[b.center_indices])
+        assert tied == pytest.approx(a.objective, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=4, max_value=60),
+    n=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=4),
+    duplicates=st.booleans(),
+    offset=st.sampled_from([0.0, 1e6]),
+)
+def test_local_search_is_permutation_invariant(seed, m, n, k, duplicates, offset):
+    # the permutation keeps the seeded first center in place; the search
+    # then finds the same points, or, where duplicates tie, points that cost
+    # the same (lattices tie too often for the paths to stay comparable)
+    rng = np.random.default_rng(seed)
+    k = min(k, m)
+    pts = _points_of_kind(rng, m, n, "duplicates" if duplicates else "normal")
+    pts += offset
+    first = int(np.random.default_rng(seed + 1).integers(m))
+    perm = rng.permutation(m)
+    where = int(np.flatnonzero(perm == first)[0])
+    perm[[where, first]] = perm[[first, where]]
+    a = kmedian_local_search(pts, k, np.random.default_rng(seed + 1))
+    b = kmedian_local_search(pts[perm], k, np.random.default_rng(seed + 1))
+    moved = np.sort(perm[b.center_indices])
+    if not np.array_equal(a.center_indices, moved):
+        assert kmedian_cost(pts, pts[moved]) == pytest.approx(a.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["origin", "far-offset"])
+def test_local_search_prices_few_swaps_in_float64(monkeypatch, offset):
+    # On the criterion-3 mixture (M=4000, n=64, k=4, simplex side 57.66) the
+    # float32 screen leaves one or two swaps per round to price in float64,
+    # and each round forms a few aligned float64 blocks: the new center's
+    # row and the priced candidates'.  A bound gone loose prices more.
+    centers = np.zeros((4, 64))
+    centers[np.arange(4), np.arange(4)] = 57.66 / math.sqrt(2.0)
+    comps = [make_gaussian(c, np.ones(64)) for c in centers]
+    samples = sample_mixture(
+        Mixture(components=comps, weights=np.full(4, 0.25)),
+        np.random.default_rng(606),
+        4000,
+        seed=606,
+    )
+    rounds = []  # per round: [pairs priced in float64, float64 blocks formed]
+    block, swap_costs, price = (
+        _SqDistRows.block, sepmix.kmedian._swap_costs, sepmix.kmedian._price_exactly
+    )
+
+    def count_block(self, rows):
+        if rounds:
+            rounds[-1][1] += 1
+        return block(self, rows)
+
+    def count_round(*args):
+        rounds.append([0, 0])
+        return swap_costs(*args)
+
+    def count_pairs(source, pairs, *args):
+        rounds[-1][0] += int(pairs.sum())
+        return price(source, pairs, *args)
+
+    monkeypatch.setattr(_SqDistRows, "block", count_block)
+    monkeypatch.setattr(sepmix.kmedian, "_swap_costs", count_round)
+    monkeypatch.setattr(sepmix.kmedian, "_price_exactly", count_pairs)
+    sol = kmedian_local_search(samples.points + offset, 4, np.random.default_rng(1))
+    assert np.array_equal(np.sort(samples.labels[sol.center_indices]), np.arange(4))
+    assert len(rounds) >= 3, rounds
+    assert all(pairs <= 4 and blocks <= 4 for pairs, blocks in rounds), rounds
+    assert rounds[-1] == [0, 0], rounds  # the last round stops on the screen
 
 
 # ---------------------------------------------------------------------------

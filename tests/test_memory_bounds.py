@@ -5,11 +5,12 @@ classify._SqDistRows, under one memory rule: a matrix is stored only within
 classify._MATRIX_BUDGET, and an array larger than physical memory is refused
 before it is allocated.  pairwise_sq_dists may hold the one M x M squared
 distance matrix it builds, plus temporaries far smaller than it, and the
-k-median search the upper triangle of it.  A second M x M temporary, such as
-an unblocked Gram expansion or a rooted copy of the matrix, lifts the peak
-to 2 M^2 * 8 bytes or more and fails these tests.  The warm-up and
-classify_general on rows formed on demand hold no matrix at all: row blocks
-of O(B M) entries, the points and vectors of one entry per point.
+k-median search a float32 copy of its upper triangle.  A second M x M
+temporary, such as an unblocked Gram expansion or a rooted copy of the
+matrix, lifts the peak to 2 M^2 * 8 bytes or more and fails these tests.
+The warm-up and classify_general on rows formed on demand hold no matrix at
+all: row blocks of O(B M) entries, the points and vectors of one entry per
+point.
 
 The Monte Carlo checks and median_radius draw their standard normals in
 blocks of model._DRAW_CHUNK values (1 MiB) into one reused buffer and reduce
@@ -43,7 +44,7 @@ from sepmix.concentration import (
     shell_mass_check,
 )
 from sepmix.errors import InstanceTooLarge
-from sepmix.kmedian import kmedian_local_search
+from sepmix.kmedian import _UpperTriangle, kmedian_local_search
 from sepmix.model import median_radius
 
 M, N = 3000, 8
@@ -104,16 +105,19 @@ def test_warm_up_holds_no_distance_matrix(three_clusters):
 
 
 def test_kmedian_holds_half_a_distance_matrix(three_clusters):
-    # the upper triangle is M (M + B) / 2 entries for blocks of B rows
+    # the float32 upper triangle is about M (M + B) / 2 entries of 4 bytes
+    # for blocks of B rows, a quarter of the float64 matrix; the float64 rows
+    # the search forms are O(B M)
     peak = _traced_peak(
         lambda: kmedian_local_search(three_clusters, 3, np.random.default_rng(1))
     )
-    assert peak <= 0.6 * M * M * 8, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"
+    assert peak <= 0.35 * M * M * 8, f"peak {peak / (M * M * 8):.2f} x M^2 * 8 bytes"
 
 
 def test_kmedian_refuses_triangle_beyond_physical_memory(monkeypatch, three_clusters):
-    # a machine with a quarter of the matrix: the triangle takes half of it,
-    # and the search stops before forming any block
+    # a machine with a quarter of the matrix, M^2 * 2 bytes: the float32
+    # triangle takes (M^2 + sum of B^2 over its blocks) * 2 bytes, a little
+    # more, and the search stops before forming any block
     monkeypatch.setattr(classify, "_physical_memory", lambda: M * M * 8 // 4)
 
     def search():
@@ -122,6 +126,14 @@ def test_kmedian_refuses_triangle_beyond_physical_memory(monkeypatch, three_clus
 
     peak = _traced_peak(search)
     assert peak <= 0.01 * M * M * 8, f"peak {peak / (M * M * 8):.3f} x M^2 * 8 bytes"
+
+
+def test_kmedian_triangle_is_sized_at_four_bytes_an_entry(monkeypatch, three_clusters):
+    # a machine with a third of the matrix, M^2 * 8 / 3 bytes, holds the
+    # float32 triangle (a little over M^2 * 2 bytes) but would not hold a
+    # float64 one (M^2 * 4)
+    monkeypatch.setattr(classify, "_physical_memory", lambda: M * M * 8 // 3)
+    assert len(_UpperTriangle(three_clusters).blocks) > 1
 
 
 def test_pairwise_sq_dists_refuses_before_forming_the_product(
