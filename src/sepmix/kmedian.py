@@ -150,10 +150,10 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
     when no lower bound reaches the improvement the round needs; otherwise
     only the swaps whose lower bound reaches the least upper bound, which
     include every swap that could win or tie, are priced in float64, from
-    their candidates' rows (_price_exactly).  At k = 1 (d2nd is infinite) or
-    when the screen is void, every swap is priced in float64, one aligned
-    block at a time.  Memory is the float32 triangle, about M^2 / 2 entries,
-    plus O(B M).
+    their candidates' rows (_price_exactly).  When the screen is void, or a
+    float32 sum overflows, every swap is priced in float64, one aligned block
+    at a time.  Memory is the float32 triangle, about M^2 / 2 entries, plus
+    O(B M).
 
     Raises:
         TooFewPoints: fewer points than centers.
@@ -169,9 +169,8 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
     m = points.shape[0]
     if m < k:
         raise TooFewPoints(f"{m} points < k = {k}")
-    centered = _centered(points)
-    tri = _UpperTriangle(centered) if k > 1 else None
-    source = _SqDistRows(centered) if tri is None else tri.source
+    tri = _UpperTriangle(_centered(points))
+    source = tri.source
 
     held = {}  # the center rows read last, kept across rounds
     chosen = [int(rng.integers(m))]
@@ -187,7 +186,7 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
         d1, d2nd, owner = _nearest_centers(_center_rows(source, current, held))
         cost = float(d1.sum())
         pairs = np.ones((k, m), dtype=bool)
-        if tri is not None and tri.blocks:
+        if tri.blocks:
             screened, bound = _swap_costs(tri, d1, d2nd, owner)
             if np.isfinite(bound).all():
                 screened[:, current] = np.inf
@@ -272,15 +271,17 @@ def _swap_costs(
     candidate j.  Thresholds d1 and d2nd are rounded to float32, each block's
     sums are float32, and the blocks' sums are accumulated in float64.
 
-    With u = 2^-24, E = max err over the rows and S the screened cost,
+    With u = 2^-24, E = max err over the rows, S the screened cost and t_j
+    the larger of d1_j and d2nd_j that is finite (d2nd is inf at k = 1),
 
-        bound = (1 + 2^-20) [M E + u sum_j d2nd_j + 3 (M + 1) u S].
+        bound = (1 + 2^-20) [M E + u sum_j t_j + 3 (M + 1) u S].
 
     Derivation.  Each term of the cost, min(d1_j, D_jc) or min(d2nd_j, D_jc),
     moves by at most as much as D_jc or its threshold does, so the stored
     entries move the exact-arithmetic cost by at most M E, and rounding the
-    thresholds to float32 by at most u sum_j d2nd_j (d1_j <= d2nd_j); the
-    2^-100 in err also covers rounding a subnormal threshold.  The terms
+    thresholds to float32 by at most u sum_j t_j (d1_j <= d2nd_j, and inf
+    rounds to itself); the 2^-100 in err also covers rounding a subnormal
+    threshold.  The terms
     are nonnegative.  No float32 sum, or GEMM, adds more than M of them,
     and forming min(d2nd, D) - min(d1, D) rounds once more, so each block's
     float32 sums lie within gamma_(M+1) = (M + 1) u / (1 - (M + 1) u) of
@@ -318,7 +319,8 @@ def _swap_costs(
     u = 2.0**-24
     if (m + 1) * u > 1.0 / 16.0:
         return costs, np.full_like(costs, np.inf)
-    bound = m * tri.err.max() + u * d2nd.sum() + 3.0 * (m + 1) * u * costs
+    largest = np.where(d2nd < np.inf, d2nd, d1)
+    bound = m * tri.err.max() + u * largest.sum() + 3.0 * (m + 1) * u * costs
     bound *= 1.0 + 2.0**-20
     return costs, bound
 

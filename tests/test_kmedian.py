@@ -191,8 +191,8 @@ def _engine_rows(source):
 
 def _assert_swap_costs_match_direct_evaluation(points, rng, k, draws):
     """Against the direct evaluation on the rows the search reads: float64
-    prices agree at rtol 1e-12, and each screened cost lies within its bound
-    (at k = 1 every bound is infinite).  Returns the triangle's block count."""
+    prices agree at rtol 1e-12, and each screened cost lies within its bound.
+    Returns the triangle's block count."""
     m = points.shape[0]
     tri = _UpperTriangle(sepmix.kmedian._centered(points))
     d2 = _engine_rows(tri.source).T
@@ -204,10 +204,7 @@ def _assert_swap_costs_match_direct_evaluation(points, rng, k, draws):
         exact = sepmix.kmedian._price_exactly(tri.source, everything, d1, d2nd, owner)
         np.testing.assert_allclose(exact, direct, rtol=1e-12)
         screened, bound = sepmix.kmedian._swap_costs(tri, d1, d2nd, owner)
-        if k == 1:
-            assert np.isinf(bound).all()
-        else:
-            assert np.all(np.abs(screened - direct) <= bound)
+        assert np.all(np.abs(screened - direct) <= bound)
     return len(tri.blocks)
 
 
