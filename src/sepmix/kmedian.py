@@ -141,19 +141,18 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
     Distances are read from the points less their mean (see _centered).
     Every float64 value is an entry of a row formed in that row's aligned
     block of B rows (classify._aligned_block), so it has the same bits
-    whenever it is read.
-    The seeding, each round's d1, d2nd, near and cost, and the final
-    assignment read the k center rows; the objective is then computed
-    exactly from the points.  A round first prices every swap on a float32
-    screen of the triangle (see _UpperTriangle and _swap_costs), each cost
-    with a certified bound on its distance from the float64 one.  It stops
-    when no lower bound reaches the improvement the round needs; otherwise
-    only the swaps whose lower bound reaches the least upper bound, which
-    include every swap that could win or tie, are priced in float64, from
-    their candidates' rows (_price_exactly).  When the screen is void, or a
-    float32 sum overflows, every swap is priced in float64, one aligned block
-    at a time.  Memory is the float32 triangle, about M^2 / 2 entries, plus
-    O(B M).
+    whenever it is read.  The seeding, each round's d1, d2nd, near and cost,
+    and the final assignment read the k center rows; the objective is then
+    computed exactly from the points.  A round first prices every swap on a
+    float32 screen of the triangle (see _UpperTriangle and _swap_costs),
+    each cost with a certified bound on its distance from the float64 one.
+    It stops when no lower bound reaches the improvement the round needs;
+    otherwise only the swaps whose lower bound reaches the least upper
+    bound, which include every swap that could win or tie, are priced in
+    float64, from their candidates' rows (_price_exactly).  When the screen
+    is void, or a float32 sum overflows, every swap is priced in float64,
+    one aligned block at a time.  Memory is the float32 triangle, about
+    M^2 / 2 entries, plus O(B M).
 
     Raises:
         TooFewPoints: fewer points than centers.
@@ -281,12 +280,12 @@ def _swap_costs(
     entries move the exact-arithmetic cost by at most M E, and rounding the
     thresholds to float32 by at most u sum_j t_j (d1_j <= d2nd_j, and inf
     rounds to itself); the 2^-100 in err also covers rounding a subnormal
-    threshold.  The terms
-    are nonnegative.  No float32 sum, or GEMM, adds more than M of them,
-    and forming min(d2nd, D) - min(d1, D) rounds once more, so each block's
-    float32 sums lie within gamma_(M+1) = (M + 1) u / (1 - (M + 1) u) of
-    their exact value, relative to the sum of their terms (Higham 2002,
-    section 3.1; owner's entries are 0 or 1, so its products are exact).
+    threshold.  The terms are nonnegative.  No float32 sum, or GEMM, adds
+    more than M of them, and forming min(d2nd, D) - min(d1, D) rounds once
+    more, so each block's float32 sums lie within
+    gamma_(M+1) = (M + 1) u / (1 - (M + 1) u) of their exact value, relative
+    to the sum of their terms (Higham 2002, section 3.1; owner's entries are
+    0 or 1, so its products are exact).
     The float64 accumulation adds far less than that, so S lies within
     2 gamma / (1 - 2 gamma) S < 3 (M + 1) u S of the exact sum of its terms
     when (M + 1) u <= 1/16.  The factor 1 + 2^-20 covers the float64
