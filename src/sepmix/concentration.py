@@ -10,29 +10,32 @@ compares the observed fraction against a claimed probability with a
 A claim can be vacuous (claimed <= 0, or a relative tolerance >= 1); that is
 reported, never hidden.
 
-The single-component checks never need the rotated draws.  A draw x = c + R diag(sqrt(lambda)) z has
-|x - p|^2 = sum_i (sqrt(lambda_i) z_i - v_i)^2 with v = R^T (p - c), because
-R is an isometry, and its projection on a direction w is
-w . (x - c) = (w R diag(sqrt(lambda))) . z.  So those checks draw the same
-standard normal block that ``sample`` would map and work on it in eigen
-coordinates without forming the rotated points.  The generator advances
-exactly as if the points had been sampled, and the measured distances and
-moments differ from those of sampled points only by roundoff.  Only the
-cross-component check samples points, because its two components rotate
-differently.
+Every check reduces its n-dimensional draws to one statistic, and draws
+that statistic from its exact law rather than the draws themselves.  A draw
+x = c + R diag(sqrt(lambda)) z has |x - p|^2 = sum_i (sqrt(lambda_i) z_i -
+v_i)^2 with v = R^T (p - c), because R is an isometry.  Grouping equal
+eigenvalues, a group of multiplicity m contributes one noncentral
+chi-square, drawn as one normal and one chi-square with m - 1 degrees of
+freedom (model._sq_dist_draws), so a spherical component takes one or two
+variates a sample whatever its dimension.  A spectrum without repeated
+eigenvalues keeps n standard normals a sample: the block ``sample`` would
+map, so the generator advances as if the points had been sampled and the
+distances differ from theirs only by roundoff.  The
+pair check draws x - y ~ N(0, 2 R diag(lambda) R^T) in one pass; a
+spherical cross pair is one group of eigenvalue sigma_i^2 + sigma_j^2 with
+offset |c_i - c_j|.  Only a nonspherical cross pair samples points, because
+its two components rotate differently: it streams the second component's
+draws against the first's kept points x.  The covariance check needs
+z^T z, a Wishart matrix, and draws its Bartlett factor
+(model._bartlett_factor): O(n^2) variates instead of N n.
 
-Every check but the covariance one draws its standard normals in
-consecutive row blocks of about 1 MiB (model._normal_blocks) and reduces
-each block as it is drawn, so it holds one block and at most one value per
-draw, never the whole draw.  Each step on a row (scaling, shift, rotation,
-row sum) rounds the same whatever the block height, as long as no block is
-only a few rows high, which _normal_blocks ensures; so the reports are those
-of the one-block draw, bit for bit, and the generator ends in the same
-state.  The two-sample checks pair row i with row N + i of their stream, so
-they keep the first N rows whole (the pair check its normals, the
-cross-pair check its points x) and stream the second half against them:
-half the one-block draw.  The covariance check keeps its one block, because
-blocks would reorder the sums in z^T z.
+Every draw is made in consecutive blocks of about 1 MiB and reduced as it
+is drawn, so a check holds one block and at most one value per draw (the
+nonspherical cross pair, its first component's points).  Each
+step on a row rounds the same whatever the block height, so on a spectrum
+without repeats the reports are those of the one-block draw, bit for bit,
+and the generator ends in the same state.  Reruns are byte-identical on any
+spectrum.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ from .errors import (
 )
 from .model import (
     GaussianParams,
+    _bartlett_factor,
     _from_standard_normal,
     _normal_blocks,
-    _sq_dists,
+    _sq_dist_draws,
     sample,  # noqa: F401  # the benchmark rebinds sepmix.concentration.sample
 )
 from .separation import _PRACTICAL_CONSTANTS, SeparationConfig, pair_margin
@@ -124,8 +128,8 @@ def shell_mass_check(
     radius, sigma = _require_scale(params)
     lo, hi = radius - t * sigma, radius + t * sigma
     hits = 0
-    for _, z in _normal_blocks(rng, num_samples, params.dim):
-        dist = np.sqrt(_sq_dists(params, z))
+    for _, d2 in _sq_dist_draws(params, rng, num_samples):
+        dist = np.sqrt(d2, out=d2)
         hits += int(np.count_nonzero((dist >= lo) & (dist <= hi)))
     return _bound(1.0 - math.exp(-t), hits, num_samples)
 
@@ -153,8 +157,7 @@ def point_distance_check(
     lo = max(radius - t * sigma, 0.0) ** 2 + zp * zp - cross
     hi = (radius + t * sigma) ** 2 + zp * zp + cross
     hits = 0
-    for _, block in _normal_blocks(rng, num_samples, params.dim):
-        d2 = _sq_dists(params, block, point=z)
+    for _, d2 in _sq_dist_draws(params, rng, num_samples, point=z):
         hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 2.0 * math.exp(-t), hits, num_samples)
 
@@ -172,59 +175,14 @@ def pair_distance_check(
     radius, sigma = _require_scale(params)
     lo = 2.0 * radius * radius - 8.0 * t * sigma * radius
     hi = 2.0 * (radius + 2.0 * t * sigma) ** 2
-    # x - y = R diag(sqrt(lambda)) (z1 - z2): the centers cancel.  z1 is the
-    # first half of one (2 num_pairs, n) block, z2 its second half.
-    z1 = rng.standard_normal((num_pairs, params.dim))
+    # x - y ~ N(0, R diag(2 lambda) R^T): the centers cancel
+    diff = GaussianParams(
+        np.zeros(params.dim), 2.0 * params.eigenvalues, params.rotation
+    )
     hits = 0
-    for a, z2 in _normal_blocks(rng, num_pairs, params.dim):
-        diff = z1[a : a + len(z2)]
-        diff -= z2
-        d2 = _sq_dists(params, diff)
+    for _, d2 in _sq_dist_draws(diff, rng, num_pairs):
         hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 3.0 * math.exp(-t), hits, num_pairs)
-
-
-def _spherical_cross_sq_dists(
-    sigma_i: float,
-    sigma_j: float,
-    center_dist: float,
-    n: int,
-    num_pairs: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exact scalar simulation of |x - y|^2 for a spherical pair.
-
-    Writing x = p_i + s_i z1 and y = p_j + s_j z2 and splitting z1, z2 into
-    the component along the center line and the orthogonal rest gives
-
-        |x-y|^2 = d^2 + s_i^2 (g1^2 + W1) + s_j^2 (g2^2 + h^2 + W2)
-                  + 2 d s_i g1 - 2 d s_j g2 - 2 s_i s_j (g1 g2 + sqrt(W1) h)
-
-    with g1, g2, h standard normal, W1 ~ chi2(n-1), W2 ~ chi2(n-2); h is the
-    coordinate of z2 along the unit vector z1_perp.  This reproduces the
-    distribution exactly for any n >= 2 without materializing n-vectors, so
-    the check stays exact in the million-dimension regime.
-    """
-    if n < 2:
-        raise ValueError("scalar reduction needs n >= 2")
-    g1 = rng.standard_normal(num_pairs)
-    g2 = rng.standard_normal(num_pairs)
-    h = rng.standard_normal(num_pairs)
-    w1 = rng.chisquare(n - 1, size=num_pairs)
-    w2 = rng.chisquare(n - 2, size=num_pairs) if n > 2 else np.zeros(num_pairs)
-    d = center_dist
-    return (
-        d * d
-        + sigma_i**2 * (g1**2 + w1)
-        + sigma_j**2 * (g2**2 + h**2 + w2)
-        + 2.0 * d * sigma_i * g1
-        - 2.0 * d * sigma_j * g2
-        - 2.0 * sigma_i * sigma_j * (g1 * g2 + np.sqrt(w1) * h)
-    )
-
-
-# Above this many scalar draws the direct path is not worth materializing.
-_DIRECT_BUDGET = 50_000_000
 
 
 def cross_pair_check(
@@ -242,8 +200,9 @@ def cross_pair_check(
         |x-y|^2 >= 2 min(R_i, R_j)^2
                    + 60 t (s_i + s_j)(R_i + R_j) + 30 t^2 (s_i^2 + s_j^2).
 
-    Spherical pairs whose direct simulation would exceed the draw budget use
-    an exact scalar reduction instead (same distribution, different stream).
+    For a spherical pair x - y ~ N(c_i - c_j, (sigma_i^2 + sigma_j^2) I), so
+    |x - y|^2 is drawn from its law as one eigenvalue group; any other pair
+    samples both components' points (``sample``'s draws, streamed).
     """
     _require_t_at_least_one(t)
     if num_pairs < 10_000:
@@ -264,23 +223,20 @@ def cross_pair_check(
         + c2 * t * t * (s_i * s_i + s_j * s_j)
     )
     n = params_i.dim
-    spherical = params_i.is_spherical() and params_j.is_spherical()
-    if spherical and 2 * n * num_pairs > _DIRECT_BUDGET:
-        d2 = _spherical_cross_sq_dists(
-            math.sqrt(float(params_i.eigenvalues[0])),
-            math.sqrt(float(params_j.eigenvalues[0])),
-            math.sqrt(d2_centers),
-            n,
-            num_pairs,
-            rng,
+    hits = 0
+    if params_i.is_spherical() and params_j.is_spherical():
+        diff = GaussianParams(
+            params_i.center - params_j.center,
+            np.full(n, params_i.eigenvalues[0] + params_j.eigenvalues[0]),
+            None,
         )
-        hits = int(np.count_nonzero(d2 >= bound))
+        for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=np.zeros(n)):
+            hits += int(np.count_nonzero(d2 >= bound))
     else:
         # the points of sample(params_i, ...) then sample(params_j, ...)
         x = np.empty((num_pairs, n))
         for a, z in _normal_blocks(rng, num_pairs, n):
             x[a : a + len(z)] = _from_standard_normal(params_i, z)
-        hits = 0
         for a, z in _normal_blocks(rng, num_pairs, n):
             diff = x[a : a + len(z)]
             diff -= _from_standard_normal(params_j, z)
@@ -346,12 +302,13 @@ def ball_growth_check(
     radii = np.sort(np.asarray(radius_grid, dtype=float).reshape(-1))
     if radii.size < 2 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ValueError("radius grid needs >= 2 finite nonnegative radii")
-    dist = np.empty(num_samples)
-    for a, z in _normal_blocks(rng, num_samples, params.dim):
-        dist[a : a + len(z)] = np.sqrt(_sq_dists(params, z, point=x))
-    dist.sort()
-    counts = np.searchsorted(dist, radii, side="right")
-    mass = counts / num_samples
+    # counts[i] = #{dist <= radii[i]}: each draw is binned at the first
+    # radius it does not exceed, and the bins summed up to i
+    counts = np.zeros(radii.size + 1, dtype=np.int64)
+    for _, d2 in _sq_dist_draws(params, rng, num_samples, point=x):
+        bins = np.searchsorted(radii, np.sqrt(d2, out=d2), side="left")
+        counts += np.bincount(bins, minlength=radii.size + 1)
+    mass = counts.cumsum()[: radii.size] / num_samples
     se = np.sqrt(np.maximum(mass * (1.0 - mass), 0.0) / num_samples)
     bound = 2.0 / (math.sqrt(math.pi) * params.sigma_max)
 
@@ -442,14 +399,13 @@ def covariance_concentration_check(
     else:
         top = params.rotation[:, top_idx]
     w = np.vstack([dirs, np.eye(n), top[None, :]])
-    z = rng.standard_normal((sample_size, params.dim))
     # the projection of x - c on w is V z with V = w R diag(sqrt(lambda)), so
-    # the mean square projections are diag(V S V^T) with S = z^T z / N
-    s = z.T @ z
-    s /= sample_size
+    # the mean square projections are diag(V z^T z V^T) / N, and z^T z has
+    # the law of A A^T for the Bartlett factor A
+    a = _bartlett_factor(rng, sample_size, n)
     wr = w if params.rotation is None else w @ params.rotation
-    v = wr * np.sqrt(params.eigenvalues)
-    sample_moment = np.einsum("ij,ij->i", v @ s, v)
+    va = (wr * np.sqrt(params.eigenvalues)) @ a
+    sample_moment = np.einsum("ij,ij->i", va, va) / sample_size
     true_moment = (wr * wr) @ params.eigenvalues
     rel_err = np.abs(sample_moment / true_moment - 1.0)
     worst = float(rel_err.max())

@@ -33,8 +33,8 @@ _ORTHO_TOL = 1e-8
 # Eigenvalues within this relative spread of each other count as spherical.
 _SPHERICAL_RTOL = 1e-12
 # Values per 1 MiB block: every Monte Carlo draw (the concentration checks'
-# and median_radius's, through _normal_blocks), and the node-by-eigenvalue
-# tables of the exact median-radius solver.
+# and median_radius's, through _normal_blocks and _sq_dist_draws), and the
+# node-by-eigenvalue tables of the exact median-radius solver.
 _DRAW_CHUNK = 1 << 17
 
 # The exact median-radius solver (_exact_median_radius) keeps a radius only
@@ -170,6 +170,15 @@ def _from_standard_normal(params: GaussianParams, z: np.ndarray) -> np.ndarray:
     return params.center + dev
 
 
+def _row_blocks(rows: int, step: int) -> tuple[int, list[tuple[int, int]]]:
+    """(height, blocks): ``rows`` rows cut into consecutive blocks (lo, hi)
+    of at most ``step`` rows whose heights differ by at most one; height is
+    the tallest."""
+    count = max(-(-rows // step), 1)
+    bounds = [(rows * b // count, rows * (b + 1) // count) for b in range(count)]
+    return -(-rows // count), bounds
+
+
 def _normal_blocks(rng: np.random.Generator, rows: int, dim: int):
     """Yield (lo, z): the standard normal block of ``rows`` x ``dim`` draws,
     as consecutive row blocks of at most _DRAW_CHUNK values (one row when a
@@ -184,14 +193,14 @@ def _normal_blocks(rng: np.random.Generator, rows: int, dim: int):
     the bits of the one-block draw.  The heights differ by at most one row,
     so none is far shorter than a chunk: a GEMM of only a few rows can round
     differently from one of many (OpenBLAS does at n >= 32 and fewer than
-    about 1200 / n rows).
+    about 1200 / n rows).  ``_sq_dist_draws`` uses these blocks for a
+    spectrum without repeated eigenvalues, the cross-pair check for a
+    nonspherical pair.
     """
-    step = max(_DRAW_CHUNK // dim, 1)
-    count = max(-(-rows // step), 1)  # blocks of at most step rows
-    buf = np.empty((-(-rows // count), dim))
-    for b in range(count):
-        lo = rows * b // count
-        z = buf[: rows * (b + 1) // count - lo]
+    height, bounds = _row_blocks(rows, max(_DRAW_CHUNK // dim, 1))
+    buf = np.empty((height, dim))
+    for lo, hi in bounds:
+        z = buf[: hi - lo]
         rng.standard_normal(out=z)
         yield lo, z
 
@@ -204,14 +213,117 @@ def _sq_dists(params: GaussianParams, z: np.ndarray, point=None) -> np.ndarray:
     |x - point|^2 = sum_i (sqrt(lambda_i) z_i - v_i)^2 with
     v = R^T (point - center), and v = 0 at the center.  ``z`` is consumed:
     it is scaled and shifted in place, so no second block is allocated.
+    This is the arithmetic ``_sq_dist_draws`` runs on a spectrum without
+    repeated eigenvalues.
     """
     z *= np.sqrt(params.eigenvalues)
     if point is not None:
-        v = np.asarray(point, dtype=float) - params.center
-        if params.rotation is not None:
-            v = v @ params.rotation
-        z -= v
+        z -= _eigen_offset(params, point)
     return np.einsum("ij,ij->i", z, z)
+
+
+def _eigen_offset(params: GaussianParams, point) -> np.ndarray:
+    """v = R^T (point - center): the point in the component's eigen frame."""
+    v = np.asarray(point, dtype=float) - params.center
+    return v if params.rotation is None else v @ params.rotation
+
+
+def _sq_dist_draws(
+    params: GaussianParams, rng: np.random.Generator, count: int, point=None
+):
+    """Yield (lo, d2): |x - point|^2 for ``count`` draws x of the component,
+    d2 holding draws lo, lo + 1, ... of them; ``point`` defaults to the
+    center.
+
+    The draws come from the exact law of the distance, not from n-vectors.
+    With v = R^T (point - center), the eigenvalues are grouped by exact
+    equality, in order of first occurrence; a group of eigenvalue lambda and
+    multiplicity m, whose part of v has norm o, contributes
+
+        (sqrt(lambda) g - o)^2 + lambda chi2(m - 1),
+
+    g standard normal, because the group's covariance is lambda I_m and a
+    rotation within its eigenspace takes its offset onto one axis; with
+    o = 0 it contributes lambda chi2(m) (noncentral chi-square; Johnson,
+    Kotz & Balakrishnan 1995, ch. 29).  The groups are independent, so a
+    sample takes one or two variates a group, whatever n: one for a
+    spherical component at its center, two for diag(top, 1, ..., 1).
+
+    A spectrum with no repeated eigenvalue gains nothing from this, and
+    keeps the standard normal blocks of ``_normal_blocks`` and the
+    arithmetic of ``_sq_dists``: its stream and its bits are those of
+    ``sample``'s one-block draw.  Otherwise the blocks are a quarter of
+    _DRAW_CHUNK draws high, and each draws its groups' variates in turn, so
+    the stream depends on that block grid (as on ``count``).  d2 is a view
+    of a buffer that the next block overwrites: the caller may work on it
+    in place and must copy what it keeps.
+    """
+    lam = params.eigenvalues
+    values, first, group, mult = np.unique(
+        lam, return_index=True, return_inverse=True, return_counts=True
+    )
+    if values.size == lam.size:
+        for lo, z in _normal_blocks(rng, count, params.dim):
+            yield lo, _sq_dists(params, z, point)
+        return
+    if point is None:
+        offsets = np.zeros(values.size)
+    else:
+        v = _eigen_offset(params, point)
+        offsets = np.sqrt(np.bincount(group, weights=v * v, minlength=values.size))
+    groups = [
+        (float(values[g]), int(mult[g]), float(offsets[g])) for g in np.argsort(first)
+    ]
+    height, bounds = _row_blocks(count, max(_DRAW_CHUNK // 4, 1))
+    d2, part = np.empty(height), np.empty(height)
+    for lo, hi in bounds:
+        out, tmp = d2[: hi - lo], part[: hi - lo]
+        out.fill(0.0)
+        for value, m, offset in groups:
+            if offset != 0.0:
+                rng.standard_normal(out=tmp)
+                tmp *= math.sqrt(value)
+                tmp -= offset
+                tmp *= tmp
+                out += tmp
+                m -= 1
+            if m > 0:
+                _chi_square(rng, m, tmp)
+                tmp *= value
+                out += tmp
+        yield lo, out
+
+
+def _chi_square(rng: np.random.Generator, dof: int, out: np.ndarray) -> None:
+    """Fill ``out`` with chi-square(dof) draws: a squared normal at dof 1,
+    otherwise 2 Gamma(dof / 2), the draws ``rng.chisquare(dof)`` makes."""
+    if dof == 1:
+        rng.standard_normal(out=out)
+        out *= out
+    else:
+        rng.standard_gamma(dof / 2.0, out=out)
+        out *= 2.0
+
+
+def _bartlett_factor(rng: np.random.Generator, dof: int, size: int) -> np.ndarray:
+    """Lower-triangular A (size x size) with A A^T ~ Wishart(dof, I_size).
+
+    A A^T has the law of Z^T Z for a (dof x size) standard normal Z
+    (Bartlett 1933): with Z^T = L Q, Q orthogonal and L lower-trapezoidal,
+    Z^T Z = L L^T, where L_ii is a chi variable with dof - i degrees of
+    freedom and the entries below the diagonal are standard normal.  When
+    dof < size, Z^T has rank dof, so only the first dof columns are nonzero.
+    One (size, size) normal block is drawn and cleared on and above its
+    diagonal row by row (and right of column dof), so no second array is
+    formed; then one chi-square a diagonal entry.
+    """
+    a = rng.standard_normal((size, size))
+    for i in range(size):
+        a[i, i:] = 0.0
+    rank = min(dof, size)
+    a[:, rank:] = 0.0
+    np.fill_diagonal(a[:rank, :rank], np.sqrt(rng.chisquare(dof - np.arange(rank))))
+    return a
 
 
 def median_radius(
@@ -234,9 +346,10 @@ def median_radius(
 
     Under method="mc", R is the sample median of |x - center| over
     ``num_samples`` draws, with a distribution-free 99% order-statistic
-    interval attached.  The draws are never rotated and are drawn in blocks
-    of about 1 MiB (``_normal_blocks``), and one partition selects the four
-    order statistics the estimate reads.
+    interval attached.  The squared distances are drawn from their exact law
+    in blocks (``_sq_dist_draws``: one variate a sample for a spherical
+    component, n standard normals for a spectrum without repeats), and one
+    partition selects the four order statistics the estimate reads.
 
     Args:
         method: "auto" (closed form when spherical, quadrature otherwise)
@@ -257,8 +370,8 @@ def median_radius(
         if num_samples < 1000:
             raise TooFewSamples(f"num_samples={num_samples} < 1000")
         d2 = np.empty(num_samples)
-        for a, z in _normal_blocks(rng, num_samples, params.dim):
-            d2[a : a + len(z)] = _sq_dists(params, z)
+        for a, block in _sq_dist_draws(params, rng, num_samples):
+            d2[a : a + len(block)] = block
         # distribution-free 99% interval for the median from order statistics
         half_span = 2.576 * math.sqrt(num_samples) / 2.0
         lo = max(int(math.floor(num_samples / 2.0 - half_span)), 0)
@@ -649,12 +762,13 @@ def sample_concentric_spherical_embedded(
     written X = diag(sigma_label) Z with Z standard normal (count x n).  Any
     classification or distance computation depends on X only through its Gram
     matrix, and Z Z^T is Wishart(n, I) of order ``count``.  The Bartlett
-    factorization gives a lower-triangular A (count x count) with
-    A A^T ~ Wishart(n, I): diagonal entries are chi variables with n, n-1, ...
-    degrees of freedom and subdiagonal entries are standard normal.  The rows
-    of diag(sigma_label) A are therefore an exact isometric image of the
-    n-dimensional draw: every pairwise distance and every subset covariance
-    spectrum has the same joint distribution as for X itself.
+    factorization (``_bartlett_factor``) gives a lower-triangular A
+    (count x count) with A A^T ~ Wishart(n, I): diagonal entries are chi
+    variables with n, n-1, ... degrees of freedom and subdiagonal entries
+    are standard normal.  The rows of diag(sigma_label) A are therefore an
+    exact isometric image of the n-dimensional draw: every pairwise distance
+    and every subset covariance spectrum has the same joint distribution as
+    for X itself.
 
     Requires ``ambient_dim >= count``.
     """
@@ -669,13 +783,7 @@ def sample_concentric_spherical_embedded(
     if ambient_dim < count:
         raise ValueError("embedding needs ambient_dim >= count")
     labels = _draw_labels(weights, rng, count)
-    # A is made from the drawn block in place, its upper triangle and
-    # diagonal cleared row by row, so no second count x count array is formed
-    points = rng.standard_normal((count, count))
-    for i in range(count):
-        points[i, i:] = 0.0
-    dof = ambient_dim - np.arange(count)
-    np.fill_diagonal(points, np.sqrt(rng.chisquare(dof)))
+    points = _bartlett_factor(rng, ambient_dim, count)
     points *= sigmas[labels][:, None]
     return LabeledSampleSet(
         points=points,

@@ -13,7 +13,6 @@ from sepmix.concentration import (
     point_distance_check,
     shell_mass_check,
     _bound,
-    _spherical_cross_sq_dists,
 )
 from sepmix.errors import (
     GridTooCoarse,
@@ -30,6 +29,7 @@ from sepmix.model import (
     sample,
     spherical_median_radius,
 )
+from sepmix.separation import SeparationConfig, pair_separation_rhs
 
 
 def _spherical(n, sigma=1.0, center=None):
@@ -213,7 +213,7 @@ def test_cross_pair_planted_spherical():
 def test_cross_pair_concentric_large_radius_gap():
     # concentric spherical pair in n = 10^6: radii ~ sigma sqrt(n) differ
     # enough to satisfy the separation inequality with everything at the
-    # same center; the scalar reduction path is exercised automatically
+    # same center; the pair is drawn as one eigenvalue group of multiplicity n
     n = 1_000_000
     gi = make_gaussian(np.zeros(n), np.full(n, 0.01))
     gj = make_gaussian(np.zeros(n), np.full(n, 1.44))
@@ -233,19 +233,74 @@ def test_cross_pair_unseparated_rejected():
         cross_pair_check(gi, gj, 2.0, 10_000, np.random.default_rng(0))
 
 
-def test_scalar_reduction_matches_direct_moments():
-    # the reduced 5-variable form must have the same distribution of
-    # |x - y|^2 as direct ambient sampling; compare mean and variance
-    n, d, si, sj = 40, 7.0, 1.0, 2.0
-    rng = np.random.default_rng(12)
-    reduced = _spherical_cross_sq_dists(si, sj, d, n, 200_000, rng)
+def _separated_spherical_pair(n, si, sj, t=1.0):
+    """Spherical components N(0, si^2 I) and N(d e_1, sj^2 I), d 5% past the
+    paper's separation threshold at t."""
+    gi = _spherical(n, si)
+    rj = spherical_median_radius(sj, n)
+    rhs = pair_separation_rhs(
+        gi.median_radius, si, rj, sj, SeparationConfig(t=t, mode="paper")
+    )
+    center = np.zeros(n)
+    center[0] = 1.05 * math.sqrt(rhs)
+    return gi, _spherical(n, sj, center=center)
+
+
+def _spy_on_sq_dist_draws(monkeypatch):
+    """Record every block of squared distances a check draws."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        for lo, d2 in model._sq_dist_draws(*args, **kwargs):
+            seen.append(d2.copy())
+            yield lo, d2
+
+    monkeypatch.setattr(concentration, "_sq_dist_draws", spy)
+    return seen
+
+
+def test_scalar_reduction_matches_direct_moments(monkeypatch):
+    # the spherical pair's |x - y|^2, drawn as one eigenvalue group, must
+    # have the distribution of direct ambient sampling; compare mean and
+    # variance
+    n, si, sj = 40, 1.0, 2.0
+    gi, gj = _separated_spherical_pair(n, si, sj)
+    seen = _spy_on_sq_dist_draws(monkeypatch)
+    cross_pair_check(gi, gj, 1.0, 200_000, np.random.default_rng(12))
+    reduced = np.concatenate(seen)
+    assert reduced.size == 200_000
+    rng = np.random.default_rng(13)
     x = rng.standard_normal((200_000, n)) * si
-    y = rng.standard_normal((200_000, n)) * sj
-    y[:, 0] += d
+    y = gj.center + rng.standard_normal((200_000, n)) * sj
     direct = np.sum((x - y) ** 2, axis=1)
     se_mean = math.sqrt(direct.var() / direct.size + reduced.var() / reduced.size)
     assert abs(reduced.mean() - direct.mean()) < 6 * se_mean
     assert abs(reduced.var() / direct.var() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_low_dimensional_spherical_pairs_have_the_right_moments(n, monkeypatch):
+    # |x - y|^2 = s (g - d / sqrt(s))^2 + s chi2(n - 1) with s = si^2 + sj^2:
+    # mean n s + d^2, variance 2 n s^2 + 4 s d^2
+    si, sj, num = 1.0, 1.5, 400_000
+    gi, gj = _separated_spherical_pair(n, si, sj)
+    seen = _spy_on_sq_dist_draws(monkeypatch)
+    cross_pair_check(gi, gj, 1.0, num, np.random.default_rng(30 + n))
+    d2 = np.concatenate(seen)
+    s, d = si * si + sj * sj, gj.center[0]
+    mean, var = n * s + d * d, 2.0 * n * s * s + 4.0 * s * d * d
+    assert abs(d2.mean() - mean) < 6.0 * math.sqrt(var / num)
+    se_var = math.sqrt(np.var((d2 - d2.mean()) ** 2) / num)
+    assert abs(d2.var() - var) < 6.0 * se_var
+
+
+def test_one_dimensional_spherical_pair_at_many_pairs():
+    # above 2.5e7 pairs the old check switched a 1-D spherical pair to a
+    # reduction that raised "scalar reduction needs n >= 2"
+    gi, gj = _separated_spherical_pair(1, 1.0, 1.0)
+    b = cross_pair_check(gi, gj, 1.0, 25_000_001, np.random.default_rng(14))
+    assert b.num_trials == 25_000_001
+    assert b.passed
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +348,19 @@ def test_growth_grid_too_coarse():
         ball_growth_check(g, g.center, grid, 50_000, np.random.default_rng(17))
 
 
+def test_growth_counts_match_sorted_distances(monkeypatch):
+    # binning each block's distances against the grid counts exactly what
+    # sorting every distance and searching the grid in it counted
+    g = _spherical(8)
+    seen = _spy_on_sq_dist_draws(monkeypatch)
+    grid = np.linspace(0.0, g.median_radius + 4.0, 40)
+    grid[7] = grid[8]  # a repeated radius counts the same draws twice
+    curve = ball_growth_check(g, g.center, grid, 1_000_000, np.random.default_rng(13))
+    dist = np.sort(np.sqrt(np.concatenate(seen)))
+    want = np.searchsorted(dist, np.sort(grid), side="right") / dist.size
+    assert np.array_equal(curve.mass, want)
+
+
 # ---------------------------------------------------------------------------
 # covariance concentration
 # ---------------------------------------------------------------------------
@@ -332,9 +400,12 @@ def test_covariance_passes_moderate_sample():
 #
 # Each reference below is the old body of a checker: it samples the rotated
 # points in one block and measures them directly.  The checkers now work on
-# the same standard normal draws in eigen coordinates, block by block, so on
-# pinned seeds they must report the same hits, and leave the generator in the
-# same state, however many blocks the draws take.
+# the same standard normal draws in eigen coordinates, block by block (these
+# spectra have no repeated eigenvalue, so _sq_dist_draws keeps the normals),
+# so on pinned seeds they must report the same hits, and leave the generator
+# in the same state, however many blocks the draws take.  The pair check
+# draws x - y itself: its reference samples that difference as a component
+# with doubled eigenvalues at center 0.
 
 
 def _old_shell_hits(g, t, num, rng):
@@ -353,10 +424,10 @@ def _old_point_hits(g, z, t, num, rng):
     return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
 
 
-def _old_pair_hits(g, t, num, rng):
+def _materialized_pair_hits(g, t, num, rng):
     r, s = g.median_radius, g.sigma_max
-    draws = sample(g, rng, 2 * num)
-    d2 = np.sum((draws[:num] - draws[num:]) ** 2, axis=1)
+    diff = make_gaussian(np.zeros(g.dim), 2.0 * g.eigenvalues, g.rotation)
+    d2 = np.sum(sample(diff, rng, num) ** 2, axis=1)
     lo = 2.0 * r * r - 8.0 * t * s * r
     hi = 2.0 * (r + 2.0 * t * s) ** 2
     return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
@@ -380,16 +451,22 @@ def _old_growth_mass(g, x, radii, num, rng):
     return np.searchsorted(dist, radii, side="right") / num
 
 
-def _old_covariance_worst(g, size, num_dirs, rng):
+def _materialized_covariance_worst(g, size, num_dirs, rng):
+    # the n rows of the Bartlett factor's transpose A^T have the Gram matrix
+    # A A^T, whose law is that of z^T z for size standard normal rows z, so
+    # the points mapped from them stand in for the size draws: their squared
+    # projections are summed and divided by size
     n = g.dim
     dirs = rng.standard_normal((num_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     top = g.rotation[:, int(np.argmax(g.eigenvalues))]
     w = np.vstack([dirs, np.eye(n), top[None, :]])
-    proj = (sample(g, rng, size) - g.center) @ w.T
+    points = model._from_standard_normal(g, model._bartlett_factor(rng, size, n).T)
+    proj = (points - g.center) @ w.T
     wr = w @ g.rotation
     true_moment = (wr * wr) @ g.eigenvalues
-    return float(np.max(np.abs(np.mean(proj * proj, axis=0) / true_moment - 1.0)))
+    moment = np.sum(proj * proj, axis=0) / size
+    return float(np.max(np.abs(moment / true_moment - 1.0)))
 
 
 def _rotated_eccentric(n, offset, seed):
@@ -426,7 +503,7 @@ _CHECKER_PAIRS = {
     ),
     "pair_distance": (
         lambda g, rng: pair_distance_check(g, 1.0, 20_000, rng).observed,
-        lambda g, rng: _old_pair_hits(g, 1.0, 20_000, rng) / 20_000,
+        lambda g, rng: _materialized_pair_hits(g, 1.0, 20_000, rng) / 20_000,
     ),
     "cross_pair": (
         lambda g, rng: cross_pair_check(g, _partner(g), 1.0, 20_000, rng).observed,
@@ -491,13 +568,14 @@ def test_cross_pair_streams_the_points_sample_draws(n, chunk, monkeypatch):
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("seed", [5, 61])
 def test_covariance_check_matches_materialized_draws(seed, offset):
-    # the moments come from z^T z / N instead of projecting the draws; they
-    # agree to roundoff, far inside any epsilon the check compares against
+    # the moments come from the Bartlett factor in eigen coordinates
+    # instead of projecting points mapped from it; they agree to roundoff,
+    # far inside any epsilon the check compares against
     g = _rotated_eccentric(6, offset, seed)
     rng_new = np.random.default_rng(seed + 1)
     rng_old = np.random.default_rng(seed + 1)
     chk = covariance_concentration_check(g, 50_000, 0.1, 12, rng_new)
-    worst = _old_covariance_worst(g, 50_000, 12, rng_old)
+    worst = _materialized_covariance_worst(g, 50_000, 12, rng_old)
     assert chk.worst_rel_err == pytest.approx(worst, rel=1e-9)
     assert chk.passed == (worst <= chk.epsilon)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -564,3 +642,97 @@ def test_checkers_reject_non_finite_inputs(case):
     with pytest.raises(error):
         call(_spherical(4), rng)
     assert rng.bit_generator.state == state  # rejected before drawing
+
+
+# ---------------------------------------------------------------------------
+# work counters: the variates each check draws
+# ---------------------------------------------------------------------------
+
+
+class _CountingGenerator:
+    """A duck-typed np.random.Generator that counts every value drawn."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        if not callable(method):
+            return method
+
+        def counted(*args, **kwargs):
+            result = method(*args, **kwargs)
+            self.drawn += int(np.size(result))
+            return result
+
+        return counted
+
+
+def _diag_top(n):
+    lam = np.ones(n)
+    lam[0] = 100.0
+    g = make_gaussian(np.zeros(n), lam)
+    median_radius(g)
+    return g
+
+
+def _no_repeats(n):
+    g = make_gaussian(np.zeros(n), np.linspace(1.0, 2.0, n))
+    median_radius(g)
+    return g
+
+
+@pytest.mark.parametrize(
+    "component, per_sample",
+    [
+        (lambda: _spherical(64), 1),
+        (lambda: _diag_top(64), 2),
+        (lambda: _no_repeats(64), 64),
+    ],
+    ids=["spherical", "diag-top", "no-repeats"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, rng: shell_mass_check(g, 1.0, 20_000, rng),
+        lambda g, rng: point_distance_check(g, g.center, 1.0, 20_000, rng),
+        lambda g, rng: pair_distance_check(g, 1.0, 20_000, rng),
+        lambda g, rng: ball_growth_check(
+            g, g.center, np.linspace(0.0, 2.0 * g.median_radius, 60), 20_000, rng
+        ),
+        lambda g, rng: median_radius(g, rng, 20_000, method="mc"),
+    ],
+    ids=[
+        "shell_mass",
+        "point_distance",
+        "pair_distance",
+        "ball_growth",
+        "median_radius",
+    ],
+)
+def test_variates_drawn_per_sample(check, component, per_sample):
+    # a spherical component at its center is one chi-square a sample,
+    # diag(top, 1, ..., 1) a squared normal and a chi-square, and a spectrum
+    # without repeats its n standard normals
+    rng = _CountingGenerator(40)
+    check(component(), rng)
+    assert rng.drawn == per_sample * 20_000
+
+
+def test_variates_drawn_by_spherical_cross_pair():
+    # one eigenvalue group with an offset: a normal and a chi-square a pair
+    gi, gj = _separated_spherical_pair(64, 1.0, 2.0)
+    rng = _CountingGenerator(42)
+    cross_pair_check(gi, gj, 1.0, 20_000, rng)
+    assert rng.drawn == 2 * 20_000
+
+
+def test_variates_drawn_by_covariance_check():
+    # the directions, then O(n^2) values for z^T z: n^2 normals for the
+    # Bartlett factor's block and n chi-squares, not N n normals
+    n, num_dirs = 8, 16
+    rng = _CountingGenerator(41)
+    chk = covariance_concentration_check(_spherical(n), 100_000, 0.1, num_dirs, rng)
+    assert chk.passed
+    assert rng.drawn == num_dirs * n + n * n + n

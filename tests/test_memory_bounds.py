@@ -12,14 +12,14 @@ The warm-up and classify_general on rows formed on demand hold no matrix at
 all: row blocks of O(B M) entries, the points and vectors of one entry per
 point.
 
-The Monte Carlo checks and median_radius draw their standard normals in
-blocks of model._DRAW_CHUNK values (1 MiB) into one reused buffer and reduce
-each block as it is drawn, so none forms its whole draw: each holds one
-block plus at most one vector of one entry per draw.  The two-sample checks
-also keep the first half of their draw (the pair check its normals, the
-cross-pair check its points x), and the covariance check keeps its whole
-block.  numpy reports its data buffers to tracemalloc, so the traced peak
-covers every array allocated.
+The Monte Carlo checks and median_radius draw their standard normals, or
+the variates of their statistic's law, in blocks of about model._DRAW_CHUNK
+values (1 MiB) into reused buffers and reduce each block as it is drawn, so
+none forms its whole draw: each holds one block plus at most one vector of
+one entry per draw.  The cross-pair check on a nonspherical pair also keeps
+its first component's points x.  The covariance check holds an n x n
+Bartlett factor, not a block of draws.  numpy reports its data buffers to
+tracemalloc, so the traced peak covers every array allocated.
 """
 
 import gc
@@ -203,9 +203,9 @@ def test_classify_general_gram_side_balls_over_budget(monkeypatch):
 
 # The Monte Carlo checks and radii work on their standard normal draws in
 # place in eigen coordinates; the rotated draws, their deviations from the
-# center and a projection of them are never formed.  The covariance check may
-# hold its block, the others less (see the streamed cases below), plus
-# vectors of one entry per draw.
+# center and a projection of them are never formed.  Each holds at most one
+# block (less, see the streamed cases below), plus vectors of one entry per
+# draw.
 DRAWS, DIM = 100_000, 8
 BLOCK = DRAWS * DIM * 8
 
@@ -238,8 +238,10 @@ def test_peak_stays_near_one_standard_normal_block(call, rotated_component):
 
 # Draws whose one block would be 51 MB (102 MB for the two-sample checks,
 # which take two draws per pair).  A streamed check holds one draw block,
-# with the few vectors of one entry per row of it, plus the vectors of one
-# entry per draw it keeps; the two-sample checks hold half their draw.
+# with the few vectors of one entry per row of it; only the cross-pair check
+# on a nonspherical pair keeps more, its first component's points.  A
+# repeated spectrum draws a few variates per sample, in blocks of a quarter
+# chunk of samples, and holds the same.
 WIDE_DRAWS, WIDE_DIM = 100_000, 64
 WIDE_BLOCK = WIDE_DRAWS * WIDE_DIM * 8
 DRAW_BLOCK = 1.25 * model._DRAW_CHUNK * 8
@@ -276,13 +278,14 @@ def wide_pair():
             lambda g, h, rng: ball_growth_check(
                 g, g.center, np.linspace(0.0, 20.0, 40), WIDE_DRAWS, rng
             ),
-            DRAW_BLOCK + PER_DRAW,
+            DRAW_BLOCK,
         ),
         (
             lambda g, h, rng: pair_distance_check(g, 1.0, WIDE_DRAWS, rng),
-            0.55 * 2 * WIDE_BLOCK,
+            DRAW_BLOCK,
         ),
-        # the points x, the draw block and the mapping's two temporaries
+        # nonspherical: the points x, the draw block and the mapping's two
+        # temporaries; a spherical pair holds one block
         (
             lambda g, h, rng: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng),
             WIDE_BLOCK + 3 * DRAW_BLOCK,
@@ -300,3 +303,65 @@ def test_streamed_check_holds_no_draw_block(call, limit, wide_pair):
     rng = np.random.default_rng(4)
     peak = _traced_peak(lambda: call(*wide_pair, rng))
     assert peak <= limit, f"peak {peak / limit:.3f} x the bound"
+
+
+def _wide_axis_pair(top):
+    """Two axis-aligned components at WIDE_DIM, 1e3 apart on every axis, of
+    spectrum diag(top, 1, ..., 1); spherical at top = 1.  Their checks draw
+    one to three variates per sample, not WIDE_DIM normals."""
+    from sepmix.model import make_gaussian
+
+    lam = np.ones(WIDE_DIM)
+    lam[0] = top
+    pair = [make_gaussian(np.full(WIDE_DIM, c), lam) for c in (0.0, 1e3)]
+    for g in pair:
+        median_radius(g)
+    return pair
+
+
+@pytest.fixture(scope="module", params=[1.0, 100.0], ids=["spherical", "diag-top"])
+def wide_repeated_pair(request):
+    return _wide_axis_pair(request.param)
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        (lambda g, h, rng: shell_mass_check(g, 1.0, WIDE_DRAWS, rng), DRAW_BLOCK),
+        (
+            lambda g, h, rng: point_distance_check(g, h.center, 1.0, WIDE_DRAWS, rng),
+            DRAW_BLOCK,
+        ),
+        (
+            lambda g, h, rng: ball_growth_check(
+                g, g.center, np.linspace(0.0, 20.0, 40), WIDE_DRAWS, rng
+            ),
+            DRAW_BLOCK,
+        ),
+        (lambda g, h, rng: pair_distance_check(g, 1.0, WIDE_DRAWS, rng), DRAW_BLOCK),
+        # the radius keeps one squared distance per draw
+        (
+            lambda g, h, rng: median_radius(g, rng, WIDE_DRAWS, method="mc"),
+            DRAW_BLOCK + PER_DRAW,
+        ),
+    ],
+    ids=[
+        "shell_mass_check",
+        "point_distance_check",
+        "ball_growth_check",
+        "pair_distance_check",
+        "median_radius",
+    ],
+)
+def test_repeated_spectrum_check_holds_no_draw_block(call, limit, wide_repeated_pair):
+    rng = np.random.default_rng(4)
+    peak = _traced_peak(lambda: call(*wide_repeated_pair, rng))
+    assert peak <= limit, f"peak {peak / limit:.3f} x the bound"
+
+
+def test_spherical_cross_pair_holds_no_draw_block():
+    # one eigenvalue group for the pair: no points are kept
+    g, h = _wide_axis_pair(1.0)
+    rng = np.random.default_rng(4)
+    peak = _traced_peak(lambda: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng))
+    assert peak <= DRAW_BLOCK, f"peak {peak / DRAW_BLOCK:.3f} x the bound"

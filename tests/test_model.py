@@ -17,8 +17,10 @@ from sepmix.errors import (
 from sepmix.model import (
     GaussianParams,
     Mixture,
+    _bartlett_factor,
     _from_standard_normal,
     _normal_blocks,
+    _sq_dist_draws,
     _sq_dists,
     make_gaussian,
     median_radius,
@@ -486,6 +488,102 @@ def test_median_radius_selection_matches_sort_and_median(num_samples):
     assert (radius, half) == _sorted_median_and_halfwidth(dists)
 
 
+# The squared distances drawn from their law, one or two variates per group
+# of equal eigenvalues, against the moments of that law and against the
+# distances of sampled points.
+
+
+def _grouped_component(kind, rng, n=12):
+    """A component whose spectrum repeats: spherical, diag(top, 1, ..., 1),
+    or three groups in shuffled order under a Haar rotation."""
+    rot = None
+    if kind == "spherical":
+        lam = np.full(n, 2.5)
+    elif kind == "diag-top":
+        lam = np.ones(n)
+        lam[0] = 100.0
+    else:
+        lam = rng.permutation(np.repeat([4.0, 1.0, 0.3], [5, 4, 3]))
+        rot = random_rotation(n, rng)
+    return make_gaussian(rng.normal(size=n), lam, rot)
+
+
+def _sq_dist_moments(g, point):
+    """Mean and variance of |x - point|^2: a group of eigenvalue lambda and
+    multiplicity m, offset o = |v_g|, has mean lambda m + o^2 and variance
+    2 lambda^2 m + 4 lambda o^2."""
+    v = np.zeros(g.dim) if point is None else point - g.center
+    if g.rotation is not None:
+        v = v @ g.rotation
+    mean = float(np.sum(g.eigenvalues) + v @ v)
+    var = float(np.sum(2.0 * g.eigenvalues**2 + 4.0 * g.eigenvalues * v * v))
+    return mean, var
+
+
+def _drawn_sq_dists(g, rng, count, point=None):
+    return np.concatenate([d2.copy() for _, d2 in _sq_dist_draws(g, rng, count, point)])
+
+
+@pytest.mark.parametrize("at_center", [True, False], ids=["center", "off-center"])
+@pytest.mark.parametrize("kind", ["spherical", "diag-top", "rotated-groups"])
+def test_sq_dist_draws_have_the_moments_of_their_law(kind, at_center):
+    rng = np.random.default_rng(50)
+    g = _grouped_component(kind, rng)
+    point = None if at_center else g.center + 3.0 * rng.normal(size=g.dim)
+    num = 400_000
+    d2 = _drawn_sq_dists(g, np.random.default_rng(51), num, point)
+    mean, var = _sq_dist_moments(g, point)
+    assert abs(d2.mean() - mean) < 6.0 * math.sqrt(var / num)
+    se_var = math.sqrt(np.var((d2 - d2.mean()) ** 2) / num)
+    assert abs(d2.var() - var) < 6.0 * se_var
+
+
+@pytest.mark.parametrize("at_center", [True, False], ids=["center", "off-center"])
+@pytest.mark.parametrize("kind", ["spherical", "diag-top", "rotated-groups"])
+def test_sq_dist_draws_match_sampled_points(kind, at_center):
+    # two-sample Kolmogorov-Smirnov test against the distances of points
+    # drawn by sample, on pinned seeds
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(52)
+    g = _grouped_component(kind, rng)
+    point = g.center if at_center else g.center + 3.0 * rng.normal(size=g.dim)
+    num = 50_000
+    drawn = _drawn_sq_dists(g, np.random.default_rng(53), num, point)
+    sampled = np.sum((sample(g, np.random.default_rng(54), num) - point) ** 2, axis=1)
+    assert ks_2samp(drawn, sampled).pvalue > 1e-3
+
+
+def test_sq_dist_draws_are_reproducible(monkeypatch):
+    # the draw of a repeated spectrum depends on its block grid, so it is
+    # checked at a chunk that cuts it into 7 blocks
+    monkeypatch.setattr(model, "_DRAW_CHUNK", 4 * 3000)
+    g = _grouped_component("rotated-groups", np.random.default_rng(55))
+    first = _drawn_sq_dists(g, np.random.default_rng(56), 20_000, g.center + 1.0)
+    again = _drawn_sq_dists(g, np.random.default_rng(56), 20_000, g.center + 1.0)
+    assert np.array_equal(first, again)
+
+
+@pytest.mark.parametrize("dof, size", [(10, 4), (4, 4), (3, 5)])
+def test_bartlett_factor_has_the_wishart_moments(dof, size):
+    # S = A A^T ~ Wishart(dof, I): E S = dof I and Var S_ij = dof (1 + d_ij),
+    # also for dof < size, where S is singular of rank dof
+    rng = np.random.default_rng(57)
+    reps = 10_000
+    s = np.empty((reps, size, size))
+    for r in range(reps):
+        a = _bartlett_factor(rng, dof, size)
+        s[r] = a @ a.T
+    assert np.array_equal(np.triu(a, 1), np.zeros((size, size)))
+    assert np.all(a[:, dof:] == 0.0)
+    assert np.linalg.matrix_rank(s[0]) == min(dof, size)
+    mean, var = dof * np.eye(size), dof * (1.0 + np.eye(size))
+    assert np.all(np.abs(s.mean(axis=0) - mean) < 6.0 * np.sqrt(var / reps))
+    dev2 = (s - s.mean(axis=0)) ** 2
+    se_var = np.sqrt(dev2.var(axis=0) / reps)
+    assert np.all(np.abs(s.var(axis=0) - var) < 6.0 * se_var)
+
+
 def test_require_median_radius_raises_until_estimated():
     from sepmix.errors import MissingMedianRadius
 
@@ -657,6 +755,24 @@ def test_embedded_pairwise_distances_match_direct_sampling():
     d2_emb, d2_dir = np.asarray(d2_emb), np.asarray(d2_dir)
     pooled = math.sqrt(d2_emb.var() / d2_emb.size + d2_dir.var() / d2_dir.size)
     assert abs(d2_emb.mean() - d2_dir.mean()) < 6 * pooled
+
+
+def test_embedded_points_are_the_bartlett_block_draw():
+    # the Bartlett factor moved into its own helper with the same draws in
+    # the same order: labels, the (count, count) normal block, then the
+    # chi-squares; this is the sampler's old body
+    rng_new, rng_old = np.random.default_rng(58), np.random.default_rng(58)
+    sigmas, weights, dim, count = np.array([1.0, 10.0]), np.array([0.5, 0.5]), 10**7, 60
+    s = sample_concentric_spherical_embedded(sigmas, weights, dim, rng_new, count)
+    labels = model._draw_labels(weights, rng_old, count)
+    points = rng_old.standard_normal((count, count))
+    for i in range(count):
+        points[i, i:] = 0.0
+    np.fill_diagonal(points, np.sqrt(rng_old.chisquare(dim - np.arange(count))))
+    points *= sigmas[labels][:, None]
+    assert np.array_equal(s.labels, labels)
+    assert np.array_equal(s.points, points)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 def test_embedded_set_reports_ambient_dim():
