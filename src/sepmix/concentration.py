@@ -20,22 +20,17 @@ freedom (model._sq_dist_draws), so a spherical component takes one or two
 variates a sample whatever its dimension.  A spectrum without repeated
 eigenvalues keeps n standard normals a sample: the block ``sample`` would
 map, so the generator advances as if the points had been sampled and the
-distances differ from theirs only by roundoff.  The
-pair check draws x - y ~ N(0, 2 R diag(lambda) R^T) in one pass; a
-spherical cross pair is one group of eigenvalue sigma_i^2 + sigma_j^2 with
-offset |c_i - c_j|.  Only a nonspherical cross pair samples points, because
-its two components rotate differently: it streams the second component's
-draws against the first's kept points x.  The covariance check needs
+distances differ from theirs only by roundoff.  The two pair checks draw
+x - y ~ N(c_i - c_j, Sigma_i + Sigma_j) (model._difference) and measure it
+from the origin, so no check samples points.  The covariance check needs
 z^T z, a Wishart matrix, and draws its Bartlett factor
 (model._bartlett_factor): O(n^2) variates instead of N n.
 
 Every draw is made in consecutive blocks of about 1 MiB and reduced as it
-is drawn, so a check holds one block and at most one value per draw (the
-nonspherical cross pair, its first component's points).  Each
-step on a row rounds the same whatever the block height, so on a spectrum
-without repeats the reports are those of the one-block draw, bit for bit,
-and the generator ends in the same state.  Reruns are byte-identical on any
-spectrum.
+is drawn, so a check holds one block and no value per draw.  A row rounds
+the same whatever the block height, so on a spectrum without repeats the
+reports are those of the one-block draw, bit for bit, and the generator
+ends in the same state.  Reruns are byte-identical on any spectrum.
 """
 
 from __future__ import annotations
@@ -56,8 +51,7 @@ from .errors import (
 from .model import (
     GaussianParams,
     _bartlett_factor,
-    _from_standard_normal,
-    _normal_blocks,
+    _difference,
     _sq_dist_draws,
     sample,  # noqa: F401  # the benchmark rebinds sepmix.concentration.sample
 )
@@ -175,12 +169,9 @@ def pair_distance_check(
     radius, sigma = _require_scale(params)
     lo = 2.0 * radius * radius - 8.0 * t * sigma * radius
     hi = 2.0 * (radius + 2.0 * t * sigma) ** 2
-    # x - y ~ N(0, R diag(2 lambda) R^T): the centers cancel
-    diff = GaussianParams(
-        np.zeros(params.dim), 2.0 * params.eigenvalues, params.rotation
-    )
+    diff, origin = _difference(params, params), np.zeros(params.dim)
     hits = 0
-    for _, d2 in _sq_dist_draws(diff, rng, num_pairs):
+    for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=origin):
         hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
     return _bound(1.0 - 3.0 * math.exp(-t), hits, num_pairs)
 
@@ -200,9 +191,9 @@ def cross_pair_check(
         |x-y|^2 >= 2 min(R_i, R_j)^2
                    + 60 t (s_i + s_j)(R_i + R_j) + 30 t^2 (s_i^2 + s_j^2).
 
-    For a spherical pair x - y ~ N(c_i - c_j, (sigma_i^2 + sigma_j^2) I), so
-    |x - y|^2 is drawn from its law as one eigenvalue group; any other pair
-    samples both components' points (``sample``'s draws, streamed).
+    x - y ~ N(c_i - c_j, Sigma_i + Sigma_j), so |x - y|^2 is drawn from its
+    law: one eigenvalue group for a spherical pair, n standard normals a
+    pair when Sigma_i + Sigma_j has no repeated eigenvalue.
     """
     _require_t_at_least_one(t)
     if num_pairs < 10_000:
@@ -222,26 +213,10 @@ def cross_pair_check(
         + c1 * t * (s_i + s_j) * (r_i + r_j)
         + c2 * t * t * (s_i * s_i + s_j * s_j)
     )
-    n = params_i.dim
+    diff, origin = _difference(params_i, params_j), np.zeros(params_i.dim)
     hits = 0
-    if params_i.is_spherical() and params_j.is_spherical():
-        diff = GaussianParams(
-            params_i.center - params_j.center,
-            np.full(n, params_i.eigenvalues[0] + params_j.eigenvalues[0]),
-            None,
-        )
-        for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=np.zeros(n)):
-            hits += int(np.count_nonzero(d2 >= bound))
-    else:
-        # the points of sample(params_i, ...) then sample(params_j, ...)
-        x = np.empty((num_pairs, n))
-        for a, z in _normal_blocks(rng, num_pairs, n):
-            x[a : a + len(z)] = _from_standard_normal(params_i, z)
-        for a, z in _normal_blocks(rng, num_pairs, n):
-            diff = x[a : a + len(z)]
-            diff -= _from_standard_normal(params_j, z)
-            diff *= diff
-            hits += int(np.count_nonzero(np.sum(diff, axis=1) >= bound))
+    for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=origin):
+        hits += int(np.count_nonzero(d2 >= bound))
     return _bound(1.0 - 6.0 * math.exp(-t), hits, num_pairs)
 
 

@@ -72,7 +72,8 @@ class ExperimentConfig:
     ``source.estimate_radii``: median radii are computed exactly, without
     draws, where they are needed.  ``trials``, ``master_seed`` and
     ``sample_size`` are integers (not bools), at least 1, 0 and 0.  The
-    numbers in _NUMBER_KEYS must be numbers where given.
+    numbers in _NUMBER_KEYS must be numbers where given, and
+    ``validate.suite`` one of SUITES.
     """
 
     scenario: str
@@ -90,6 +91,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
+        if self.validate.get("suite", "lemma5") not in SUITES:
+            raise ValueError(f"validate.suite must be one of {SUITES}")
         _int_at_least(self.trials, 1, "trials")
         _int_at_least(self.master_seed, 0, "master_seed")
         _int_at_least(self.sample_size, 0, "sample_size")

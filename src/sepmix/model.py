@@ -194,8 +194,7 @@ def _normal_blocks(rng: np.random.Generator, rows: int, dim: int):
     so none is far shorter than a chunk: a GEMM of only a few rows can round
     differently from one of many (OpenBLAS does at n >= 32 and fewer than
     about 1200 / n rows).  ``_sq_dist_draws`` uses these blocks for a
-    spectrum without repeated eigenvalues, the cross-pair check for a
-    nonspherical pair.
+    spectrum without repeated eigenvalues.
     """
     height, bounds = _row_blocks(rows, max(_DRAW_CHUNK // dim, 1))
     buf = np.empty((height, dim))
@@ -292,6 +291,29 @@ def _sq_dist_draws(
                 tmp *= value
                 out += tmp
         yield lo, out
+
+
+def _difference(p: GaussianParams, q: GaussianParams) -> GaussianParams:
+    """N(c_p - c_q, Sigma_p + Sigma_q), the law of x - y for independent
+    draws x of p and y of q.  A shared rotation adds the spectra, a spherical
+    component its eigenvalue to the other's, so equal eigenvalues stay equal
+    for ``_sq_dist_draws`` to group; two spherical ones make one eigenvalue.
+    Any other pair eigendecomposes the n x n sum, clipped at 0 so that
+    roundoff on an ill-conditioned pair cannot give a NaN."""
+    center = p.center - q.center
+    if p.rotation is q.rotation:
+        return GaussianParams(center, p.eigenvalues + q.eigenvalues, p.rotation)
+    if p.is_spherical() and q.is_spherical():
+        lam = np.full(p.dim, p.eigenvalues[0] + q.eigenvalues[0])
+        return GaussianParams(center, lam, None)
+    ball, other = (p, q) if p.is_spherical() else (q, p)
+    if ball.is_spherical():
+        lam = other.eigenvalues + ball.eigenvalues[0]
+        return GaussianParams(center, lam, other.rotation)
+    rp, rq = (np.eye(p.dim) if g.rotation is None else g.rotation for g in (p, q))
+    cov = (rp * p.eigenvalues) @ rp.T + (rq * q.eigenvalues) @ rq.T
+    lam, rotation = np.linalg.eigh(cov)
+    return GaussianParams(center, np.maximum(lam, 0.0), rotation)
 
 
 def _chi_square(rng: np.random.Generator, dof: int, out: np.ndarray) -> None:

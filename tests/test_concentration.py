@@ -259,23 +259,46 @@ def _spy_on_sq_dist_draws(monkeypatch):
     return seen
 
 
-def test_scalar_reduction_matches_direct_moments(monkeypatch):
-    # the spherical pair's |x - y|^2, drawn as one eigenvalue group, must
-    # have the distribution of direct ambient sampling; compare mean and
-    # variance
-    n, si, sj = 40, 1.0, 2.0
-    gi, gj = _separated_spherical_pair(n, si, sj)
+_DIFFERENCE_PAIRS = {
+    "spherical": lambda n: _separated_spherical_pair(n, 1.0, 2.0),
+    "rotated": lambda n: _rotated_pair(n),
+    "spherical-rotated": lambda n: (_spherical(n), _rotated_eccentric(n, 1e3, 9)),
+    "unrotated-rotated": lambda n: (_eccentric(n), _rotated_eccentric(n, 1e3, 9)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_DIFFERENCE_PAIRS))
+def test_cross_pair_draws_have_the_moments_of_sampled_differences(pair, monkeypatch):
+    # |x - y|^2, drawn from the law of x - y, must have the mean and
+    # variance of |sample(gi) - sample(gj)|^2 row by row
+    num = 200_000
+    gi, gj = _DIFFERENCE_PAIRS[pair](12)
     seen = _spy_on_sq_dist_draws(monkeypatch)
-    cross_pair_check(gi, gj, 1.0, 200_000, np.random.default_rng(12))
-    reduced = np.concatenate(seen)
-    assert reduced.size == 200_000
+    cross_pair_check(gi, gj, 1.0, num, np.random.default_rng(12))
+    drawn = np.concatenate(seen)
+    assert drawn.size == num
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((200_000, n)) * si
-    y = gj.center + rng.standard_normal((200_000, n)) * sj
-    direct = np.sum((x - y) ** 2, axis=1)
-    se_mean = math.sqrt(direct.var() / direct.size + reduced.var() / reduced.size)
-    assert abs(reduced.mean() - direct.mean()) < 6 * se_mean
-    assert abs(reduced.var() / direct.var() - 1.0) < 0.05
+    direct = np.sum((sample(gi, rng, num) - sample(gj, rng, num)) ** 2, axis=1)
+    se_mean = math.sqrt(direct.var() / num + drawn.var() / num)
+    assert abs(drawn.mean() - direct.mean()) < 6 * se_mean
+    assert abs(drawn.var() / direct.var() - 1.0) < 0.05
+
+
+def test_ill_conditioned_cross_pair_draws_are_finite(monkeypatch):
+    # twelve eigenvalues of 1e-20 and four from 1e-3 to 1, under two
+    # rotations: the sum has rank 8 above roundoff, and eigh gives three of
+    # its eight eigenvalues near 0 as -2e-16 to -2e-17; they are clipped to 0
+    n = 16
+    rng = np.random.default_rng(21)
+    lam = np.concatenate([np.full(12, 1e-20), np.logspace(-3.0, 0.0, 4)])
+    gi = make_gaussian(np.zeros(n), lam, random_rotation(n, rng))
+    gj = make_gaussian(np.full(n, 1e3), lam, random_rotation(n, rng))
+    for g in (gi, gj):
+        median_radius(g)
+    seen = _spy_on_sq_dist_draws(monkeypatch)
+    b = cross_pair_check(gi, gj, 1.0, 20_000, np.random.default_rng(22))
+    assert np.isfinite(np.concatenate(seen)).all()
+    assert b.passed
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -403,9 +426,13 @@ def test_covariance_passes_moderate_sample():
 # the same standard normal draws in eigen coordinates, block by block (these
 # spectra have no repeated eigenvalue, so _sq_dist_draws keeps the normals),
 # so on pinned seeds they must report the same hits, and leave the generator
-# in the same state, however many blocks the draws take.  The pair check
-# draws x - y itself: its reference samples that difference as a component
-# with doubled eigenvalues at center 0.
+# in the same state, however many blocks the draws take.  The two pair
+# checks draw x - y itself: the references sample that difference as a
+# component, with doubled eigenvalues at center 0 for the pair check, and
+# with the eigendecomposition of the dense sum of the two covariances for
+# the cross pair.  Every cross pair here lands past its bound, so for it the
+# hits pin the stream and the generator state; the law is pinned by
+# test_cross_pair_draws_have_the_moments_of_sampled_differences.
 
 
 def _old_shell_hits(g, t, num, rng):
@@ -433,7 +460,7 @@ def _materialized_pair_hits(g, t, num, rng):
     return int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
 
 
-def _old_cross_hits(gi, gj, t, num, rng):
+def _materialized_cross_hits(gi, gj, t, num, rng):
     c1, c2 = 60.0, 30.0  # the practical separation constants
     r_i, s_i, r_j, s_j = gi.median_radius, gi.sigma_max, gj.median_radius, gj.sigma_max
     bound = (
@@ -441,9 +468,11 @@ def _old_cross_hits(gi, gj, t, num, rng):
         + c1 * t * (s_i + s_j) * (r_i + r_j)
         + c2 * t * t * (s_i * s_i + s_j * s_j)
     )
-    x = sample(gi, rng, num)
-    y = sample(gj, rng, num)
-    return int(np.count_nonzero(np.sum((x - y) ** 2, axis=1) >= bound))
+    cov = sum((g.rotation * g.eigenvalues) @ g.rotation.T for g in (gi, gj))
+    lam, rot = np.linalg.eigh(cov)
+    diff = make_gaussian(gi.center - gj.center, lam, rot)
+    d2 = np.sum(sample(diff, rng, num) ** 2, axis=1)
+    return int(np.count_nonzero(d2 >= bound))
 
 
 def _old_growth_mass(g, x, radii, num, rng):
@@ -490,6 +519,12 @@ def _partner(g):
     return _rotated_eccentric(g.dim, g.center + 1e3, 99)
 
 
+def _rotated_pair(n):
+    """Two rotated eccentric components with distinct spectra, separated."""
+    g = _rotated_eccentric(n, 0.0, 7)
+    return g, _partner(g)
+
+
 # (new call, old call), each on (component, seed-derived rng); both return
 # something that must compare equal.
 _CHECKER_PAIRS = {
@@ -507,7 +542,7 @@ _CHECKER_PAIRS = {
     ),
     "cross_pair": (
         lambda g, rng: cross_pair_check(g, _partner(g), 1.0, 20_000, rng).observed,
-        lambda g, rng: _old_cross_hits(g, _partner(g), 1.0, 20_000, rng) / 20_000,
+        lambda g, rng: _materialized_cross_hits(g, _partner(g), 1.0, 20_000, rng) / 20_000,
     ),
     "ball_growth": (
         lambda g, rng: ball_growth_check(
@@ -535,34 +570,6 @@ def test_checker_matches_materialized_draws(checker, seed, offset, monkeypatch):
         rng_old = np.random.default_rng(seed + 1)
         assert new(g, rng_new) == old(g, rng_old), f"chunk {chunk}"
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-
-@pytest.mark.parametrize("n, chunk", [(3, 11_111), (64, 1 << 17)])
-def test_cross_pair_streams_the_points_sample_draws(n, chunk, monkeypatch):
-    # The direct path maps its blocks with sample's rotation GEMM, so every
-    # point must keep the bits sample gives it in one block.  At n = 3 the
-    # draws take 6 blocks; at n = 64, 2048 rows make a chunk and 10 245 pairs
-    # take 6 blocks of 1707 or 1708 rows, where five blocks of 2048 rows and
-    # one of 5 would round that last GEMM differently.
-    monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
-    gi = _rotated_eccentric(n, 0.0, 7)
-    gj = _partner(gi)
-    num = 20_000 if n == 3 else 5 * 2048 + 5
-    mapped = {id(gi): [], id(gj): []}
-
-    def spy(params, z):
-        points = model._from_standard_normal(params, z)
-        mapped[id(params)].append(points.copy())
-        return points
-
-    monkeypatch.setattr(concentration, "_from_standard_normal", spy)
-    rng_new = np.random.default_rng(8)
-    rng_old = np.random.default_rng(8)
-    cross_pair_check(gi, gj, 1.0, num, rng_new)
-    for params in (gi, gj):
-        want = sample(params, rng_old, num)
-        assert np.array_equal(np.concatenate(mapped[id(params)]), want)
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3])
@@ -720,12 +727,22 @@ def test_variates_drawn_per_sample(check, component, per_sample):
     assert rng.drawn == per_sample * 20_000
 
 
-def test_variates_drawn_by_spherical_cross_pair():
-    # one eigenvalue group with an offset: a normal and a chi-square a pair
-    gi, gj = _separated_spherical_pair(64, 1.0, 2.0)
+@pytest.mark.parametrize(
+    "pair, per_pair",
+    [
+        (lambda: _separated_spherical_pair(64, 1.0, 2.0), 2),
+        (lambda: _rotated_pair(64), 64),
+    ],
+    ids=["spherical", "rotated"],
+)
+def test_variates_drawn_by_cross_pair(pair, per_pair):
+    # a spherical pair is one eigenvalue group with an offset, a normal and
+    # a chi-square a pair; a rotated pair with distinct spectra is the n
+    # normals of one draw of x - y, not two draws of n
+    gi, gj = pair()
     rng = _CountingGenerator(42)
     cross_pair_check(gi, gj, 1.0, 20_000, rng)
-    assert rng.drawn == 2 * 20_000
+    assert rng.drawn == per_pair * 20_000
 
 
 def test_variates_drawn_by_covariance_check():

@@ -290,6 +290,15 @@ def test_config_rejects_bad_scenario():
         ExperimentConfig.from_dict({"scenario": "nope", "trials": 1, "master_seed": 0})
 
 
+def test_config_rejects_unknown_suite():
+    # an unknown suite fails every trial alike, so it fails the config, as
+    # an unknown scenario does
+    doc = {"scenario": "validate", "trials": 1, "master_seed": 0,
+           "validate": {"suite": "lemma9"}}
+    with pytest.raises(ValueError, match=r"^validate\.suite must be one of"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_trial_json_fields(tmp_path):
     out = tmp_path / "runs"
     run_experiment(_plant_config(trials=1, out_dir=str(out)))

@@ -16,9 +16,9 @@ The Monte Carlo checks and median_radius draw their standard normals, or
 the variates of their statistic's law, in blocks of about model._DRAW_CHUNK
 values (1 MiB) into reused buffers and reduce each block as it is drawn, so
 none forms its whole draw: each holds one block plus at most one vector of
-one entry per draw.  The cross-pair check on a nonspherical pair also keeps
-its first component's points x.  The covariance check holds an n x n
-Bartlett factor, not a block of draws.  numpy reports its data buffers to
+one entry per draw.  The two pair checks draw x - y from its own law, so
+neither keeps any points.  The covariance check holds an n x n Bartlett
+factor, not a block of draws.  numpy reports its data buffers to
 tracemalloc, so the traced peak covers every array allocated.
 """
 
@@ -203,11 +203,12 @@ def test_classify_general_gram_side_balls_over_budget(monkeypatch):
 
 # The Monte Carlo checks and radii work on their standard normal draws in
 # place in eigen coordinates; the rotated draws, their deviations from the
-# center and a projection of them are never formed.  Each holds at most one
-# block (less, see the streamed cases below), plus vectors of one entry per
-# draw.
+# center and a projection of them are never formed, nor is the whole
+# DRAWS x DIM normal block (6.4 MB).  Each holds one draw block of
+# model._DRAW_CHUNK values, with a quarter more for the vectors of one entry
+# per row of it, plus at most one vector of one entry per draw.
 DRAWS, DIM = 100_000, 8
-BLOCK = DRAWS * DIM * 8
+DRAW_BLOCK = 1.25 * model._DRAW_CHUNK * 8
 
 
 @pytest.fixture(scope="module")
@@ -221,30 +222,40 @@ def rotated_component():
     return g
 
 
+# the directions the covariance check tests, (num_dirs + n + 1) x n, and its
+# n x n Bartlett factor: it forms about eight arrays of the directions' size
+# and two of the factor's; the rest is room for Python's own allocations
+COV_DIRS, COV_FACTOR = (16 + DIM + 1) * DIM * 8, DIM * DIM * 8
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, limit",
     [
-        lambda g, rng: pair_distance_check(g, 1.0, DRAWS // 2, rng),
-        lambda g, rng: covariance_concentration_check(g, DRAWS, 0.1, 16, rng),
-        lambda g, rng: median_radius(g, rng, DRAWS, method="mc"),
+        (lambda g, rng: pair_distance_check(g, 1.0, DRAWS // 2, rng), DRAW_BLOCK),
+        (
+            lambda g, rng: covariance_concentration_check(g, DRAWS, 0.1, 16, rng),
+            10 * COV_DIRS + 4 * COV_FACTOR,
+        ),
+        # the radius keeps one squared distance per draw
+        (
+            lambda g, rng: median_radius(g, rng, DRAWS, method="mc"),
+            DRAW_BLOCK + DRAWS * 8,
+        ),
     ],
     ids=["pair_distance_check", "covariance_concentration_check", "median_radius"],
 )
-def test_peak_stays_near_one_standard_normal_block(call, rotated_component):
+def test_peak_stays_near_one_standard_normal_block(call, limit, rotated_component):
     rng = np.random.default_rng(2)
     peak = _traced_peak(lambda: call(rotated_component, rng))
-    assert peak <= 1.35 * BLOCK, f"peak {peak / BLOCK:.2f} x the normal block"
+    assert peak <= limit, f"peak {peak / limit:.3f} x the bound"
 
 
-# Draws whose one block would be 51 MB (102 MB for the two-sample checks,
-# which take two draws per pair).  A streamed check holds one draw block,
-# with the few vectors of one entry per row of it; only the cross-pair check
-# on a nonspherical pair keeps more, its first component's points.  A
-# repeated spectrum draws a few variates per sample, in blocks of a quarter
-# chunk of samples, and holds the same.
+# Draws whose one block would be 51 MB.  A streamed check holds one draw
+# block, with the few vectors of one entry per row of it; the pair checks
+# draw one x - y a pair, so they hold no more.  A repeated spectrum draws a
+# few variates per sample, in blocks of a quarter chunk of samples, and
+# holds the same.
 WIDE_DRAWS, WIDE_DIM = 100_000, 64
-WIDE_BLOCK = WIDE_DRAWS * WIDE_DIM * 8
-DRAW_BLOCK = 1.25 * model._DRAW_CHUNK * 8
 PER_DRAW = WIDE_DRAWS * 8
 
 
@@ -284,11 +295,9 @@ def wide_pair():
             lambda g, h, rng: pair_distance_check(g, 1.0, WIDE_DRAWS, rng),
             DRAW_BLOCK,
         ),
-        # nonspherical: the points x, the draw block and the mapping's two
-        # temporaries; a spherical pair holds one block
         (
             lambda g, h, rng: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng),
-            WIDE_BLOCK + 3 * DRAW_BLOCK,
+            DRAW_BLOCK,
         ),
     ],
     ids=[
@@ -339,6 +348,7 @@ def wide_repeated_pair(request):
             DRAW_BLOCK,
         ),
         (lambda g, h, rng: pair_distance_check(g, 1.0, WIDE_DRAWS, rng), DRAW_BLOCK),
+        (lambda g, h, rng: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng), DRAW_BLOCK),
         # the radius keeps one squared distance per draw
         (
             lambda g, h, rng: median_radius(g, rng, WIDE_DRAWS, method="mc"),
@@ -350,6 +360,7 @@ def wide_repeated_pair(request):
         "point_distance_check",
         "ball_growth_check",
         "pair_distance_check",
+        "cross_pair_check",
         "median_radius",
     ],
 )
@@ -357,11 +368,3 @@ def test_repeated_spectrum_check_holds_no_draw_block(call, limit, wide_repeated_
     rng = np.random.default_rng(4)
     peak = _traced_peak(lambda: call(*wide_repeated_pair, rng))
     assert peak <= limit, f"peak {peak / limit:.3f} x the bound"
-
-
-def test_spherical_cross_pair_holds_no_draw_block():
-    # one eigenvalue group for the pair: no points are kept
-    g, h = _wide_axis_pair(1.0)
-    rng = np.random.default_rng(4)
-    peak = _traced_peak(lambda: cross_pair_check(g, h, 1.0, WIDE_DRAWS, rng))
-    assert peak <= DRAW_BLOCK, f"peak {peak / DRAW_BLOCK:.3f} x the bound"
