@@ -67,7 +67,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DiagnosticWarning,
@@ -532,6 +531,9 @@ def _top_eigenpair(g: np.ndarray) -> tuple[float, np.ndarray]:
     Raises:
         EigenSolverFailed: LAPACK did not converge.
     """
+    # imported on first use, as every scipy module (tests/test_imports.py)
+    import scipy.linalg
+
     d = g.shape[0]
     try:
         w, u = scipy.linalg.eigh(

@@ -151,10 +151,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     doc = json.loads(Path(args.config).read_text())
-    if args.out_dir:
-        doc["out_dir"] = args.out_dir
-    if args.seed is not None:
-        doc["master_seed"] = args.seed
+    if isinstance(doc, dict):  # from_dict refuses anything else
+        if args.out_dir:
+            doc["out_dir"] = args.out_dir
+        if args.seed is not None:
+            doc["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(doc)
     result = run_experiment(config)
     exact = result.exact_match_count

@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +66,16 @@ _NUMBER_KEYS = {
 class ExperimentConfig:
     """One experiment: a data source, a scenario, and trial bookkeeping.
 
-    ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``.  The
+    ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``, which
+    must make a ClassifierConfig when the scenario is classify_general.  The
     separation scale ``t`` and the step cap that older configs carry there
     are ignored, and so are ``source.radius_samples`` and
     ``source.estimate_radii``: median radii are computed exactly, without
     draws, where they are needed.  ``trials``, ``master_seed`` and
-    ``sample_size`` are integers (not bools), at least 1, 0 and 0.  The
-    numbers in _NUMBER_KEYS must be numbers where given, and
-    ``validate.suite`` one of SUITES.
+    ``sample_size`` are integers (not bools), at least 1, 0 and 0.  The five
+    dicts must be dicts, the numbers in _NUMBER_KEYS numbers where given,
+    ``source.sigmas`` not empty where given, and ``validate.suite`` one of
+    SUITES.
     """
 
     scenario: str
@@ -89,6 +91,10 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for part in (*_NUMBER_KEYS, "validate"):
+            doc = getattr(self, part)
+            if not isinstance(doc, dict):
+                raise ValueError(f"{part} must be an object, got {type(doc).__name__}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.validate.get("suite", "lemma5") not in SUITES:
@@ -104,14 +110,47 @@ class ExperimentConfig:
             for key in integers:
                 if key in doc:
                     _int_at_least(doc[key], 1, f"{part}.{key}")
+        if "sigmas" in self.source and np.size(self.source["sigmas"]) == 0:
+            raise ValueError("source.sigmas must not be empty")
+        if self.scenario == "classify_general":
+            _classifier_config(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be an object, got {type(doc).__name__}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
+        required = [
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        ]
+        missing = [name for name in required if name not in doc]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
         return cls(**doc)
+
+
+def _classifier_config(config: ExperimentConfig) -> ClassifierConfig:
+    """classify_general's ClassifierConfig, from ``classifier``'s k, w_min
+    and delta alone.
+
+    Raises:
+        ValueError: k or w_min is missing, or ClassifierConfig refuses them;
+            the message names ``classifier``.
+    """
+    doc = config.classifier
+    missing = [key for key in ("k", "w_min") if key not in doc]
+    if missing:
+        raise ValueError(f"classifier needs keys {missing}")
+    try:
+        return ClassifierConfig(
+            k=doc["k"], w_min=doc["w_min"], delta=doc.get("delta", 0.05)
+        )
+    except ValueError as exc:
+        raise ValueError(f"classifier: {exc}") from None
 
 
 @dataclass
@@ -252,12 +291,7 @@ def _run_trial(config: ExperimentConfig, trial: int, cache: dict) -> TrialReport
             else:
                 samples = _build_samples(config, rng, seed, cache)
                 if config.scenario == "classify_general":
-                    cc = ClassifierConfig(
-                        k=config.classifier["k"],
-                        w_min=config.classifier["w_min"],
-                        delta=config.classifier.get("delta", 0.05),
-                    )
-                    part = classify_general(samples, cc)
+                    part = classify_general(samples, _classifier_config(config))
                     report.extras["peels"] = [s.to_dict() for s in part.trace.steps]
                 elif config.scenario == "classify_spherical":
                     part = classify_spherical(
@@ -309,18 +343,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cache: dict = {}
     reports = [_run_trial(config, i, cache) for i in range(config.trials)]
     metadata = {"scenario": config.scenario, "trials": config.trials}
-    if config.scenario == "classify_general" and "k" in config.classifier:
+    if config.scenario == "classify_general":
         src = config.source
         n = src.get("n")
         if n is None and src.get("kind") == "mixture":
             n = src["object"].dim
         if n is not None:
-            floor = guarantee_sample_floor(
-                n,
-                config.classifier["k"],
-                config.classifier.get("delta", 0.05),
-                config.classifier["w_min"],
-            )
+            cc = _classifier_config(config)
+            floor = guarantee_sample_floor(n, cc.k, cc.delta, cc.w_min)
             metadata["sample_floor"] = floor
             metadata["meets_sample_floor"] = bool(config.sample_size >= floor)
     result = ExperimentResult(config=config, reports=reports, metadata=metadata)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import (
     DiagnosticWarning,
@@ -49,8 +48,8 @@ _IMHOF_PANEL_PHASE = 2.0  # radians of integrand phase one panel may span
 _IMHOF_MAX_PANELS = 4096
 _IMHOF_TAIL = 1e-16  # bound on the CDF error from cutting the integral off
 _EPS = float(np.finfo(float).eps)
-_ROOT_RTOL = 4.0 * _EPS  # the tightest brentq accepts
-_CHI2_1_MEDIAN = 2.0 * float(gammaincinv(0.5, 0.5))
+_ROOT_RTOL = 4.0 * _EPS  # the least rtol scipy allows Brent's method
+_CHI2_1_MEDIAN = 0.454936423119572  # 2 * gammaincinv(1/2, 1/2)
 
 
 @dataclass
@@ -440,13 +439,13 @@ def _exact_median_radius(eigenvalues) -> tuple[float, float]:
       cut-off needs more than _IMHOF_MAX_PANELS panels, as at small
       effective dimension, where the integrand decays slowly.
 
-    brentq finds F = 1/2 on a bracket that must hold the median: Cantelli's
-    inequality puts it within one standard deviation of the mean, and
-    Q >= lambda_max z_1^2 puts it at or above the chi-square(1) median.  Each
-    quadrature answers at one order and checks at another.  The answer is
-    kept when its halfwidth is at most _RADIUS_RTOL * R; the halfwidth adds
-    the distance to the check, the answer's rounding error (``root_error``)
-    and brentq's tolerance.
+    Brent's method (_brentq) finds F = 1/2 on a bracket that must hold the
+    median: Cantelli's inequality puts it within one standard deviation of
+    the mean, and Q >= lambda_max z_1^2 puts it at or above the chi-square(1)
+    median.  Each quadrature answers at one order and checks at another.
+    The answer is kept when its halfwidth is at most _RADIUS_RTOL * R; the
+    halfwidth adds the distance to the check, the answer's rounding error
+    (``root_error``) and the root finder's tolerance.
 
     Raises:
         MedianRadiusNotConverged: neither quadrature certified its answer.
@@ -473,7 +472,7 @@ def _exact_median_radius(eigenvalues) -> tuple[float, float]:
         except (ValueError, RuntimeError) as exc:
             misses.append(f"{name}: {exc}")
             continue
-        # brentq leaves |x - root| <= xtol + rtol |x| <= 2 rtol x
+        # _brentq leaves |x - root| <= xtol + rtol |x| <= 2 rtol x
         err = abs(x - x_check) + root_error(x) + 2.0 * _ROOT_RTOL * x
         radius = math.sqrt(scale * x)
         # R - sqrt(scale (x - err)), the larger side, without cancellation
@@ -491,14 +490,76 @@ def _exact_median_radius(eigenvalues) -> tuple[float, float]:
 
 
 def _median_of(cdf, lo: float, hi: float) -> float:
-    """Root of cdf(x) = 1/2 on [lo, hi] to brentq's tightest tolerance."""
-    # Imported here, not with the module: importing scipy.optimize before
-    # the package's other scipy modules raises its import RSS by ~1.2 MiB.
-    from scipy.optimize import brentq
-
-    return brentq(
+    """Root of cdf(x) = 1/2 on [lo, hi] to the tightest tolerance _brentq takes."""
+    return _brentq(
         lambda x: cdf(x) - 0.5, lo, hi, xtol=_ROOT_RTOL * lo, rtol=_ROOT_RTOL
     )
+
+
+def _brentq(
+    f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """Root of ``f`` in the bracket [xa, xb] by Brent's (1973) method.
+
+    An operation-for-operation port of scipy's optimize/Zeros/brentq.c
+    (BSD-3-Clause), plus the NaN check of scipy.optimize.brentq's wrapper,
+    so it returns scipy's root bit for bit.  Each step interpolates (secant
+    or inverse quadratic) when that shrinks the bracket fast enough, and
+    bisects otherwise; it stops once half the bracket is below
+    (xtol + rtol |x|) / 2.
+
+    Raises:
+        ValueError: f is NaN at some x, or f(xa) and f(xb) have one sign.
+        RuntimeError: no convergence within ``maxiter`` iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation proposes a step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0:  # C divides by 0 to an inf or a NaN: a bisection
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
 
 
 def _spectral_sum(fn, nodes: np.ndarray, lam: np.ndarray, mult: np.ndarray):
@@ -767,6 +828,9 @@ def sample_mixture(
 
 def spherical_median_radius(sigma: float, n: int) -> float:
     """Closed-form median radius of N(0, sigma^2 I_n)."""
+    # imported on first use, as every scipy module (tests/test_imports.py)
+    from scipy.special import gammaincinv
+
     return sigma * math.sqrt(2.0 * float(gammaincinv(n / 2.0, 0.5)))
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .classify import Partition
 from .errors import IndexMismatch
@@ -34,6 +33,9 @@ def partition_compare(predicted: Partition, truth_labels) -> MatchResult:
         IndexMismatch: the partition does not cover exactly the label index
             range 0..M-1.
     """
+    # imported on first use, as every scipy module (tests/test_imports.py)
+    from scipy.optimize import linear_sum_assignment
+
     truth = np.asarray(truth_labels, dtype=int).reshape(-1)
     m = truth.shape[0]
     covered = (

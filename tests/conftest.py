@@ -42,12 +42,14 @@ def bad_points(request):
 def kmedian_cost(points, centers) -> float:
     """Sum over points of the squared distance to the nearest center.
 
-    Nearest centers are found with the Gram expansion; the returned value is
-    then recomputed from explicit differences, so a point sitting exactly on
-    a center contributes exactly zero.
+    Nearest centers are found with the Gram expansion on points and centers
+    moved by the points' mean, so a far offset (1e6) costs the expansion no
+    digits; the returned value is then recomputed from explicit differences,
+    so a point sitting exactly on a center contributes exactly zero.
     """
     points = np.asarray(points, dtype=float)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    nearest = np.argmin(pairwise_sq_dists(points, centers), axis=1)
+    mean = points.mean(axis=0)
+    nearest = np.argmin(pairwise_sq_dists(points - mean, centers - mean), axis=1)
     diff = points - centers[nearest]
     return float(np.einsum("ij,ij->", diff, diff))

@@ -293,3 +293,48 @@ def test_bad_experiment_config_exits_two(tmp_path, capsys):
     rc = main(["experiment", "--config", str(cfg)])
     assert rc == 2
     assert "error: ValueError" in capsys.readouterr().err
+
+
+_GENERAL = {"scenario": "classify_general", "trials": 1, "master_seed": 0,
+            "sample_size": 200, "source": _PLANT, "classifier": {"k": 2, "w_min": 0.5}}
+
+
+def _without(key):
+    return {k: v for k, v in _GENERAL.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([_GENERAL], "config must be an object"),
+        (_without("trials"), "missing config keys ['trials']"),
+        (_without("master_seed"), "missing config keys ['master_seed']"),
+        (
+            _GENERAL | {"classifier": {"k": 2, "w_min": 0.5, "delta": 0}},
+            "classifier: delta must be in (0, 1]",
+        ),
+        (_GENERAL | {"source": [_PLANT]}, "source must be an object"),
+        (_GENERAL | {"validate": ["lemma5"]}, "validate must be an object"),
+        (
+            _GENERAL | {"source": {"kind": "concentric_spherical", "sigmas": [],
+                                   "ambient_dim": 400}},
+            "source.sigmas must not be empty",
+        ),
+    ],
+    ids=[
+        "top-level-list",
+        "no-trials",
+        "no-master_seed",
+        "delta-0",
+        "source-list",
+        "validate-list",
+        "sigmas-empty",
+    ],
+)
+def test_malformed_experiment_config_exits_two(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ValueError: {message}")

@@ -18,6 +18,7 @@ from sepmix.model import (
     GaussianParams,
     Mixture,
     _bartlett_factor,
+    _brentq,
     _from_standard_normal,
     _normal_blocks,
     _sq_dist_draws,
@@ -362,6 +363,94 @@ def test_talbot_disagreement_falls_back_to_imhof(monkeypatch):
     _skew_talbot(monkeypatch)
     radius, half = model._exact_median_radius(lam)
     assert abs(radius - want[0]) <= half + want[1]
+
+
+# ---------------------------------------------------------------------------
+# _brentq: scipy.optimize.brentq, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _outcome(solver, f, a, b, **options):
+    """The root ``solver`` returns, or the type of the error it raises."""
+    try:
+        return solver(f, a, b, **options)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _recorded_solves(monkeypatch, spectra):
+    """(f, lo, hi, options) of every root _exact_median_radius solves for."""
+    solves = []
+
+    def recording(f, lo, hi, **options):
+        solves.append((f, lo, hi, options))
+        return _brentq(f, lo, hi, **options)
+
+    monkeypatch.setattr(model, "_brentq", recording)
+    for lam in spectra:
+        try:
+            model._exact_median_radius(lam)
+        except MedianRadiusNotConverged:
+            pass
+    return solves
+
+
+@pytest.mark.parametrize("imhof", [False, True], ids=["talbot", "imhof"])
+def test_brentq_matches_scipy_on_median_cdfs(monkeypatch, imhof):
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(21)
+    spectra = [
+        rng.uniform(0.01, 1.0, size=n) ** rng.uniform(0.5, 6.0)
+        for n in rng.integers(2, 64, size=60)
+    ]
+    if imhof:  # Talbot then certifies nothing, so Imhof solves where it can
+        _skew_talbot(monkeypatch)
+    solves = _recorded_solves(monkeypatch, spectra)
+    assert len(solves) > (3 if imhof else 2) * len(spectra)
+    for f, lo, hi, options in solves:
+        want = _outcome(brentq, f, lo, hi, **options)
+        assert _outcome(_brentq, f, lo, hi, **options) == want
+
+
+_TIGHT = {"xtol": 2e-12, "rtol": 4.0 * np.finfo(float).eps}
+
+
+@pytest.mark.parametrize(
+    "f, a, b, options",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, _TIGHT),
+        (lambda x: math.tanh(x - 0.3), 3.0, -2.0, _TIGHT),
+        (lambda x: math.atan(1e6 * (x - 0.25)), -3.0, 3.0, _TIGHT),
+        (lambda x: x - 1.0, 1.0, 2.0, _TIGHT),
+        (lambda x: x * x + 1.0, -1.0, 2.0, _TIGHT),
+        (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, _TIGHT),
+        (lambda x: math.nan if abs(x - 0.5) < 0.1 else x - 0.5, 0.0, 1.0, _TIGHT),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, _TIGHT | {"maxiter": 1}),
+    ],
+    ids=[
+        "cubic",
+        "reversed-bracket",
+        "steep",
+        "root-at-a",
+        "no-sign-change",
+        "nan-at-b",
+        "nan-inside",
+        "one-iteration",
+    ],
+)
+def test_brentq_matches_scipy_on_edge_cases(f, a, b, options):
+    from scipy.optimize import brentq
+
+    assert _outcome(_brentq, f, a, b, **options) == _outcome(
+        brentq, f, a, b, **options
+    )
+
+
+def test_chi2_1_median_literal_is_the_closed_form():
+    from scipy.special import gammaincinv
+
+    assert model._CHI2_1_MEDIAN == 2.0 * float(gammaincinv(0.5, 0.5))
 
 
 def test_median_radius_too_few_samples():
