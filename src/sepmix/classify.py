@@ -158,6 +158,10 @@ class PeelTrace:
     delta: float
     steps: list[PeelStep] = field(default_factory=list)
 
+    def records(self) -> list[dict]:
+        """The steps' JSON-ready records, in peel order."""
+        return [step.to_dict() for step in self.steps]
+
 
 @dataclass
 class Partition:
@@ -315,19 +319,19 @@ class _SqDistRows:
             self.x, self.xx, self.scale = self.points[cols], self.norms[cols], None
             self.x *= -2.0
 
-    def block(self, rows, lo: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    def block(self, rows) -> np.ndarray:
         """Squared distances of ``rows`` (indices, or a slice when no columns
-        are gathered) to the live columns from the lo-th on.
+        are gathered) to the live columns.
 
-        A block is one GEMM, written into ``out`` when given, and finished in
-        place by _expand; nothing of it is kept.  Stored rows are a copy.
+        A block is one GEMM, finished in place by _expand; nothing of it is
+        kept.  Stored rows are a copy.
         """
         if self.d2 is not None:
             if self.cols.size == self.d2.shape[1]:
                 return self.d2[rows]
             return self.d2[np.ix_(rows, self.cols)]
-        g = np.matmul(self.points[rows], self.x[lo:].T, out=out)
-        return _expand(g, self.norms[rows], self.xx[lo:], scale=self.scale)
+        g = np.matmul(self.points[rows], self.x.T)
+        return _expand(g, self.norms[rows], self.xx, scale=self.scale)
 
     def screen(
         self, rows, lo: int = 0, out: np.ndarray | None = None

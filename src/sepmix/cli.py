@@ -79,7 +79,7 @@ def _cmd_classify(args) -> int:
     partition = classify_general(samples, config)
     save_partition(args.out, partition.as_labels())
     if args.trace:
-        doc = [s.to_dict() for s in partition.trace.steps]
+        doc = partition.trace.records()
         Path(args.trace).write_text(json.dumps(doc, indent=2) + "\n")
     sizes = [len(c) for c in partition.clusters]
     print(f"wrote partition with cluster sizes {sizes} to {args.out}")

@@ -14,6 +14,7 @@ import math
 import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,10 @@ from .concentration import (
     shell_mass_check,
 )
 from .errors import DiagnosticWarning, SampleBalanceWarning, SepmixError
-from .kmedian import fit_spherical_mixture
+from .kmedian import _NORMALIZATIONS, fit_spherical_mixture
 from .model import (
     LabeledSampleSet,
+    Mixture,
     _int_at_least,
     _real,
     make_gaussian,
@@ -44,38 +46,35 @@ from .model import (
     sample_concentric_spherical_embedded,
     sample_mixture,
 )
-from .separation import SeparationConfig, plant_separated_mixture
+from .separation import _MODES, SeparationConfig, plant_separated_mixture
 from .io import load_params, load_samples
 
 SCENARIOS = ("classify_general", "classify_spherical", "fit", "validate")
 SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
-
-# Numbers the trials read from a config's dicts, as (reals, integers >= 1) per
-# dict.  They are checked to be numbers when the config is made, so that a
-# malformed one, a k of 2.0 in any dict among them, fails the run before its
-# first trial; the reals' ranges are left to the code that takes them.
-_NUMBER_KEYS = {
-    "source": (("t", "c1", "c2", "slack"), ("n", "k")),
-    "spherical": (("t",), ("k",)),
-    "classifier": (("w_min", "delta"), ("k",)),
-    "fit": ((), ("k",)),
-}
+_KINDS = ("plant", "concentric_spherical", "params", "mixture", "samples")
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment: a data source, a scenario, and trial bookkeeping.
 
-    ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``, which
-    must make a ClassifierConfig when the scenario is classify_general.  The
-    separation scale ``t`` and the step cap that older configs carry there
-    are ignored, and so are ``source.radius_samples`` and
+    Making a config reads it, once, into the plan every trial follows: the
+    source's draw, the scenario bound to its settings, and the sample floor.
+    Whatever would fail alike in every trial raises ValueError then, naming
+    the key as ``part.key``.  ``trials``, ``master_seed`` and ``sample_size``
+    are integers (not bools), at least 1, 0 and 0.  The five sections must be
+    objects.  Each non-empty one is read in full, whichever scenario runs, and
+    the scenario's own (with ``source``, except under validate) even when
+    empty.  A ``params`` or ``samples`` source's file is read then.
+    ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``, which must
+    make a ClassifierConfig.  Other keys in a section are ignored, among them
+    the separation scale ``t`` and step cap older configs carry under
+    ``classifier``, and ``source.radius_samples`` and
     ``source.estimate_radii``: median radii are computed exactly, without
-    draws, where they are needed.  ``trials``, ``master_seed`` and
-    ``sample_size`` are integers (not bools), at least 1, 0 and 0.  The five
-    dicts must be dicts, the numbers in _NUMBER_KEYS numbers where given,
-    ``source.sigmas`` not empty where given, and ``validate.suite`` one of
-    SUITES.
+    draws.  What a constructor checks only while drawing (weights, shape
+    ranges, slack's range, a sample too small for k, the concentric pair's
+    arguments) and validate's option values fail per trial.  The plan is
+    made from the sections as they are at construction.
     """
 
     scenario: str
@@ -91,34 +90,28 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for part in (*_NUMBER_KEYS, "validate"):
-            doc = getattr(self, part)
-            if not isinstance(doc, dict):
-                raise ValueError(f"{part} must be an object, got {type(doc).__name__}")
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.validate.get("suite", "lemma5") not in SUITES:
-            raise ValueError(f"validate.suite must be one of {SUITES}")
+        for part in _READERS:
+            _object(getattr(self, part), part)
+        _one_of(SCENARIOS)(self.scenario, "scenario")
         _int_at_least(self.trials, 1, "trials")
         _int_at_least(self.master_seed, 0, "master_seed")
         _int_at_least(self.sample_size, 0, "sample_size")
-        for part, (reals, integers) in _NUMBER_KEYS.items():
-            doc = getattr(self, part)
-            for key in reals:
-                if doc.get(key) is not None:
-                    _real(doc[key], f"{part}.{key}")
-            for key in integers:
-                if key in doc:
-                    _int_at_least(doc[key], 1, f"{part}.{key}")
-        if "sigmas" in self.source and np.size(self.source["sigmas"]) == 0:
-            raise ValueError("source.sigmas must not be empty")
-        if self.scenario == "classify_general":
-            _classifier_config(self)
+        parts, run = _PLANS[self.scenario]
+        read = {
+            part: reader(self)
+            for part, reader in _READERS.items()
+            if getattr(self, part) or part in parts
+        }
+        self._run = partial(run, *read[parts[-1]])
+        self._draw, dim = read["source"] if "source" in parts else (None, None)
+        self._floor = None
+        if self.scenario == "classify_general" and dim is not None:
+            (cc,) = read["classifier"]
+            self._floor = guarantee_sample_floor(dim, cc.k, cc.delta, cc.w_min)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be an object, got {type(doc).__name__}")
+        _object(doc, "config")
         extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys {sorted(extra)}")
@@ -133,24 +126,226 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-def _classifier_config(config: ExperimentConfig) -> ClassifierConfig:
-    """classify_general's ClassifierConfig, from ``classifier``'s k, w_min
-    and delta alone.
+# ---------------------------------------------------------------------------
+# the plan: each key read, with its default, and checked in one place
+# ---------------------------------------------------------------------------
+
+
+def _key(config: ExperimentConfig, name: str, check=None, default=MISSING):
+    """The config's value for ``name`` ("part.key"), or ``default`` when the
+    key is absent, passed through ``check(value, name)`` when one is given.
 
     Raises:
-        ValueError: k or w_min is missing, or ClassifierConfig refuses them;
-            the message names ``classifier``.
+        ValueError: the key is absent and has no default ("part.key is
+            required"), or ``check`` refuses the value.
     """
-    doc = config.classifier
-    missing = [key for key in ("k", "w_min") if key not in doc]
-    if missing:
-        raise ValueError(f"classifier needs keys {missing}")
+    part, _, key = name.partition(".")
+    doc = getattr(config, part)
+    if key not in doc and default is MISSING:
+        raise ValueError(f"{name} is required")
+    value = doc.get(key, default)
+    return value if check is None else check(value, name)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    return _int_at_least(value, 1, name)
+
+
+def _one_of(choices: tuple):
+    def check(value, name: str):
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+        return value
+
+    return check
+
+
+def _made(part: str, build, **kwargs):
+    """build(**kwargs), a ValueError it raises prefixed with ``part``."""
     try:
-        return ClassifierConfig(
-            k=doc["k"], w_min=doc["w_min"], delta=doc.get("delta", 0.05)
-        )
+        return build(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"classifier: {exc}") from None
+        raise ValueError(f"{part}: {exc}") from None
+
+
+def _parse_shapes(raw, name: str):
+    """JSON-friendly shape specs: a two-number list is an eigenvalue range,
+    {"range": [lo, hi]} / {"spectrum": [...]} are explicit, and a list of such
+    entries gives one per component.
+
+    Raises:
+        ValueError: an entry is none of these; the message names ``name``.
+    """
+
+    def one(entry):
+        if isinstance(entry, dict):
+            if "range" in entry:
+                return (float(entry["range"][0]), float(entry["range"][1]))
+            if "spectrum" in entry:
+                return np.asarray(entry["spectrum"], dtype=float)
+            raise ValueError(f"shape entry needs 'range' or 'spectrum': {entry}")
+        if isinstance(entry, tuple):
+            return entry
+        seq = list(entry)
+        if len(seq) == 2 and all(isinstance(v, (int, float)) for v in seq):
+            return (float(seq[0]), float(seq[1]))
+        return np.asarray(seq, dtype=float)
+
+    try:
+        if isinstance(raw, list) and raw and isinstance(raw[0], (list, dict, tuple)):
+            return [one(e) for e in raw]
+        return one(raw)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _read_source(config: ExperimentConfig):
+    """The source's draw(rng, seed) and the dimension the sample floor takes:
+    None for a concentric pair or a sample file, whose runs report no floor."""
+    src, dim = config.source, None
+    kind = _key(config, "source.kind", _one_of(_KINDS))
+    if kind == "plant":
+        n, k = _key(config, "source.n", _count), _key(config, "source.k", _count)
+        sep = _made(
+            "source",
+            SeparationConfig,
+            t=_key(config, "source.t", _real),
+            mode=_key(config, "source.mode", _one_of(_MODES), "practical"),
+            c1=src.get("c1"),
+            c2=src.get("c2"),
+        )
+        shapes = [src.get("eig_lo", 1.0), src.get("eig_hi", 1.0)]
+        shapes = _key(config, "source.shapes", _parse_shapes, shapes)
+        plant = dict(
+            n=n,
+            k=k,
+            shape_spec=shapes,
+            config=sep,
+            slack=_key(config, "source.slack", _real, 1.0),
+            weights=src.get("weights"),
+        )
+        draw, dim = partial(_draw_plant, plant), n
+    elif kind == "concentric_spherical":
+        sigmas = _key(config, "source.sigmas")
+        count = np.size(sigmas)
+        if count == 0:
+            raise ValueError("source.sigmas must not be empty")
+        pair = dict(sigmas=sigmas, weights=src.get("weights", [1.0 / count] * count))
+        pair["ambient_dim"] = _key(config, "source.ambient_dim")
+        draw = partial(_draw_concentric, pair)
+    elif kind == "samples":
+        draw = partial(_draw_samples, load_samples(_key(config, "source.path")))
+    else:  # a mixture, read from a parameter file or given
+        if kind == "params":
+            mixture = load_params(_key(config, "source.path"))
+        else:
+            mixture = _key(config, "source.object")
+            if not isinstance(mixture, Mixture):
+                raise ValueError("source.object must be a Mixture")
+        draw, dim = partial(_draw_mixture, mixture), mixture.dim
+    return partial(draw, config.sample_size), dim
+
+
+def _read_classifier(config: ExperimentConfig) -> tuple[ClassifierConfig]:
+    k = _key(config, "classifier.k", _count)
+    w_min = _key(config, "classifier.w_min", _real)
+    delta = _key(config, "classifier.delta", _real, 0.05)
+    return (_made("classifier", ClassifierConfig, k=k, w_min=w_min, delta=delta),)
+
+
+def _read_spherical(config: ExperimentConfig) -> tuple[int, float]:
+    return _key(config, "spherical.k", _count), _key(config, "spherical.t", _real)
+
+
+def _read_fit(config: ExperimentConfig) -> tuple[int, str]:
+    k = _key(config, "fit.k", _count)
+    return k, _key(config, "fit.normalization", _one_of(_NORMALIZATIONS), "paper")
+
+
+def _read_validate(config: ExperimentConfig) -> tuple[str, dict]:
+    suite = _key(config, "validate.suite", _one_of(SUITES), "lemma5")
+    return suite, _key(config, "validate.options", _object, {})
+
+
+# Draws: each looks its sampler up at call time, so that a rebinding of the
+# module attribute sees the call.
+
+
+def _draw_plant(plant: dict, size: int, rng, seed: int) -> LabeledSampleSet:
+    return _draw_mixture(plant_separated_mixture(rng=rng, **plant), size, rng, seed)
+
+
+def _draw_mixture(mixture: Mixture, size: int, rng, seed: int) -> LabeledSampleSet:
+    return sample_mixture(mixture, rng, size, seed=seed)
+
+
+def _draw_concentric(pair: dict, size: int, rng, seed: int) -> LabeledSampleSet:
+    return sample_concentric_spherical_embedded(**pair, rng=rng, count=size, seed=seed)
+
+
+def _draw_samples(data: tuple, size: int, rng, seed: int) -> LabeledSampleSet:
+    points, labels = data
+    return LabeledSampleSet(points=points, labels=labels, seed=seed)
+
+
+# Scenarios: each runs on a trial's samples (None under validate), fills the
+# report's scenario fields, and returns the partition to score, if any.
+
+
+def _classify_general(config: ClassifierConfig, samples, rng, report):
+    part = classify_general(samples, config)
+    report.extras["peels"] = part.trace.records()
+    return part
+
+
+def _classify_spherical(k: int, t: float, samples, rng, report):
+    return classify_spherical(samples, k=k, t=t)
+
+
+def _fit(k: int, normalization: str, samples, rng, report):
+    points = samples.points
+    result = fit_spherical_mixture(points, k=k, rng=rng, normalization=normalization)
+    report.objective = result.solution.objective
+    report.extras.update(
+        sigma=result.sigma,
+        log_likelihood=result.log_likelihood,
+        weights=result.weights.tolist(),
+    )
+    if samples.labels is not None:
+        planted = _planted_restricted_objective(points, samples.labels)
+        counts = np.bincount(samples.labels, minlength=k)
+        report.extras.update(
+            planted_objective=planted, sampled_weights=(counts / samples.size).tolist()
+        )
+
+
+def _validate(suite: str, options: dict, samples, rng, report):
+    result = run_validation_suite(suite, options, rng)
+    report.exact_match = result["all_pass"]
+    report.extras["suite"] = result
+
+
+# Section readers in the order they are read, and per scenario the sections
+# it needs (its own last) and the function its trials run.
+_READERS = {
+    "source": _read_source,
+    "classifier": _read_classifier,
+    "spherical": _read_spherical,
+    "fit": _read_fit,
+    "validate": _read_validate,
+}
+_PLANS = {
+    "classify_general": (("source", "classifier"), _classify_general),
+    "classify_spherical": (("source", "spherical"), _classify_spherical),
+    "fit": (("source", "fit"), _fit),
+    "validate": (("validate",), _validate),
+}
 
 
 @dataclass
@@ -199,77 +394,8 @@ def guarantee_sample_floor(n: int, k: int, delta: float, w_min: float) -> float:
     return 1e7 * n * n * k * k * math.log(k * n * n) / (delta**2 * w_min**6)
 
 
-def _build_samples(config: ExperimentConfig, rng, seed, cache: dict) -> LabeledSampleSet:
-    src = config.source
-    kind = src.get("kind")
-    if kind == "plant":
-        sep = SeparationConfig(
-            t=src["t"],
-            mode=src.get("mode", "practical"),
-            c1=src.get("c1"),
-            c2=src.get("c2"),
-        )
-        shapes = _parse_shapes(
-            src.get("shapes", [src.get("eig_lo", 1.0), src.get("eig_hi", 1.0)])
-        )
-        mixture = plant_separated_mixture(
-            n=src["n"],
-            k=src["k"],
-            shape_spec=shapes,
-            config=sep,
-            slack=src.get("slack", 1.0),
-            rng=rng,
-            weights=src.get("weights"),
-        )
-        return sample_mixture(mixture, rng, config.sample_size, seed=seed)
-    if kind == "concentric_spherical":
-        return sample_concentric_spherical_embedded(
-            sigmas=src["sigmas"],
-            weights=src.get("weights", [1.0 / len(src["sigmas"])] * len(src["sigmas"])),
-            ambient_dim=src["ambient_dim"],
-            rng=rng,
-            count=config.sample_size,
-            seed=seed,
-        )
-    if kind == "params":
-        if "mixture" not in cache:
-            cache["mixture"] = load_params(src["path"])
-        return sample_mixture(cache["mixture"], rng, config.sample_size, seed=seed)
-    if kind == "mixture":
-        return sample_mixture(src["object"], rng, config.sample_size, seed=seed)
-    if kind == "samples":
-        if "data" not in cache:
-            cache["data"] = load_samples(src["path"])
-        points, labels = cache["data"]
-        return LabeledSampleSet(points=points, labels=labels, seed=seed)
-    raise ValueError(f"unknown source kind {kind!r}")
-
-
-def _parse_shapes(raw):
-    """JSON-friendly shape specs: a two-number list is an eigenvalue range,
-    {"range": [lo, hi]} / {"spectrum": [...]} are explicit, and a list of such
-    entries gives one per component."""
-
-    def one(entry):
-        if isinstance(entry, dict):
-            if "range" in entry:
-                return (float(entry["range"][0]), float(entry["range"][1]))
-            if "spectrum" in entry:
-                return np.asarray(entry["spectrum"], dtype=float)
-            raise ValueError(f"shape entry needs 'range' or 'spectrum': {entry}")
-        if isinstance(entry, tuple):
-            return entry
-        seq = list(entry)
-        if len(seq) == 2 and all(isinstance(v, (int, float)) for v in seq):
-            return (float(seq[0]), float(seq[1]))
-        return np.asarray(seq, dtype=float)
-
-    if isinstance(raw, list) and raw and isinstance(raw[0], (list, dict, tuple)):
-        return [one(e) for e in raw]
-    return one(raw)
-
-
-def _run_trial(config: ExperimentConfig, trial: int, cache: dict) -> TrialReport:
+def _run_trial(config: ExperimentConfig, trial: int) -> TrialReport:
+    """One trial of the config's plan: draw, run the scenario, score."""
     from .scoring import partition_compare
 
     seed = config.master_seed ^ trial
@@ -280,49 +406,13 @@ def _run_trial(config: ExperimentConfig, trial: int, cache: dict) -> TrialReport
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
             warnings.simplefilter("ignore", SampleBalanceWarning)
-            if config.scenario == "validate":
-                suite = run_validation_suite(
-                    config.validate.get("suite", "lemma5"),
-                    config.validate.get("options", {}),
-                    rng,
-                )
-                report.exact_match = suite["all_pass"]
-                report.extras["suite"] = suite
-            else:
-                samples = _build_samples(config, rng, seed, cache)
-                if config.scenario == "classify_general":
-                    part = classify_general(samples, _classifier_config(config))
-                    report.extras["peels"] = [s.to_dict() for s in part.trace.steps]
-                elif config.scenario == "classify_spherical":
-                    part = classify_spherical(
-                        samples, k=config.spherical["k"], t=config.spherical["t"]
-                    )
-                else:  # fit
-                    result = fit_spherical_mixture(
-                        samples.points,
-                        k=config.fit["k"],
-                        rng=rng,
-                        normalization=config.fit.get("normalization", "paper"),
-                    )
-                    report.objective = result.solution.objective
-                    report.extras["sigma"] = result.sigma
-                    report.extras["log_likelihood"] = result.log_likelihood
-                    report.extras["weights"] = result.weights.tolist()
-                    if samples.labels is not None:
-                        planted = _planted_restricted_objective(
-                            samples.points, samples.labels
-                        )
-                        report.extras["planted_objective"] = planted
-                        counts = np.bincount(samples.labels, minlength=config.fit["k"])
-                        report.extras["sampled_weights"] = (
-                            counts / samples.size
-                        ).tolist()
-                    part = None
-                if part is not None and samples.labels is not None:
-                    match = partition_compare(part, samples.labels)
-                    report.exact_match = match.exact_match
-                    report.agreement = match.agreement
-                    report.confusion = match.confusion.tolist()
+            samples = None if config._draw is None else config._draw(rng, seed)
+            part = config._run(samples, rng, report)
+            if part is not None and samples.labels is not None:
+                match = partition_compare(part, samples.labels)
+                report.exact_match = match.exact_match
+                report.agreement = match.agreement
+                report.confusion = match.confusion.tolist()
     except (SepmixError, ValueError) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     report.wall_time_s = time.perf_counter() - start
@@ -340,19 +430,11 @@ def _planted_restricted_objective(points: np.ndarray, labels: np.ndarray) -> flo
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials, write artifacts when out_dir is set, and summarize."""
-    cache: dict = {}
-    reports = [_run_trial(config, i, cache) for i in range(config.trials)]
+    reports = [_run_trial(config, i) for i in range(config.trials)]
     metadata = {"scenario": config.scenario, "trials": config.trials}
-    if config.scenario == "classify_general":
-        src = config.source
-        n = src.get("n")
-        if n is None and src.get("kind") == "mixture":
-            n = src["object"].dim
-        if n is not None:
-            cc = _classifier_config(config)
-            floor = guarantee_sample_floor(n, cc.k, cc.delta, cc.w_min)
-            metadata["sample_floor"] = floor
-            metadata["meets_sample_floor"] = bool(config.sample_size >= floor)
+    if config._floor is not None:
+        metadata["sample_floor"] = config._floor
+        metadata["meets_sample_floor"] = bool(config.sample_size >= config._floor)
     result = ExperimentResult(config=config, reports=reports, metadata=metadata)
     if config.out_dir is not None:
         _write_artifacts(result)
@@ -390,15 +472,10 @@ def _write_artifacts(result: ExperimentResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _spherical_component(n: int, sigma: float = 1.0):
-    comp = make_gaussian(np.zeros(n), np.full(n, sigma * sigma))
-    median_radius(comp)
-    return comp
-
-
-def _eccentric_component(n: int, top: float = 100.0, rng=None):
+def _component(n: int, top: float = 1.0, rng=None):
     """N(0, diag(top, 1, ..., 1)) with its median radius set, Haar-rotated
-    by a rotation drawn from ``rng`` when one is given."""
+    by a rotation drawn from ``rng`` when one is given: the standard normal
+    at the default ``top``."""
     lam = np.ones(n)
     lam[0] = top
     rot = None if rng is None else random_rotation(n, rng)
@@ -425,55 +502,33 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
     num = int(options.get("num_samples", 100_000))
     rows: list[dict] = []
     if suite in ("lemma5", "lemma7"):
+        checker = shell_mass_check if suite == "lemma5" else pair_distance_check
         t_values = options.get("t_values", [1.0, 2.0, 3.0])
         dims = options.get("dims", [8, 64])
         for n in dims:
             for shape in ("spherical", "eccentric"):
-                comp = (
-                    _spherical_component(n)
-                    if shape == "spherical"
-                    else _eccentric_component(n)
-                )
+                comp = _component(n, 1.0 if shape == "spherical" else 100.0)
                 for t in t_values:
-                    if suite == "lemma5":
-                        b = shell_mass_check(comp, t, num, rng)
-                    else:
-                        b = pair_distance_check(comp, t, num, rng)
+                    b = checker(comp, t, num, rng)
                     rows.append(_bound_row(b, n=n, shape=shape, t=t))
     elif suite == "lemma6":
-        comp16 = _spherical_component(16)
-        rows.append(
-            _bound_row(
-                point_distance_check(comp16, np.zeros(16), 2.0, num, rng),
-                n=16, t=2.0, z="center",
-            )
-        )
-        comp32 = _spherical_component(32)
-        z = np.zeros(32)
-        z[0] = 10.0 * comp32.median_radius
-        rows.append(
-            _bound_row(
-                point_distance_check(comp32, z, 2.0, num, rng),
-                n=32, t=2.0, z="10R",
-            )
-        )
-        comp4 = _eccentric_component(4, top=9.0, rng=rng)
-        z4 = rng.standard_normal(4)
-        rows.append(
-            _bound_row(
-                point_distance_check(comp4, z4, 1.0, num, rng),
-                n=4, t=1.0, z="random",
-            )
-        )
+        # the center, a point 10 median radii out, and a random point of a
+        # rotated eccentric component, drawn in this order
+        for n, t, at in ((16, 2.0, "center"), (32, 2.0, "10R"), (4, 1.0, "random")):
+            comp = _component(n, 9.0, rng) if at == "random" else _component(n)
+            z = np.zeros(n)
+            if at == "10R":
+                z[0] = 10.0 * comp.median_radius
+            elif at == "random":
+                z = rng.standard_normal(n)
+            b = point_distance_check(comp, z, t, num, rng)
+            rows.append(_bound_row(b, n=n, t=t, z=at))
     elif suite == "lemma8":
         t_values = options.get("t_values", [1.0, 2.0])
         for t in t_values:
             for shape, n in (("spherical", 32), ("eccentric", 16)):
-                spec = (
-                    (1.0, 1.0)
-                    if shape == "spherical"
-                    else _eccentric_component(n).eigenvalues
-                )
+                eccentric = shape == "eccentric"
+                spec = _component(n, 100.0).eigenvalues if eccentric else (1.0, 1.0)
                 mix = plant_separated_mixture(
                     n=n,
                     k=2,
@@ -488,7 +543,7 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
         n = int(options.get("n", 8))
         grid_points = int(options.get("grid_points", 40))
         draws = int(options.get("num_samples", 1_000_000))
-        comp = _spherical_component(n)
+        comp = _component(n)
         grid = np.linspace(0.0, comp.median_radius + 4.0 * comp.sigma_max, grid_points)
         curve = ball_growth_check(comp, comp.center, grid, draws, rng)
         rows.append(
@@ -509,7 +564,7 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
         repeats = int(options.get("repeats", 10))
         num_dirs = int(options.get("num_directions", 16))
         for n in dims:
-            comp = _spherical_component(n)
+            comp = _component(n)
             passes = 0
             eps = None
             for _ in range(repeats):

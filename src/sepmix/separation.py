@@ -31,6 +31,7 @@ from .model import (
 )
 
 _PAPER_CONSTANTS = (500.0, 100.0)
+_MODES = ("paper", "practical")
 _PRACTICAL_CONSTANTS = (60.0, 30.0)
 
 
@@ -51,7 +52,7 @@ class SeparationConfig:
     def __post_init__(self):
         if not 0 <= _real(self.t, "t") < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        if self.mode not in ("paper", "practical"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         defaults = _PAPER_CONSTANTS if self.mode == "paper" else _PRACTICAL_CONSTANTS
         c1 = defaults[0] if self.c1 is None else _real(self.c1, "c1")

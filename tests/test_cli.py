@@ -299,16 +299,16 @@ _GENERAL = {"scenario": "classify_general", "trials": 1, "master_seed": 0,
             "sample_size": 200, "source": _PLANT, "classifier": {"k": 2, "w_min": 0.5}}
 
 
-def _without(key):
-    return {k: v for k, v in _GENERAL.items() if k != key}
+def _drop(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
 
 
 @pytest.mark.parametrize(
     "doc, message",
     [
         ([_GENERAL], "config must be an object"),
-        (_without("trials"), "missing config keys ['trials']"),
-        (_without("master_seed"), "missing config keys ['master_seed']"),
+        (_drop(_GENERAL, "trials"), "missing config keys ['trials']"),
+        (_drop(_GENERAL, "master_seed"), "missing config keys ['master_seed']"),
         (
             _GENERAL | {"classifier": {"k": 2, "w_min": 0.5, "delta": 0}},
             "classifier: delta must be in (0, 1]",
@@ -320,6 +320,30 @@ def _without(key):
                                    "ambient_dim": 400}},
             "source.sigmas must not be empty",
         ),
+        (_GENERAL | {"source": _drop(_PLANT, "k")}, "source.k is required"),
+        (_GENERAL | {"source": _drop(_PLANT, "n")}, "source.n is required"),
+        (_GENERAL | {"source": _drop(_PLANT, "t")}, "source.t is required"),
+        (
+            _GENERAL | {"scenario": "fit", "fit": {"normalization": "paper"}},
+            "fit.k is required",
+        ),
+        (_GENERAL | {"scenario": "classify_spherical"}, "spherical.k is required"),
+        (
+            _GENERAL | {"scenario": "classify_spherical", "spherical": {"k": 2}},
+            "spherical.t is required",
+        ),
+        (
+            _GENERAL | {"scenario": "validate", "validate": {"options": [1]}},
+            "validate.options must be an object, got list",
+        ),
+        (_GENERAL | {"source": _drop(_PLANT, "kind")}, "source.kind is required"),
+        (_GENERAL | {"source": _PLANT | {"kind": "nope"}}, "source.kind must be one of"),
+        (_GENERAL | {"source": _PLANT | {"shapes": "abc"}}, "source.shapes: could not"),
+        (_GENERAL | {"source": _PLANT | {"mode": "bogus"}}, "source.mode must be one of"),
+        (
+            _GENERAL | {"scenario": "fit", "fit": {"k": 2, "normalization": "x"}},
+            "fit.normalization must be one of",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -329,6 +353,18 @@ def _without(key):
         "source-list",
         "validate-list",
         "sigmas-empty",
+        "no-source-k",
+        "no-source-n",
+        "no-source-t",
+        "no-fit-k",
+        "no-spherical",
+        "no-spherical-t",
+        "validate-options-list",
+        "no-source-kind",
+        "unknown-source-kind",
+        "shapes-abc",
+        "mode-bogus",
+        "normalization-x",
     ],
 )
 def test_malformed_experiment_config_exits_two(tmp_path, capsys, doc, message):

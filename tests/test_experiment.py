@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sepmix import experiment
 from sepmix.classify import Partition
-from sepmix.errors import IndexMismatch
+from sepmix.errors import IndexMismatch, SampleBalanceWarning
 from sepmix.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -13,7 +15,9 @@ from sepmix.experiment import (
     summary_rows,
     guarantee_sample_floor,
 )
-from sepmix.model import Mixture, make_gaussian, spherical_median_radius
+from sepmix.io import save_params, save_samples
+from sepmix.model import Mixture, make_gaussian, sample_mixture, spherical_median_radius
+from sepmix.separation import SeparationConfig, plant_separated_mixture
 from sepmix.scoring import partition_compare
 
 
@@ -139,6 +143,64 @@ def test_source_radius_samples_is_ignored(tmp_path):
         run_experiment(_plant_config(trials=1, source=doc, out_dir=str(sized)))
         for name in sorted(p.name for p in plain.iterdir()):
             assert (plain / name).read_bytes() == (sized / name).read_bytes()
+
+
+def _planted_files(tmp_path):
+    """A planted mixture, its parameter file, and a labeled sample file."""
+    mixture = plant_separated_mixture(
+        n=8, k=2, shape_spec=(1.0, 2.0),
+        config=SeparationConfig(t=10.0, mode="practical"),
+        slack=1.5, rng=np.random.default_rng(3),
+    )
+    params, samples = tmp_path / "params.json", tmp_path / "samples.csv"
+    save_params(params, mixture)
+    with warnings.catch_warnings():  # the 400 draws split 176 / 224
+        warnings.simplefilter("ignore", SampleBalanceWarning)
+        drawn = sample_mixture(mixture, np.random.default_rng(4), 400, seed=4)
+    save_samples(samples, drawn.points, drawn.labels)
+    return mixture, params, samples
+
+
+def test_params_source_matches_the_same_mixture(tmp_path):
+    mixture, params, _ = _planted_files(tmp_path)
+    written = {}
+    for kind, source in (
+        ("mixture", {"kind": "mixture", "object": mixture}),
+        ("params", {"kind": "params", "path": str(params)}),
+    ):
+        out = tmp_path / kind
+        run_experiment(_plant_config(source=source, out_dir=str(out)))
+        written[kind] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "sample_floor" in json.loads(written["params"]["metadata.json"])
+    assert written["params"] == written["mixture"]
+
+
+def test_samples_source_classifies_its_file(tmp_path):
+    _, _, samples = _planted_files(tmp_path)
+    config = _plant_config(trials=2, source={"kind": "samples", "path": str(samples)})
+    result = run_experiment(config)
+    assert result.error_count == 0
+    assert result.exact_match_count == 2
+
+
+@pytest.mark.parametrize(
+    "kind, reader", [("params", "load_params"), ("samples", "load_samples")]
+)
+def test_file_source_is_read_once(tmp_path, monkeypatch, kind, reader):
+    _, params, samples = _planted_files(tmp_path)
+    path = str(params if kind == "params" else samples)
+    calls = []
+    read = getattr(experiment, reader)
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(experiment, reader, counted)
+    config = _plant_config(trials=3, source={"kind": kind, "path": path})
+    result = run_experiment(config)
+    assert len(result.reports) == 3 and result.error_count == 0
+    assert calls == [path]
 
 
 def test_summary_csv_shape(tmp_path):
