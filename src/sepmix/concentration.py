@@ -17,20 +17,19 @@ v_i)^2 with v = R^T (p - c), because R is an isometry.  Grouping equal
 eigenvalues, a group of multiplicity m contributes one noncentral
 chi-square, drawn as one normal and one chi-square with m - 1 degrees of
 freedom (model._sq_dist_draws), so a spherical component takes one or two
-variates a sample whatever its dimension.  A spectrum without repeated
-eigenvalues keeps n standard normals a sample: the block ``sample`` would
-map, so the generator advances as if the points had been sampled and the
-distances differ from theirs only by roundoff.  The two pair checks draw
-x - y ~ N(c_i - c_j, Sigma_i + Sigma_j) (model._difference) and measure it
-from the origin, so no check samples points.  The covariance check needs
-z^T z, a Wishart matrix, and draws its Bartlett factor
-(model._bartlett_factor): O(n^2) variates instead of N n.
+variates a sample whatever its dimension, and a spectrum without repeated
+eigenvalues the n standard normals a sample that ``sample`` takes.  The two
+pair checks draw x - y ~ N(c_i - c_j, Sigma_i + Sigma_j) (model._difference)
+and measure it from the origin, so no check samples points.  The shell,
+point, pair and cross-pair checks each count one event,
+lo <= |x - p|^2 <= hi, in one counter (``_distance_bound``).  The
+covariance check needs z^T z, a Wishart matrix, and draws its Bartlett
+factor (model._bartlett_factor): O(n^2) variates instead of N n.
 
-Every draw is made in consecutive blocks of about 1 MiB and reduced as it
-is drawn, so a check holds one block and no value per draw.  A row rounds
-the same whatever the block height, so on a spectrum without repeats the
-reports are those of the one-block draw, bit for bit, and the generator
-ends in the same state.  Reruns are byte-identical on any spectrum.
+Every draw is made in consecutive blocks of 512 KiB and reduced as it is
+drawn, so a check holds one block and no value per draw.  On a spectrum
+without repeats the generator ends where sampling the points would leave
+it, whatever the block grid.  Reruns are byte-identical on any spectrum.
 """
 
 from __future__ import annotations
@@ -46,12 +45,14 @@ from .errors import (
     InvalidDelta,
     NonFiniteInput,
     PairNotSeparated,
-    TooFewSamples,
 )
 from .model import (
     GaussianParams,
     _bartlett_factor,
     _difference,
+    _draw_count,
+    _int_at_least,
+    _real,
     _sq_dist_draws,
     sample,  # noqa: F401  # the benchmark rebinds sepmix.concentration.sample
 )
@@ -86,9 +87,22 @@ def _require_scale(params: GaussianParams) -> tuple[float, float]:
     return params.require_median_radius(), params.sigma_max
 
 
-def _require_t_at_least_one(t: float) -> None:
-    if not (math.isfinite(t) and t >= 1):
-        raise ValueError(f"stated for finite t >= 1, got {t}")
+def _t_at_least(t, low: float) -> float:
+    t = _real(t, "t")
+    if not (math.isfinite(t) and t >= low):
+        raise ValueError(f"stated for finite t >= {low:g}, got {t}")
+    return t
+
+
+def _distance_bound(
+    law: GaussianParams, point, lo: float, hi: float, claimed: float, count: int, rng
+) -> EmpiricalBound:
+    """The fraction of ``count`` draws x of ``law`` with lo <= |x - point|^2
+    <= hi, against ``claimed``."""
+    hits = 0
+    for _, d2 in _sq_dist_draws(law, rng, count, point=point):
+        hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
+    return _bound(claimed, hits, count)
 
 
 def _point_of(params: GaussianParams, point, name: str) -> np.ndarray:
@@ -115,17 +129,12 @@ def shell_mass_check(
 
     t = 0 is allowed; the claim is then vacuous (lower bound 0).
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    if num_samples < 10_000:
-        raise TooFewSamples(f"num_samples={num_samples} < 10000")
+    t = _t_at_least(t, 0.0)
+    num_samples = _draw_count(num_samples, 10_000, "num_samples")
     radius, sigma = _require_scale(params)
-    lo, hi = radius - t * sigma, radius + t * sigma
-    hits = 0
-    for _, d2 in _sq_dist_draws(params, rng, num_samples):
-        dist = np.sqrt(d2, out=d2)
-        hits += int(np.count_nonzero((dist >= lo) & (dist <= hi)))
-    return _bound(1.0 - math.exp(-t), hits, num_samples)
+    lo, hi = max(radius - t * sigma, 0.0) ** 2, (radius + t * sigma) ** 2
+    claimed = 1.0 - math.exp(-t)
+    return _distance_bound(params, None, lo, hi, claimed, num_samples, rng)
 
 
 def point_distance_check(
@@ -141,19 +150,16 @@ def point_distance_check(
               <= |x - z|^2 <=
             (R + t s)^2 + |z-p|^2 + 2 sqrt(2 t) |z-p| s
     """
-    _require_t_at_least_one(t)
-    if num_samples < 10_000:
-        raise TooFewSamples(f"num_samples={num_samples} < 10000")
+    t = _t_at_least(t, 1.0)
+    num_samples = _draw_count(num_samples, 10_000, "num_samples")
     z = _point_of(params, z, "z")
     radius, sigma = _require_scale(params)
     zp = float(np.linalg.norm(z - params.center))
     cross = 2.0 * math.sqrt(2.0 * t) * zp * sigma
     lo = max(radius - t * sigma, 0.0) ** 2 + zp * zp - cross
     hi = (radius + t * sigma) ** 2 + zp * zp + cross
-    hits = 0
-    for _, d2 in _sq_dist_draws(params, rng, num_samples, point=z):
-        hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
-    return _bound(1.0 - 2.0 * math.exp(-t), hits, num_samples)
+    claimed = 1.0 - 2.0 * math.exp(-t)
+    return _distance_bound(params, z, lo, hi, claimed, num_samples, rng)
 
 
 def pair_distance_check(
@@ -163,17 +169,14 @@ def pair_distance_check(
 
     Event:  2 R^2 - 8 t s R <= |x - y|^2 <= 2 (R + 2 t s)^2.
     """
-    _require_t_at_least_one(t)
-    if num_pairs < 10_000:
-        raise TooFewSamples(f"num_pairs={num_pairs} < 10000")
+    t = _t_at_least(t, 1.0)
+    num_pairs = _draw_count(num_pairs, 10_000, "num_pairs")
     radius, sigma = _require_scale(params)
     lo = 2.0 * radius * radius - 8.0 * t * sigma * radius
     hi = 2.0 * (radius + 2.0 * t * sigma) ** 2
     diff, origin = _difference(params, params), np.zeros(params.dim)
-    hits = 0
-    for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=origin):
-        hits += int(np.count_nonzero((d2 >= lo) & (d2 <= hi)))
-    return _bound(1.0 - 3.0 * math.exp(-t), hits, num_pairs)
+    claimed = 1.0 - 3.0 * math.exp(-t)
+    return _distance_bound(diff, origin, lo, hi, claimed, num_pairs, rng)
 
 
 def cross_pair_check(
@@ -192,12 +195,12 @@ def cross_pair_check(
                    + 60 t (s_i + s_j)(R_i + R_j) + 30 t^2 (s_i^2 + s_j^2).
 
     x - y ~ N(c_i - c_j, Sigma_i + Sigma_j), so |x - y|^2 is drawn from its
-    law: one eigenvalue group for a spherical pair, n standard normals a
-    pair when Sigma_i + Sigma_j has no repeated eigenvalue.
+    law, one or two variates a pair for each group of equal eigenvalues of
+    Sigma_i + Sigma_j: one group for a spherical pair, n groups of one when
+    the sum has no repeated eigenvalue.
     """
-    _require_t_at_least_one(t)
-    if num_pairs < 10_000:
-        raise TooFewSamples(f"num_pairs={num_pairs} < 10000")
+    t = _t_at_least(t, 1.0)
+    num_pairs = _draw_count(num_pairs, 10_000, "num_pairs")
     if params_i.dim != params_j.dim:
         raise DimensionMismatch("components live in different dimensions")
     r_i, s_i = _require_scale(params_i)
@@ -214,10 +217,8 @@ def cross_pair_check(
         + c2 * t * t * (s_i * s_i + s_j * s_j)
     )
     diff, origin = _difference(params_i, params_j), np.zeros(params_i.dim)
-    hits = 0
-    for _, d2 in _sq_dist_draws(diff, rng, num_pairs, point=origin):
-        hits += int(np.count_nonzero(d2 >= bound))
-    return _bound(1.0 - 6.0 * math.exp(-t), hits, num_pairs)
+    claimed = 1.0 - 6.0 * math.exp(-t)
+    return _distance_bound(diff, origin, bound, math.inf, claimed, num_pairs, rng)
 
 
 @dataclass
@@ -271,8 +272,7 @@ def ball_growth_check(
     Raises:
         GridTooCoarse: fewer than 3 usable grid points in either regime.
     """
-    if num_samples < 10_000:
-        raise TooFewSamples(f"num_samples={num_samples} < 10000")
+    num_samples = _draw_count(num_samples, 10_000, "num_samples")
     x = _point_of(params, x, "x")
     radii = np.sort(np.asarray(radius_grid, dtype=float).reshape(-1))
     if radii.size < 2 or not np.all(np.isfinite(radii) & (radii >= 0)):
@@ -354,10 +354,10 @@ def covariance_concentration_check(
     directions: ``num_directions`` random unit vectors, the n coordinate
     axes, and the top eigenvector.
     """
-    if not (0 < delta <= 1):
+    if not (0 < _real(delta, "delta") <= 1):
         raise InvalidDelta(f"delta must be in (0, 1], got {delta}")
-    if sample_size < 2:
-        raise TooFewSamples("sample_size must be >= 2")
+    sample_size = _draw_count(sample_size, 2, "sample_size")
+    num_directions = _int_at_least(num_directions, 0, "num_directions")
     n = params.dim
     eps = (
         20.0

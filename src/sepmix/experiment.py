@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -476,6 +476,7 @@ def _component(n: int, top: float = 1.0, rng=None):
     """N(0, diag(top, 1, ..., 1)) with its median radius set, Haar-rotated
     by a rotation drawn from ``rng`` when one is given: the standard normal
     at the default ``top``."""
+    n = _int_at_least(n, 1, "n")
     lam = np.ones(n)
     lam[0] = top
     rot = None if rng is None else random_rotation(n, rng)
@@ -485,15 +486,7 @@ def _component(n: int, top: float = 1.0, rng=None):
 
 
 def _bound_row(bound, **inputs) -> dict:
-    row = dict(inputs)
-    row.update(
-        claimed=bound.claimed,
-        observed=bound.observed,
-        num_trials=bound.num_trials,
-        slack=bound.slack,
-        passed=bound.passed,
-    )
-    return row
+    return {**inputs, **asdict(bound)}
 
 
 def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) -> dict:

@@ -31,9 +31,10 @@ from .errors import (
 _ORTHO_TOL = 1e-8
 # Eigenvalues within this relative spread of each other count as spherical.
 _SPHERICAL_RTOL = 1e-12
-# Values per 1 MiB block: every Monte Carlo draw (the concentration checks'
-# and median_radius's, through _normal_blocks and _sq_dist_draws), and the
-# node-by-eigenvalue tables of the exact median-radius solver.
+# Values per 1 MiB block: the node-by-eigenvalue tables of the exact
+# median-radius solver.  Every Monte Carlo distance (the concentration
+# checks' and median_radius's, through _sq_dist_draws) is drawn in blocks of
+# a quarter of it: two buffers of _DRAW_CHUNK / 4 values, 512 KiB.
 _DRAW_CHUNK = 1 << 17
 
 # The exact median-radius solver (_exact_median_radius) keeps a radius only
@@ -153,8 +154,7 @@ def sample(params: GaussianParams, rng: np.random.Generator, count: int) -> np.n
     Scaling all eigenvalues by c**2 scales the deviations from the center by
     exactly c for the same seed, because the standard normal block is drawn
     identically either way.  Code that needs only distances from the draws
-    does not call this: it draws the same block and passes it to
-    ``_sq_dists``, which never forms the rotated points.
+    does not call this: ``_sq_dist_draws`` draws them from their law.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -176,48 +176,6 @@ def _row_blocks(rows: int, step: int) -> tuple[int, list[tuple[int, int]]]:
     count = max(-(-rows // step), 1)
     bounds = [(rows * b // count, rows * (b + 1) // count) for b in range(count)]
     return -(-rows // count), bounds
-
-
-def _normal_blocks(rng: np.random.Generator, rows: int, dim: int):
-    """Yield (lo, z): the standard normal block of ``rows`` x ``dim`` draws,
-    as consecutive row blocks of at most _DRAW_CHUNK values (one row when a
-    row is longer), z holding rows lo, lo + 1, ... of it.
-
-    The generator fills a block value by value in row order, so the blocks
-    consume exactly the stream of one (rows, dim) block and leave ``rng`` in
-    the same state.  Each z is a view of one buffer that the next block
-    overwrites, so only about 1 MiB of draws is held; the caller may work on
-    z in place, must copy what it keeps, and must consume every block.  A
-    caller whose per-row arithmetic does not depend on the block height gets
-    the bits of the one-block draw.  The heights differ by at most one row,
-    so none is far shorter than a chunk: a GEMM of only a few rows can round
-    differently from one of many (OpenBLAS does at n >= 32 and fewer than
-    about 1200 / n rows).  ``_sq_dist_draws`` uses these blocks for a
-    spectrum without repeated eigenvalues.
-    """
-    height, bounds = _row_blocks(rows, max(_DRAW_CHUNK // dim, 1))
-    buf = np.empty((height, dim))
-    for lo, hi in bounds:
-        z = buf[: hi - lo]
-        rng.standard_normal(out=z)
-        yield lo, z
-
-
-def _sq_dists(params: GaussianParams, z: np.ndarray, point=None) -> np.ndarray:
-    """|x - point|^2 for each draw x = _from_standard_normal(params, z),
-    without forming x; ``point`` defaults to the center.
-
-    The rotation is an isometry, so in eigen coordinates
-    |x - point|^2 = sum_i (sqrt(lambda_i) z_i - v_i)^2 with
-    v = R^T (point - center), and v = 0 at the center.  ``z`` is consumed:
-    it is scaled and shifted in place, so no second block is allocated.
-    This is the arithmetic ``_sq_dist_draws`` runs on a spectrum without
-    repeated eigenvalues.
-    """
-    z *= np.sqrt(params.eigenvalues)
-    if point is not None:
-        z -= _eigen_offset(params, point)
-    return np.einsum("ij,ij->i", z, z)
 
 
 def _eigen_offset(params: GaussianParams, point) -> np.ndarray:
@@ -245,25 +203,20 @@ def _sq_dist_draws(
     o = 0 it contributes lambda chi2(m) (noncentral chi-square; Johnson,
     Kotz & Balakrishnan 1995, ch. 29).  The groups are independent, so a
     sample takes one or two variates a group, whatever n: one for a
-    spherical component at its center, two for diag(top, 1, ..., 1).
+    spherical component at its center, two for diag(top, 1, ..., 1).  A
+    distinct eigenvalue is a group of one and takes one standard normal, so
+    a spectrum without repeats takes the n normals a sample that ``sample``
+    takes, and leaves the generator where ``sample`` leaves it.
 
-    A spectrum with no repeated eigenvalue gains nothing from this, and
-    keeps the standard normal blocks of ``_normal_blocks`` and the
-    arithmetic of ``_sq_dists``: its stream and its bits are those of
-    ``sample``'s one-block draw.  Otherwise the blocks are a quarter of
-    _DRAW_CHUNK draws high, and each draws its groups' variates in turn, so
-    the stream depends on that block grid (as on ``count``).  d2 is a view
-    of a buffer that the next block overwrites: the caller may work on it
-    in place and must copy what it keeps.
+    The blocks are a quarter of _DRAW_CHUNK draws high, their heights within
+    one of each other, and each draws its groups' variates in turn, so the
+    stream depends on that block grid (as on ``count``).  d2 is a view of a
+    buffer that the next block overwrites: the caller may work on it in
+    place and must copy what it keeps.
     """
-    lam = params.eigenvalues
     values, first, group, mult = np.unique(
-        lam, return_index=True, return_inverse=True, return_counts=True
+        params.eigenvalues, return_index=True, return_inverse=True, return_counts=True
     )
-    if values.size == lam.size:
-        for lo, z in _normal_blocks(rng, count, params.dim):
-            yield lo, _sq_dists(params, z, point)
-        return
     if point is None:
         offsets = np.zeros(values.size)
     else:
@@ -368,8 +321,8 @@ def median_radius(
     Under method="mc", R is the sample median of |x - center| over
     ``num_samples`` draws, with a distribution-free 99% order-statistic
     interval attached.  The squared distances are drawn from their exact law
-    in blocks (``_sq_dist_draws``: one variate a sample for a spherical
-    component, n standard normals for a spectrum without repeats), and one
+    in blocks (``_sq_dist_draws``: one or two variates a sample for each
+    group of equal eigenvalues, so one for a spherical component), and one
     partition selects the four order statistics the estimate reads.
 
     Args:
@@ -388,8 +341,7 @@ def median_radius(
     if method == "mc":
         if rng is None:
             raise ValueError("Monte Carlo path needs an rng")
-        if num_samples < 1000:
-            raise TooFewSamples(f"num_samples={num_samples} < 1000")
+        num_samples = _draw_count(num_samples, 1000, "num_samples")
         d2 = np.empty(num_samples)
         for a, block in _sq_dist_draws(params, rng, num_samples):
             d2[a : a + len(block)] = block
@@ -763,6 +715,19 @@ def _int_at_least(value, low: int, name: str) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}")
     return int(value)
+
+
+def _draw_count(value, low: int, name: str) -> int:
+    """The boundary check on a number of draws: ``value`` as an int >= ``low``.
+
+    Raises:
+        ValueError: value is not a nonnegative integer; the message names it.
+        TooFewSamples: value is below ``low``.
+    """
+    count = _int_at_least(value, 0, name)
+    if count < low:
+        raise TooFewSamples(f"{name}={count} < {low}")
+    return count
 
 
 def _real(value, name: str) -> float:

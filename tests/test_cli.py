@@ -198,6 +198,23 @@ def test_validate_suite_report(tmp_path, capsys):
     assert doc["suites"][0]["suite"] == "lemma5"
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"t_values": ["1"]}, "t must be a number, got '1'"),
+        ({"dims": [8.5]}, "n must be an integer, got 8.5"),
+    ],
+    ids=["t-string", "dims-fractional"],
+)
+def test_validate_rejects_malformed_options(tmp_path, capsys, options, message):
+    cfg = tmp_path / "opts.json"
+    cfg.write_text(json.dumps(options))
+    rc = main(["validate", "--suite", "lemma5", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ValueError: {message}"]
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -422,16 +422,17 @@ def test_covariance_passes_moderate_sample():
 # ---------------------------------------------------------------------------
 #
 # Each reference below is the old body of a checker: it samples the rotated
-# points in one block and measures them directly.  The checkers now work on
-# the same standard normal draws in eigen coordinates, block by block (these
-# spectra have no repeated eigenvalue, so _sq_dist_draws keeps the normals),
-# so on pinned seeds they must report the same hits, and leave the generator
-# in the same state, however many blocks the draws take.  The two pair
-# checks draw x - y itself: the references sample that difference as a
+# points in one block and measures them directly.  The checkers draw each
+# distance from its law instead, block by block.  These spectra have no
+# repeated eigenvalue, so a draw takes n standard normals either way and the
+# generator must end in the same state, however many blocks the draws take;
+# the normals land on other coordinates, so the observed fractions agree
+# within 4 two-sample binomial standard errors, not bit for bit.  The two
+# pair checks draw x - y itself: the references sample that difference as a
 # component, with doubled eigenvalues at center 0 for the pair check, and
 # with the eigendecomposition of the dense sum of the two covariances for
-# the cross pair.  Every cross pair here lands past its bound, so for it the
-# hits pin the stream and the generator state; the law is pinned by
+# the cross pair.  Every cross pair here lands past its bound, so for it
+# both fractions read 1; the law is pinned by
 # test_cross_pair_draws_have_the_moments_of_sampled_differences.
 
 
@@ -525,32 +526,38 @@ def _rotated_pair(n):
     return g, _partner(g)
 
 
-# (new call, old call), each on (component, seed-derived rng); both return
-# something that must compare equal.
+# (new call, old call, draws), each call on (component, seed-derived rng)
+# returning an observed fraction, or the masses of a growth curve, of
+# ``draws`` draws.
 _CHECKER_PAIRS = {
     "shell_mass": (
         lambda g, rng: shell_mass_check(g, 1.5, 20_000, rng).observed,
         lambda g, rng: _old_shell_hits(g, 1.5, 20_000, rng) / 20_000,
+        20_000,
     ),
     "point_distance": (
         lambda g, rng: point_distance_check(g, _near(g, 1), 1.0, 20_000, rng).observed,
         lambda g, rng: _old_point_hits(g, _near(g, 1), 1.0, 20_000, rng) / 20_000,
+        20_000,
     ),
     "pair_distance": (
         lambda g, rng: pair_distance_check(g, 1.0, 20_000, rng).observed,
         lambda g, rng: _materialized_pair_hits(g, 1.0, 20_000, rng) / 20_000,
+        20_000,
     ),
     "cross_pair": (
         lambda g, rng: cross_pair_check(g, _partner(g), 1.0, 20_000, rng).observed,
         lambda g, rng: _materialized_cross_hits(g, _partner(g), 1.0, 20_000, rng) / 20_000,
+        20_000,
     ),
     "ball_growth": (
         lambda g, rng: ball_growth_check(
             g, _near(g, 2), np.linspace(0.0, 30.0, 40), 40_000, rng
-        ).mass.tolist(),
+        ).mass,
         lambda g, rng: _old_growth_mass(
             g, _near(g, 2), np.linspace(0.0, 30.0, 40), 40_000, rng
-        ).tolist(),
+        ),
+        40_000,
     ),
 }
 
@@ -559,16 +566,19 @@ _CHECKER_PAIRS = {
 @pytest.mark.parametrize("seed", [5, 61])
 @pytest.mark.parametrize("checker", sorted(_CHECKER_PAIRS))
 def test_checker_matches_materialized_draws(checker, seed, offset, monkeypatch):
-    # at the default chunk every draw takes one or two blocks; 11 111 values
-    # is 1851 rows at n = 6, so 20 000 draws take 11 blocks of 1818 or 1819
-    # rows and 40 000 draws take 22
+    # at the default chunk every draw takes one or two blocks; at 11 111
+    # values a block is 2777 draws high, so 20 000 draws take 8 blocks of
+    # 2500 and 40 000 draws take 15 of 2666 or 2667
     g = _rotated_eccentric(6, offset, seed)
-    new, old = _CHECKER_PAIRS[checker]
+    new, old, num = _CHECKER_PAIRS[checker]
     for chunk in (model._DRAW_CHUNK, 11_111):
         monkeypatch.setattr(model, "_DRAW_CHUNK", chunk)
         rng_new = np.random.default_rng(seed + 1)
         rng_old = np.random.default_rng(seed + 1)
-        assert new(g, rng_new) == old(g, rng_old), f"chunk {chunk}"
+        got, want = np.asarray(new(g, rng_new)), np.asarray(old(g, rng_old))
+        p = (got + want) / 2.0
+        se = np.sqrt(2.0 * p * (1.0 - p) / num)
+        assert np.all(np.abs(got - want) <= 4.0 * se), f"chunk {chunk}"
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
@@ -637,6 +647,47 @@ _BAD_CHECKER_INPUTS = {
     "covariance-nan-delta": (
         lambda g, rng: covariance_concentration_check(g, 1000, math.nan, 4, rng),
         InvalidDelta,
+    ),
+    # malformed counts and t: named ValueErrors, not TypeErrors in the draw
+    "shell_mass-str-t": (
+        lambda g, rng: shell_mass_check(g, "1", 10_000, rng),
+        ValueError,
+    ),
+    "shell_mass-float-count": (
+        lambda g, rng: shell_mass_check(g, 1.0, 20000.0, rng),
+        ValueError,
+    ),
+    "point_distance-str-t": (
+        lambda g, rng: point_distance_check(g, g.center, "2", 10_000, rng),
+        ValueError,
+    ),
+    "pair_distance-float-count": (
+        lambda g, rng: pair_distance_check(g, 1.0, 1e5, rng),
+        ValueError,
+    ),
+    "ball_growth-float-count": (
+        lambda g, rng: ball_growth_check(g, g.center, np.linspace(0, 5, 20), 1e4, rng),
+        ValueError,
+    ),
+    "covariance-float-size": (
+        lambda g, rng: covariance_concentration_check(g, 2000.5, 0.1, 4, rng),
+        ValueError,
+    ),
+    "covariance-float-directions": (
+        lambda g, rng: covariance_concentration_check(g, 2000, 0.1, 4.0, rng),
+        ValueError,
+    ),
+    "covariance-str-delta": (
+        lambda g, rng: covariance_concentration_check(g, 2000, "0.1", 4, rng),
+        ValueError,
+    ),
+    "median_radius-float-count": (
+        lambda g, rng: median_radius(g, rng, 2000.5, method="mc"),
+        ValueError,
+    ),
+    "covariance-few": (
+        lambda g, rng: covariance_concentration_check(g, 1, 0.1, 4, rng),
+        TooFewSamples,
     ),
 }
 

@@ -341,6 +341,27 @@ def test_validate_scenario():
     assert result.reports[0].extras["suite"]["rows"]
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"t_values": ["1"]}, "t must be a number, got '1'"),
+        ({"dims": [8.5]}, "n must be an integer, got 8.5"),
+    ],
+    ids=["t-string", "dims-fractional"],
+)
+def test_validate_trial_records_malformed_options(options, message):
+    config = ExperimentConfig.from_dict(
+        {
+            "scenario": "validate",
+            "trials": 1,
+            "master_seed": 2,
+            "validate": {"suite": "lemma5", "options": options},
+        }
+    )
+    report = run_experiment(config).reports[0]
+    assert report.error == f"ValueError: {message}"
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"scenario": "fit", "trials": 1, "master_seed": 0,

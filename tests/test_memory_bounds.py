@@ -12,11 +12,11 @@ The warm-up and classify_general on rows formed on demand hold no matrix at
 all: row blocks of O(B M) entries, the points and vectors of one entry per
 point.
 
-The Monte Carlo checks and median_radius draw their standard normals, or
-the variates of their statistic's law, in blocks of about model._DRAW_CHUNK
-values (1 MiB) into reused buffers and reduce each block as it is drawn, so
-none forms its whole draw: each holds one block plus at most one vector of
-one entry per draw.  The two pair checks draw x - y from its own law, so
+The Monte Carlo checks and median_radius draw the variates of their
+statistic's law in blocks of a quarter of model._DRAW_CHUNK samples, into
+two reused buffers (512 KiB), and reduce each block as it is drawn, so none
+forms its whole draw: each holds one block plus at most one vector of one
+entry per draw.  The two pair checks draw x - y from its own law, so
 neither keeps any points.  The covariance check holds an n x n Bartlett
 factor, not a block of draws.  numpy reports its data buffers to
 tracemalloc, so the traced peak covers every array allocated.
@@ -201,12 +201,12 @@ def test_classify_general_gram_side_balls_over_budget(monkeypatch):
     assert peak <= limit, f"peak {peak / limit:.2f} x the bound"
 
 
-# The Monte Carlo checks and radii work on their standard normal draws in
-# place in eigen coordinates; the rotated draws, their deviations from the
-# center and a projection of them are never formed, nor is the whole
-# DRAWS x DIM normal block (6.4 MB).  Each holds one draw block of
-# model._DRAW_CHUNK values, with a quarter more for the vectors of one entry
-# per row of it, plus at most one vector of one entry per draw.
+# The Monte Carlo checks and radii draw each squared distance from its law;
+# the rotated draws, their deviations from the center and a projection of
+# them are never formed, nor is the whole DRAWS x DIM normal block (6.4 MB).
+# Each holds one draw block, within model._DRAW_CHUNK values and a quarter
+# more for the vectors of one entry per row of it, plus at most one vector
+# of one entry per draw.
 DRAWS, DIM = 100_000, 8
 DRAW_BLOCK = 1.25 * model._DRAW_CHUNK * 8
 
@@ -252,9 +252,9 @@ def test_peak_stays_near_one_standard_normal_block(call, limit, rotated_componen
 
 # Draws whose one block would be 51 MB.  A streamed check holds one draw
 # block, with the few vectors of one entry per row of it; the pair checks
-# draw one x - y a pair, so they hold no more.  A repeated spectrum draws a
-# few variates per sample, in blocks of a quarter chunk of samples, and
-# holds the same.
+# draw one x - y a pair, so they hold no more.  A spectrum without repeats
+# draws n normals per sample and a repeated one a few variates, both in
+# blocks of a quarter chunk of samples, and they hold the same.
 WIDE_DRAWS, WIDE_DIM = 100_000, 64
 PER_DRAW = WIDE_DRAWS * 8
 
