@@ -19,9 +19,14 @@ from .experiment import (
     run_validation_suite,
 )
 from .io import load_params, load_samples, save_params, save_partition, save_samples
-from .kmedian import fit_spherical_mixture, kmedian_exhaustive
+from .kmedian import _NORMALIZATIONS, fit_spherical_mixture, kmedian_exhaustive
 from .model import LabeledSampleSet, median_radius, sample_mixture
-from .separation import SeparationConfig, plant_separated_mixture, separation_margin
+from .separation import (
+    _MODES,
+    SeparationConfig,
+    plant_separated_mixture,
+    separation_margin,
+)
 
 
 def _cmd_gen(args) -> int:
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant-n", type=int, help="dimension for planting")
     p.add_argument("--plant-k", type=int, help="component count for planting")
     p.add_argument("--plant-t", type=float, default=10.0)
-    p.add_argument("--plant-mode", choices=["paper", "practical"], default="practical")
+    p.add_argument("--plant-mode", choices=_MODES, default="practical")
     p.add_argument("--plant-slack", type=float, default=1.5)
     p.add_argument("--eig-lo", type=float, default=1.0)
     p.add_argument("--eig-hi", type=float, default=1.0)
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-sep", help="print the pairwise separation margins")
     p.add_argument("--params", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--mode", choices=["paper", "practical"], default="paper")
+    p.add_argument("--mode", choices=_MODES, default="paper")
     p.set_defaults(func=_cmd_check_sep)
 
     p = sub.add_parser("classify", help="peel a sample into k clusters")
@@ -221,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="exhaustive optimum")
-    p.add_argument(
-        "--normalization", choices=["paper", "standard"], default="paper"
-    )
+    p.add_argument("--normalization", choices=_NORMALIZATIONS, default="paper")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit)
 

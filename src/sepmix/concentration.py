@@ -56,7 +56,7 @@ from .model import (
     _sq_dist_draws,
     sample,  # noqa: F401  # the benchmark rebinds sepmix.concentration.sample
 )
-from .separation import _PRACTICAL_CONSTANTS, SeparationConfig, pair_margin
+from .separation import _CONSTANTS, SeparationConfig, pair_margin
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def cross_pair_check(
     if margin < 0:
         raise PairNotSeparated(f"margin {margin:.4g} < 0 at t={t}")
     # the cross-distance lower bound uses the practical separation constants
-    c1, c2 = _PRACTICAL_CONSTANTS
+    c1, c2 = _CONSTANTS["practical"]
     bound = (
         2.0 * min(r_i, r_j) ** 2
         + c1 * t * (s_i + s_j) * (r_i + r_j)

@@ -52,6 +52,8 @@ from .io import load_params, load_samples
 SCENARIOS = ("classify_general", "classify_spherical", "fit", "validate")
 SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
 _KINDS = ("plant", "concentric_spherical", "params", "mixture", "samples")
+# plant keys older configs carry, each with the key that now sets its value
+_RETIRED = {"c1": "mode", "c2": "mode", "eig_lo": "shapes", "eig_hi": "shapes"}
 
 
 @dataclass
@@ -67,9 +69,12 @@ class ExperimentConfig:
     the scenario's own (with ``source``, except under validate) even when
     empty.  A ``params`` or ``samples`` source's file is read then.
     ``classifier`` holds ``k``, ``w_min`` and optionally ``delta``, which must
-    make a ClassifierConfig.  Other keys in a section are ignored, among them
-    the separation scale ``t`` and step cap older configs carry under
-    ``classifier``, and ``source.radius_samples`` and
+    make a ClassifierConfig.  A plant source's ``shapes`` defaults to
+    [1.0, 1.0]; the keys ``c1``, ``c2``, ``eig_lo`` and ``eig_hi`` older plant
+    configs carry are refused, since ``mode`` now fixes the constants and
+    ``shapes`` gives the eigenvalue range.  Other keys in a section are
+    ignored, among them the separation scale ``t`` and step cap older configs
+    carry under ``classifier``, and ``source.radius_samples`` and
     ``source.estimate_radii``: median radii are computed exactly, without
     draws.  What a constructor checks only while drawing (weights, shape
     ranges, slack's range, a sample too small for k, the concentric pair's
@@ -175,9 +180,10 @@ def _made(part: str, build, **kwargs):
 
 
 def _parse_shapes(raw, name: str):
-    """JSON-friendly shape specs: a two-number list is an eigenvalue range,
-    {"range": [lo, hi]} / {"spectrum": [...]} are explicit, and a list of such
-    entries gives one per component.
+    """JSON-friendly shape specs: a two-number list [lo, hi] is an eigenvalue
+    range, any other list of numbers is a spectrum, {"spectrum": [...]} is a
+    spectrum of any length (two numbers included), and a list of such entries
+    gives one per component.
 
     Raises:
         ValueError: an entry is none of these; the message names ``name``.
@@ -185,13 +191,9 @@ def _parse_shapes(raw, name: str):
 
     def one(entry):
         if isinstance(entry, dict):
-            if "range" in entry:
-                return (float(entry["range"][0]), float(entry["range"][1]))
             if "spectrum" in entry:
                 return np.asarray(entry["spectrum"], dtype=float)
-            raise ValueError(f"shape entry needs 'range' or 'spectrum': {entry}")
-        if isinstance(entry, tuple):
-            return entry
+            raise ValueError(f"shape entry needs 'spectrum': {entry}")
         seq = list(entry)
         if len(seq) == 2 and all(isinstance(v, (int, float)) for v in seq):
             return (float(seq[0]), float(seq[1]))
@@ -211,17 +213,17 @@ def _read_source(config: ExperimentConfig):
     src, dim = config.source, None
     kind = _key(config, "source.kind", _one_of(_KINDS))
     if kind == "plant":
+        for key, instead in _RETIRED.items():
+            if key in src:
+                raise ValueError(f"source.{key} is retired: source.{instead} sets it")
         n, k = _key(config, "source.n", _count), _key(config, "source.k", _count)
         sep = _made(
             "source",
             SeparationConfig,
             t=_key(config, "source.t", _real),
             mode=_key(config, "source.mode", _one_of(_MODES), "practical"),
-            c1=src.get("c1"),
-            c2=src.get("c2"),
         )
-        shapes = [src.get("eig_lo", 1.0), src.get("eig_hi", 1.0)]
-        shapes = _key(config, "source.shapes", _parse_shapes, shapes)
+        shapes = _key(config, "source.shapes", _parse_shapes, [1.0, 1.0])
         plant = dict(
             n=n,
             k=k,
@@ -490,9 +492,13 @@ def _bound_row(bound, **inputs) -> dict:
 
 
 def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) -> dict:
-    """Run one named Monte Carlo suite; returns rows plus an overall verdict."""
+    """Run one named Monte Carlo suite; returns rows plus an overall verdict.
+
+    Option values are checked, not cast: a count that is not an integer
+    (20000.7) or a number given as a string ("0.1") raises ValueError.
+    """
     options = dict(options or {})
-    num = int(options.get("num_samples", 100_000))
+    num = options.get("num_samples", 100_000)
     rows: list[dict] = []
     if suite in ("lemma5", "lemma7"):
         checker = shell_mass_check if suite == "lemma5" else pair_distance_check
@@ -533,9 +539,9 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
                 b = cross_pair_check(mix.components[0], mix.components[1], t, num, rng)
                 rows.append(_bound_row(b, n=n, shape=shape, t=t))
     elif suite == "corollary4":
-        n = int(options.get("n", 8))
-        grid_points = int(options.get("grid_points", 40))
-        draws = int(options.get("num_samples", 1_000_000))
+        n = options.get("n", 8)
+        grid_points = _int_at_least(options.get("grid_points", 40), 2, "grid_points")
+        draws = options.get("num_samples", 1_000_000)
         comp = _component(n)
         grid = np.linspace(0.0, comp.median_radius + 4.0 * comp.sigma_max, grid_points)
         curve = ball_growth_check(comp, comp.center, grid, draws, rng)
@@ -552,10 +558,10 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
         )
     elif suite == "lemma12":
         dims = options.get("dims", [2, 8])
-        size = int(options.get("sample_size", 100_000))
-        delta = float(options.get("delta", 0.1))
-        repeats = int(options.get("repeats", 10))
-        num_dirs = int(options.get("num_directions", 16))
+        size = options.get("sample_size", 100_000)
+        delta = _real(options.get("delta", 0.1), "delta")
+        repeats = _int_at_least(options.get("repeats", 10), 1, "repeats")
+        num_dirs = options.get("num_directions", 16)
         for n in dims:
             comp = _component(n)
             passes = 0

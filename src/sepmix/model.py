@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DiagnosticWarning,
     DimensionMismatch,
     MedianRadiusNotConverged,
     MissingMedianRadius,
@@ -363,12 +362,6 @@ def median_radius(
         halfwidth = 0.0
     else:
         radius, halfwidth = _exact_median_radius(params.eigenvalues)
-    if radius + halfwidth < (2.0 / 3.0) * params.sigma_max:
-        warnings.warn(
-            f"median radius {radius:.4g} below (2/3) sigma_max "
-            f"{params.sigma_max:.4g}; input may not be Gaussian",
-            DiagnosticWarning,
-        )
     params.median_radius = radius
     params.median_radius_halfwidth = halfwidth
     return radius, halfwidth
@@ -621,30 +614,39 @@ def _imhof_rule(lam, mult, u_max: float, panels: int, order: int):
     return cdf, root_error
 
 
+def _weights(weights, count: int) -> np.ndarray:
+    """The boundary check on mixture weights: a float vector of ``count``
+    finite, positive weights that sum to 1 (within 1e-12).
+
+    Raises:
+        DimensionMismatch: there are not ``count`` weights.
+        ValueError: a weight is NaN, infinite or not positive, or the
+            weights do not sum to 1.
+    """
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.shape[0] != count:
+        raise DimensionMismatch(f"{count} components but {weights.shape[0]} weights")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights contain NaN or an infinity")
+    if abs(float(weights.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"weights sum to {weights.sum()}, not 1")
+    if not np.all(weights > 0):
+        raise ValueError("every weight must be > 0")
+    return weights
+
+
 @dataclass
 class Mixture:
-    """Weighted list of components with a minimum-weight floor."""
+    """Weighted list of components: at least one, all of one dimension, and
+    finite, positive weights that sum to 1 (``_weights``)."""
 
     components: list[GaussianParams]
     weights: np.ndarray
-    w_min: float = 0.0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(self.components) != self.weights.shape[0]:
-            raise DimensionMismatch(
-                f"{len(self.components)} components but {self.weights.shape[0]} weights"
-            )
         if len(self.components) == 0:
             raise DimensionMismatch("mixture needs at least one component")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights contain NaN or an infinity")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
-        if self.w_min == 0.0:
-            self.w_min = float(self.weights.min())
-        if not self.w_min > 0 or np.any(self.weights < self.w_min - 1e-15):
-            raise ValueError("every weight must be >= w_min > 0")
+        self.weights = _weights(self.weights, len(self.components))
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
             raise DimensionMismatch(f"components have mixed dims {sorted(dims)}")
@@ -821,17 +823,22 @@ def sample_concentric_spherical_embedded(
     and every subset covariance spectrum has the same joint distribution as
     for X itself.
 
-    Requires ``ambient_dim >= count``.
+    Every argument is checked before anything is drawn.
+
+    Raises:
+        DimensionMismatch: not one weight per sigma.
+        ValueError: weights that ``Mixture`` would refuse, or an
+            ``ambient_dim`` that is not an integer >= ``count``.
+        NonFiniteInput: a sigma is NaN or infinite.
+        NonPositiveEigenvalue: a sigma is <= 0.
     """
     sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if sigmas.shape != weights.shape:
-        raise DimensionMismatch("sigmas and weights must have the same length")
+    weights = _weights(weights, sigmas.shape[0])
+    if not np.isfinite(sigmas).all():
+        raise NonFiniteInput("component sigmas contain NaN or an infinity")
     if np.any(sigmas <= 0):
         raise NonPositiveEigenvalue("component sigmas must be positive")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1")
-    if ambient_dim < count:
+    if _int_at_least(ambient_dim, 1, "ambient_dim") < count:
         raise ValueError("embedding needs ambient_dim >= count")
     labels = _draw_labels(weights, rng, count)
     points = _bartlett_factor(rng, ambient_dim, count)

@@ -8,9 +8,9 @@ sigma_i, sigma_j) counts as t-separated when
                      + c2 * t^2 * (sigma_i^2 + sigma_j^2).
 
 "paper" mode fixes (c1, c2) = (500, 100), which is what the classification
-guarantees assume.  "practical" mode defaults to (60, 30), the coefficients
-of the cross-distance lower bound that the peeling argument actually
-consumes; it keeps desk-scale experiments affordable.
+guarantees assume.  "practical" mode fixes (60, 30), the coefficients of the
+cross-distance lower bound that the peeling argument actually consumes; it
+keeps desk-scale experiments affordable.
 """
 
 from __future__ import annotations
@@ -30,39 +30,36 @@ from .model import (
     random_rotation,
 )
 
-_PAPER_CONSTANTS = (500.0, 100.0)
-_MODES = ("paper", "practical")
-_PRACTICAL_CONSTANTS = (60.0, 30.0)
+# the inequality constants (c1, c2) of each mode
+_CONSTANTS = {"paper": (500.0, 100.0), "practical": (60.0, 30.0)}
+_MODES = tuple(_CONSTANTS)
 
 
 @dataclass(frozen=True)
 class SeparationConfig:
-    """Separation scale t plus the inequality constants.
+    """Separation scale t and the mode, which fixes the constants c1, c2.
 
     t = 0 is accepted for diagnostics (the margin is then just the distance
-    term against the radius gap); classification refuses it.  t and the
-    constants must be finite numbers.
+    term against the radius gap); classification refuses it.  t must be a
+    finite number.
     """
 
     t: float
     mode: str = "paper"
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
         if not 0 <= _real(self.t, "t") < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        defaults = _PAPER_CONSTANTS if self.mode == "paper" else _PRACTICAL_CONSTANTS
-        c1 = defaults[0] if self.c1 is None else _real(self.c1, "c1")
-        c2 = defaults[1] if self.c2 is None else _real(self.c2, "c2")
-        if self.mode == "paper" and (c1, c2) != _PAPER_CONSTANTS:
-            raise ValueError("paper mode fixes the constants at (500, 100)")
-        if not (0 < c1 < math.inf and 0 < c2 < math.inf):
-            raise ValueError(f"constants must be positive and finite, got {c1}, {c2}")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+
+    @property
+    def c1(self) -> float:
+        return _CONSTANTS[self.mode][0]
+
+    @property
+    def c2(self) -> float:
+        return _CONSTANTS[self.mode][1]
 
 
 @dataclass

@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from sepmix.cli import main
+from sepmix.cli import build_parser, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::sepmix.errors.SampleBalanceWarning"
 )
 from sepmix.io import load_samples, save_params, save_samples
+from sepmix.kmedian import _NORMALIZATIONS
 from sepmix.model import Mixture, make_gaussian
 from sepmix.scoring import partition_compare
+from sepmix.separation import _MODES
 from sepmix.classify import ClassifierConfig, Partition, classify_general
 
 
@@ -199,20 +201,37 @@ def test_validate_suite_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "options, message",
+    "suite, options, message",
     [
-        ({"t_values": ["1"]}, "t must be a number, got '1'"),
-        ({"dims": [8.5]}, "n must be an integer, got 8.5"),
+        ("lemma5", {"t_values": ["1"]}, "t must be a number, got '1'"),
+        ("lemma5", {"dims": [8.5]}, "n must be an integer, got 8.5"),
+        ("lemma5", {"num_samples": 20_000.7}, "num_samples must be an integer, got 20000.7"),
+        ("lemma12", {"sample_size": 2000.5}, "sample_size must be an integer, got 2000.5"),
+        ("lemma12", {"repeats": 2.9}, "repeats must be an integer, got 2.9"),
+        ("lemma12", {"delta": "0.1"}, "delta must be a number, got '0.1'"),
+        ("corollary4", {"n": 8.5}, "n must be an integer, got 8.5"),
+        ("corollary4", {"grid_points": 40.9}, "grid_points must be an integer, got 40.9"),
     ],
-    ids=["t-string", "dims-fractional"],
+    ids=["t-string", "dims-fractional", "lemma5-draws", "lemma12-size",
+         "lemma12-repeats", "lemma12-delta", "corollary4-n", "corollary4-grid"],
 )
-def test_validate_rejects_malformed_options(tmp_path, capsys, options, message):
+def test_validate_rejects_malformed_options(tmp_path, capsys, suite, options, message):
     cfg = tmp_path / "opts.json"
     cfg.write_text(json.dumps(options))
-    rc = main(["validate", "--suite", "lemma5", "--config", str(cfg)])
+    rc = main(["validate", "--suite", suite, "--config", str(cfg)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: ValueError: {message}"]
+
+
+def test_parser_choices_are_the_library_tuples():
+    def choices(command, dest):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+    assert choices("gen", "plant_mode") is _MODES
+    assert choices("check-sep", "mode") is _MODES
+    assert choices("fit", "normalization") is _NORMALIZATIONS
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -357,6 +376,14 @@ def _drop(doc, key):
         (_GENERAL | {"source": _PLANT | {"kind": "nope"}}, "source.kind must be one of"),
         (_GENERAL | {"source": _PLANT | {"shapes": "abc"}}, "source.shapes: could not"),
         (_GENERAL | {"source": _PLANT | {"mode": "bogus"}}, "source.mode must be one of"),
+        (_GENERAL | {"source": _PLANT | {"c1": 60.0}}, "source.c1 is retired"),
+        (_GENERAL | {"source": _PLANT | {"c2": 30.0}}, "source.c2 is retired"),
+        (_GENERAL | {"source": _PLANT | {"eig_lo": 1.0}}, "source.eig_lo is retired"),
+        (_GENERAL | {"source": _PLANT | {"eig_hi": 2.0}}, "source.eig_hi is retired"),
+        (
+            _GENERAL | {"source": _PLANT | {"shapes": {"range": [1.0, 2.0]}}},
+            "source.shapes: shape entry needs 'spectrum'",
+        ),
         (
             _GENERAL | {"scenario": "fit", "fit": {"k": 2, "normalization": "x"}},
             "fit.normalization must be one of",
@@ -381,6 +408,11 @@ def _drop(doc, key):
         "unknown-source-kind",
         "shapes-abc",
         "mode-bogus",
+        "retired-c1",
+        "retired-c2",
+        "retired-eig_lo",
+        "retired-eig_hi",
+        "shapes-range",
         "normalization-x",
     ],
 )

@@ -433,6 +433,27 @@ def test_suite_lemma12_epsilon_value():
     assert eps == pytest.approx(0.094, abs=0.001)
 
 
+@pytest.mark.parametrize(
+    "suite, options, message",
+    [
+        ("lemma5", {"num_samples": 20_000.7}, "num_samples must be an integer"),
+        ("lemma12", {"sample_size": 2000.5}, "sample_size must be an integer"),
+        ("lemma12", {"repeats": 2.9}, "repeats must be an integer"),
+        ("lemma12", {"delta": "0.1"}, "delta must be a number"),
+        ("corollary4", {"n": 8.5}, "n must be an integer"),
+        ("corollary4", {"grid_points": 40.9}, "grid_points must be an integer"),
+    ],
+    ids=["lemma5-draws", "lemma12-size", "lemma12-repeats", "lemma12-delta",
+         "corollary4-n", "corollary4-grid"],
+)
+def test_suite_refuses_options_instead_of_casting(suite, options, message):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        run_validation_suite(suite, options, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_suite_unknown_name():
     with pytest.raises(ValueError):
         run_validation_suite("lemma99", {}, np.random.default_rng(0))

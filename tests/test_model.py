@@ -673,14 +673,12 @@ def test_mixture_weight_sum_validated():
         Mixture(components=[a, b], weights=np.array([0.5, 0.4]))
 
 
-@pytest.mark.parametrize(
-    "weights,w_min", [([np.nan, 1.0], 0.0), ([0.5, 0.5], np.nan)], ids=["weight", "w_min"]
-)
-def test_mixture_rejects_nan_weights(weights, w_min):
+@pytest.mark.parametrize("weights", [[np.nan, 1.0]], ids=["weight"])
+def test_mixture_rejects_nan_weights(weights):
     a = make_gaussian(np.zeros(1), [1.0])
     b = make_gaussian(np.ones(1), [1.0])
     with pytest.raises(ValueError):
-        Mixture(components=[a, b], weights=np.array(weights), w_min=w_min)
+        Mixture(components=[a, b], weights=np.array(weights))
 
 
 def test_mixture_w_min_default():
@@ -688,7 +686,6 @@ def test_mixture_w_min_default():
         components=[make_gaussian(np.zeros(1), [1.0]) for _ in range(3)],
         weights=np.array([0.2, 0.3, 0.5]),
     )
-    assert mix.w_min == pytest.approx(0.2)
     assert mix.k == 3
 
 
@@ -860,3 +857,33 @@ def test_embedded_requires_enough_dimensions():
             rng=np.random.default_rng(0),
             count=10,
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"weights": [1.5, -0.5]}, ValueError, "every weight must be > 0"),
+        ({"weights": [np.nan, 0.5]}, ValueError, "weights contain NaN"),
+        ({"weights": [1.0]}, DimensionMismatch, "2 components but 1 weights"),
+        ({"sigmas": [np.nan, 2.0]}, NonFiniteInput, "sigmas contain NaN"),
+        ({"sigmas": [1.0, 0.0]}, NonPositiveEigenvalue, "sigmas must be positive"),
+        ({"ambient_dim": 100.5}, ValueError, "ambient_dim must be an integer"),
+    ],
+    ids=["negative-weight", "nan-weight", "one-weight", "nan-sigma", "zero-sigma",
+         "fractional-dim"],
+)
+def test_embedded_checks_its_arguments_before_drawing(kwargs, error, message):
+    # the concentric pair takes the weights check of Mixture itself
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    args = dict(sigmas=[1.0, 2.0], weights=[0.5, 0.5], ambient_dim=100) | kwargs
+    with pytest.raises(error, match=message):
+        sample_concentric_spherical_embedded(**args, rng=rng, count=50)
+    assert rng.bit_generator.state == before
+
+
+def test_mixture_rejects_non_positive_weights():
+    a = make_gaussian(np.zeros(1), [1.0])
+    b = make_gaussian(np.ones(1), [1.0])
+    with pytest.raises(ValueError, match="every weight must be > 0"):
+        Mixture(components=[a, b], weights=np.array([1.5, -0.5]))
