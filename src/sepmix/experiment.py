@@ -38,6 +38,7 @@ from .kmedian import _NORMALIZATIONS, fit_spherical_mixture
 from .model import (
     LabeledSampleSet,
     Mixture,
+    _draw_count,
     _int_at_least,
     _real,
     make_gaussian,
@@ -523,6 +524,8 @@ def run_validation_suite(suite: str, options: dict, rng: np.random.Generator) ->
             b = point_distance_check(comp, z, t, num, rng)
             rows.append(_bound_row(b, n=n, t=t, z=at))
     elif suite == "lemma8":
+        # checked before the first plant draws, under the option's own name
+        num = _draw_count(num, 10_000, "num_samples")
         t_values = options.get("t_values", [1.0, 2.0])
         for t in t_values:
             for shape, n in (("spherical", 32), ("eccentric", 16)):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from sepmix import experiment
 from sepmix.classify import Partition
@@ -18,7 +20,7 @@ from sepmix.experiment import (
 from sepmix.io import save_params, save_samples
 from sepmix.model import Mixture, make_gaussian, sample_mixture, spherical_median_radius
 from sepmix.separation import SeparationConfig, plant_separated_mixture
-from sepmix.scoring import partition_compare
+from sepmix.scoring import _max_assignment, partition_compare
 
 
 def _part(*clusters):
@@ -83,6 +85,56 @@ def test_compare_more_predicted_than_true_clusters():
     assert not match.exact_match
     assert match.agreement == 2
     assert match.confusion.shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1, -1], "label 2 is -1"),
+        ([0, 0.5, 1], "label 1 is 0.5"),
+        ([0, 1, np.nan], "label 2 is nan"),
+        ([[0, 1, 1]], "must be 1-D"),
+    ],
+    ids=["negative", "fractional", "nan", "2-d"],
+)
+def test_compare_refuses_bad_labels(labels, message):
+    # each used to fail inside numpy or be truncated and scored
+    with pytest.raises(IndexMismatch, match=message):
+        partition_compare(_part([0, 1], [2]), labels)
+
+
+def test_compare_accepts_integral_float_labels():
+    match = partition_compare(_part([0, 1], [2]), [1.0, 1.0, 0.0])
+    assert match.exact_match
+    assert match.mapping.tolist() == [1, 0]
+
+
+@st.composite
+def _count_matrices(draw):
+    """Square count matrices, k = 0..8, with small entries (many ties) and
+    some all-zero rows and columns."""
+    k = draw(st.integers(0, 8))
+    high = draw(st.sampled_from([1, 2, 3, 50]))
+    flat = draw(st.lists(st.integers(0, high), min_size=k * k, max_size=k * k))
+    counts = np.array(flat, dtype=int).reshape(k, k)
+    if k:
+        counts[draw(st.lists(st.integers(0, k - 1), max_size=2)), :] = 0
+        counts[:, draw(st.lists(st.integers(0, k - 1), max_size=2))] = 0
+    return counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(_count_matrices())
+@example(np.ones((3, 3), dtype=int))
+@example(np.zeros((4, 4), dtype=int))
+@example(np.array([[2, 2, 0], [2, 2, 0], [0, 1, 1]]))
+def test_max_assignment_matches_scipy_tie_for_tie(counts):
+    # the assignment fixes the confusion and mapping bytes trials record
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    assert rows.tolist() == list(range(counts.shape[0]))
+    assert _max_assignment(counts).tolist() == cols.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +494,10 @@ def test_suite_lemma12_epsilon_value():
         ("lemma12", {"delta": "0.1"}, "delta must be a number"),
         ("corollary4", {"n": 8.5}, "n must be an integer"),
         ("corollary4", {"grid_points": 40.9}, "grid_points must be an integer"),
+        ("lemma8", {"num_samples": 20000.7}, "num_samples must be an integer"),
     ],
     ids=["lemma5-draws", "lemma12-size", "lemma12-repeats", "lemma12-delta",
-         "corollary4-n", "corollary4-grid"],
+         "corollary4-n", "corollary4-grid", "lemma8-draws"],
 )
 def test_suite_refuses_options_instead_of_casting(suite, options, message):
     rng = np.random.default_rng(0)

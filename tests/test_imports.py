@@ -1,8 +1,10 @@
 """Which scipy modules each entry point loads, read in a fresh interpreter.
 
-scipy.special, scipy.linalg and scipy.optimize each take a large share of a
-short process's start-up time and memory, so sepmix imports each one inside
-the function that calls it.  These tests fail on a module-level scipy import.
+scipy.special and scipy.linalg each take a large share of a short process's
+start-up time and memory, so sepmix imports each one inside the function
+that calls it.  These tests fail on a module-level scipy import.  Nothing in
+sepmix loads scipy.optimize: partition scoring solves its assignment problem
+in-package, so neither scoring nor an experiment that scores loads it.
 """
 
 import json
@@ -83,6 +85,39 @@ def test_validation_suites_load_scipy_special_only(tmp_path):
 def test_classify_loads_scipy_linalg_not_optimize(tmp_path):
     body = _cli(GEN + ["--out", "samples.csv"]) + _cli(
         "classify --k 3 --wmin 0.3333 --samples samples.csv --out partition.csv".split()
+    )
+    loaded = _scipy_modules(body, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_partition_compare_loads_no_scipy(tmp_path):
+    body = """
+        import numpy as np
+        import sepmix
+        part = sepmix.Partition(clusters=[np.array([0, 1]), np.array([2])])
+        match = sepmix.partition_compare(part, np.array([1, 1, 0]))
+        assert match.exact_match and match.mapping.tolist() == [1, 0]
+    """
+    assert _scipy_modules(body, tmp_path) == set()
+
+
+def test_experiment_scores_without_scipy_optimize(tmp_path):
+    # one classify_general trial on a planted pair: the scenario solves eigen
+    # problems (scipy.linalg) and the trial is scored
+    config = {
+        "scenario": "classify_general",
+        "trials": 1,
+        "master_seed": 7,
+        "sample_size": 600,
+        "source": {"kind": "plant", "n": 8, "k": 2, "shapes": [1.0, 1.0],
+                   "t": 10.0, "mode": "practical", "slack": 1.5},
+        "classifier": {"k": 2, "w_min": 0.5, "delta": 0.05},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    body = _cli("experiment --config config.json --out-dir runs".split()) + (
+        "trial = open('runs/summary.csv').read().splitlines()[1].split(',')\n"
+        "assert trial[2] == 'true', trial\n"
     )
     loaded = _scipy_modules(body, tmp_path)
     assert "scipy.linalg" in loaded

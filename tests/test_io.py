@@ -329,6 +329,24 @@ def test_load_params_top_level_not_object(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize(
+    "components", [[], {}, "abc", None], ids=["empty", "object", "string", "null"]
+)
+def test_load_params_components_not_a_nonempty_list(tmp_path, components):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"components": components}))
+    with pytest.raises(SchemaError, match='"components" must be a nonempty list'):
+        load_params(path)
+
+
+def test_load_params_component_not_an_object(tmp_path):
+    entry = {"weight": 0.5, "center": [0.0], "eigenvalues": [1.0]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"components": [entry, [0.5, [1.0], [1.0]]]}))
+    with pytest.raises(SchemaError, match="component 1 is not an object"):
+        load_params(path)
+
+
 def test_partition_round_trip(tmp_path):
     labels = np.array([0, 2, 1, 1, 0])
     path = tmp_path / "part.csv"
@@ -343,3 +361,16 @@ def test_load_partition_bad_value(tmp_path):
     with pytest.raises(ParseError) as err:
         load_partition(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "label\n0\n", "cluster,x\n0,1\n"],
+    ids=["empty", "wrong-name", "two-columns"],
+)
+def test_load_partition_bad_header(tmp_path, text):
+    path = tmp_path / "part.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="is not \\['cluster'\\]") as err:
+        load_partition(path)
+    assert err.value.line == 1

@@ -585,6 +585,18 @@ def test_sigma_hat_standard_normalization():
     assert sigma_hat(pts, sol, "standard") ** 2 == pytest.approx(4.0 / 2.0)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [sigma_hat, spherical_log_likelihood],
+    ids=["sigma_hat", "log_likelihood"],
+)
+def test_likelihood_terms_refuse_unknown_normalization(entry):
+    pts = _col([0.0, 2.0])
+    sol = kmedian_exhaustive(pts, 1)
+    with pytest.raises(ValueError, match="normalization must be one of"):
+        entry(pts, sol, normalization="Paper")
+
+
 def test_log_likelihood_quadratic_term_identity():
     rng = np.random.default_rng(12)
     for _ in range(50):
