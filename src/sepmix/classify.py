@@ -21,10 +21,11 @@ Every M x M pass, here and in the k-median fit, reads its squared distances
 from one row engine, _SqDistRows.  It owns the squared norms, the block grid,
 the Gram expansion, the choice between storing the M x M matrix and forming
 row blocks on demand under _MATRIX_BUDGET, the refusal of an array larger
-than physical memory, the per-row roundoff slack, and a float32 screen: row
-blocks formed in float32 from a centered copy of the points, each row with a
-certified bound on how far any float64 entry the engine forms for it may lie
-from its screened one.  A block, in either dtype, is one GEMM finished in
+than physical memory or of points whose squared distances could overflow,
+the per-row roundoff slack, and a float32 screen: row blocks formed in
+float32 from a centered copy of the points, each row with a certified bound
+on how far any float64 entry the engine forms for it may lie from its
+screened one.  A block, in either dtype, is one GEMM finished in
 place by _expand and clipped at 0, and the engine keeps nothing of it.  Both
 classifiers screen first and form a float64 block only where one of its
 rows may still win or tie.  So does the k-median search: it stores the
@@ -73,6 +74,7 @@ from .errors import (
     EigenSolverFailed,
     EmptyPeel,
     InstanceTooLarge,
+    NonFiniteInput,
     ResidualPointsAfterKPeels,
     ThresholdTooLarge,
 )
@@ -185,23 +187,57 @@ class Partition:
         return labels
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Squared euclidean distances between rows, via the Gram expansion.
+def pairwise_sq_dists(a: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of ``a``, via the Gram
+    expansion.
 
-    Computes ``aa[:, None] + bb[None, :] - 2 (a @ b.T)`` clipped at 0, with the
-    same rounding, while allocating only the output matrix and one row block:
-    the expansion is finished in place (see _expand).
+    Computes ``aa[:, None] + aa[None, :] - 2 (a @ a.T)`` clipped at 0, with
+    the same rounding, while allocating only the output matrix and one row
+    block: the expansion is finished in place (see _expand).
 
     Raises:
-        InstanceTooLarge: the rows x cols float64 result would not fit in
-            physical memory.
+        InstanceTooLarge: the M x M float64 result would not fit in physical
+            memory.
+        NonFiniteInput: the squared distances could overflow (_sq_norms).
     """
-    b = a if b is None else b
-    rows, cols = a.shape[0], b.shape[0]
-    _SqDistRows.check_memory(rows * cols, f"a {rows} x {cols} distance matrix")
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
-    return _expand(a @ b.T, aa, bb, scale=-2.0)
+    m = a.shape[0]
+    _SqDistRows.check_memory(m * m, f"a {m} x {m} distance matrix")
+    aa = _sq_norms(a)
+    return _expand(a @ a.T, aa, aa, scale=-2.0)
+
+
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of ``points``, once it is known that no
+    quantity the package forms from their squared distances can overflow.
+
+    With T the largest squared norm and M the row count, no such quantity
+    exceeds 16 M T:
+      - an entry's expansion adds terms of at most 2 T (the norms) and 2 T
+        (twice the inner product), so every entry and partial sum is at
+        most 4 T;
+      - a ball's Gram block (_gram_from_sq_dists) sums at most M entries for
+        each row mean, at most 4 M T, and after three subtractions its
+        entries are at most 16 T;
+      - a covariance recenters the points, so |y|^2 <= 4 T, and each of its
+        entries sums at most M products, at most 4 M T; so does a k-median
+        cost or objective, a sum of at most M squared distances;
+      - the removal radius adds square roots of these.
+    Rounding multiplies each bound by at most 1 + gamma_(M + n) < 2, so
+    32 M T at most the largest float64 rules out overflow, and with it the
+    inf - inf that would make a distance, beta or beta' NaN.
+
+    Raises:
+        NonFiniteInput: 32 M T exceeds the largest float64, or T is not
+            finite.
+    """
+    norms = np.einsum("ij,ij->i", points, points)
+    top = float(norms.max(initial=0.0))
+    if not 32.0 * norms.size * top <= np.finfo(float).max:
+        raise NonFiniteInput(
+            f"squared distances of {norms.size} points with squared norms up "
+            f"to {top:.6g} could overflow float64"
+        )
+    return norms
 
 
 def _expand(
@@ -268,7 +304,7 @@ class _SqDistRows:
     def __init__(self, points: np.ndarray, store: bool = False):
         m, n = points.shape
         self.points = points
-        self.norms = np.einsum("ij,ij->i", points, points)
+        self.norms = _sq_norms(points)
         self.d2 = None
         self.err = None
         if store and m * m * 8 <= _MATRIX_BUDGET:
@@ -284,6 +320,18 @@ class _SqDistRows:
         """Rows of a block of ``cols`` columns: about _BLOCK_BYTES, and at
         least _MIN_GEMM_ROWS, so each GEMM reads its columns for enough rows."""
         return max(_block_rows(cols), _MIN_GEMM_ROWS)
+
+    def triangle(self) -> list[tuple[int, int]]:
+        """The row blocks [lo, hi) of the upper triangle, each screened
+        against the columns from lo on: gemm_rows(M - lo) rows each, so
+        blocks grow taller as they narrow."""
+        m = self.points.shape[0]
+        grid, lo = [], 0
+        while lo < m:
+            hi = min(m, lo + self.gemm_rows(m - lo))
+            grid.append((lo, hi))
+            lo = hi
+        return grid
 
     @staticmethod
     def check_memory(entries: int, what: str, dtype=np.float64):
@@ -637,8 +685,8 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
 
     Raises:
         ThresholdTooLarge: a peel finds fewer live points than the threshold.
-        EmptyPeel: a peel removes nothing.
         ResidualPointsAfterKPeels: points remain after k peels.
+        NonFiniteInput: the squared distances could overflow (_sq_norms).
     """
     points, meta = _points_of(samples)
     m_total = points.shape[0]
@@ -672,9 +720,10 @@ def classify_general(samples, config: ClassifierConfig) -> Partition:
         r_gap = alpha + s * nu
         beta_prime = _ball_variance(points, source.d2, alive[row <= r_gap])
         removal_radius = r_gap + 3.0 * math.sqrt(beta_prime) * log_term
+        # alpha is the root of the threshold-th entry of this very row, and
+        # the radius adds only finite nonnegative terms to it (_sq_norms
+        # rules out overflow), so at least threshold points are removed
         removed_mask = row <= removal_radius
-        if not np.any(removed_mask):
-            raise EmptyPeel("peel removed no points")
         removed = alive[removed_mask]
         trace.steps.append(
             PeelStep(
@@ -757,6 +806,7 @@ def classify_spherical(samples, k: int, t: float) -> Partition:
             number.
         EmptyPeel: no points are left for a peel.
         ResidualPointsAfterKPeels: points remain after k peels.
+        NonFiniteInput: the squared distances could overflow (_sq_norms).
     """
     points, meta = _points_of(samples)
     if not (0 < _real(t, "t") < math.inf):
@@ -807,20 +857,16 @@ def _aligned_block(source: _SqDistRows, r: int) -> tuple[int, np.ndarray]:
 
 def _screened_nearest(source: _SqDistRows) -> np.ndarray:
     """Lower bounds on each row's least squared distance to another point,
-    from one screened pass over the upper triangle: each block of rows
-    [lo, hi) is screened against the columns from lo on, and an entry
-    bounds both of its points.  Blocks grow taller as they narrow."""
+    from one screened pass over the upper triangle (_SqDistRows.triangle):
+    an entry bounds both of its points."""
     m = source.points.shape[0]
     least = np.full(m, np.inf, np.float32)
     err = np.empty(m)
-    lo = 0
-    while lo < m:
-        hi = min(m, lo + source.gemm_rows(m - lo))
+    for lo, hi in source.triangle():
         screened, err[lo:hi] = source.screen(slice(lo, hi), lo)
         screened[np.arange(hi - lo), np.arange(hi - lo)] = np.inf
         np.minimum(least[lo:hi], screened.min(axis=1), out=least[lo:hi])
         np.minimum(least[lo:], screened.min(axis=0), out=least[lo:])
-        lo = hi
     return np.fmax(least - err, 0.0)
 
 

@@ -24,7 +24,8 @@ class TooFewSamples(SepmixError):
 
 
 class NonFiniteInput(SepmixError):
-    """Input points or component parameters contain NaN or an infinity."""
+    """Input points or component parameters contain NaN or an infinity, or
+    points are so large that their squared distances could overflow."""
 
 
 class MissingMedianRadius(SepmixError):

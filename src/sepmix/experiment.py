@@ -52,7 +52,7 @@ from .io import load_params, load_samples
 
 SCENARIOS = ("classify_general", "classify_spherical", "fit", "validate")
 SUITES = ("lemma5", "lemma6", "lemma7", "lemma8", "corollary4", "lemma12")
-_KINDS = ("plant", "concentric_spherical", "params", "mixture", "samples")
+_KINDS = ("plant", "concentric_spherical", "params", "samples")
 # plant keys older configs carry, each with the key that now sets its value
 _RETIRED = {"c1": "mode", "c2": "mode", "eig_lo": "shapes", "eig_hi": "shapes"}
 
@@ -244,13 +244,8 @@ def _read_source(config: ExperimentConfig):
         draw = partial(_draw_concentric, pair)
     elif kind == "samples":
         draw = partial(_draw_samples, load_samples(_key(config, "source.path")))
-    else:  # a mixture, read from a parameter file or given
-        if kind == "params":
-            mixture = load_params(_key(config, "source.path"))
-        else:
-            mixture = _key(config, "source.object")
-            if not isinstance(mixture, Mixture):
-                raise ValueError("source.object must be a Mixture")
+    else:  # a mixture, read from a parameter file
+        mixture = load_params(_key(config, "source.path"))
         draw, dim = partial(_draw_mixture, mixture), mixture.dim
     return partial(draw, config.sample_size), dim
 

@@ -118,8 +118,9 @@ def _parse_block(records, lines, n: int, has_label: bool):
 
     Raises:
         ParseError: for the first field, in file order, that does not
-            parse: a coordinate as ``float`` or the label as ``int``.  When
-            every field parses alone, the cast's own error is raised.
+            parse: a coordinate as ``float`` or the label as an int64
+            (_int64).  When every field parses alone, the cast's own error
+            is raised.
     """
     try:
         if not has_label:
@@ -128,7 +129,7 @@ def _parse_block(records, lines, n: int, has_label: bool):
             np.array([rec[:n] for rec in records], dtype=float),
             np.array([int(rec[n]) for rec in records], dtype=int),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         error = exc
     for rec, lineno in zip(records, lines):
         for col, tok in enumerate(rec[:n], start=1):
@@ -140,12 +141,24 @@ def _parse_block(records, lines, n: int, has_label: bool):
                 ) from None
         if has_label:
             try:
-                int(rec[n])
+                _int64(rec[n])
             except ValueError:
                 raise ParseError(
                     f"bad label {rec[n]!r}", line=lineno, column=n + 1
                 ) from None
     raise error
+
+
+def _int64(token: str) -> int:
+    """``token`` parsed by ``int``.
+
+    Raises:
+        ValueError: it does not parse, or lies outside the int64 range.
+    """
+    value = int(token)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{token!r} is outside the int64 range")
+    return value
 
 
 def save_params(path, mixture: Mixture) -> None:
@@ -221,6 +234,12 @@ def save_partition(path, labels: np.ndarray) -> None:
 
 
 def load_partition(path) -> np.ndarray:
+    """Read a cluster-id-per-point CSV; blank lines are skipped.
+
+    Raises:
+        ParseError: the header is not ``cluster``, or an id is not an int64
+            (_int64).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -231,7 +250,9 @@ def load_partition(path) -> np.ndarray:
             if not rec:
                 continue
             try:
-                out.append(int(rec[0]))
+                out.append(_int64(rec[0]))
             except ValueError:
-                raise ParseError(f"bad cluster id {rec[0]!r}", line=lineno) from None
+                raise ParseError(
+                    f"bad cluster id {rec[0]!r}", line=lineno, column=1
+                ) from None
     return np.asarray(out, dtype=int)

@@ -55,10 +55,6 @@ class KMedianSolution:
     assignment: np.ndarray
     objective: float
 
-    @property
-    def k(self) -> int:
-        return self.center_indices.shape[0]
-
 
 def _solution_from_indices(points, idx, to_centers) -> KMedianSolution:
     """Canonical solution for the ascending center indices ``idx``, ties to
@@ -80,19 +76,19 @@ class _UpperTriangle:
     D of ``points``, and the row engine (``source``) that forms its float64
     rows.
 
-    Stored as row blocks D[lo:hi, lo:], each one float32 GEMM of its rows
-    against the trailing points (_SqDistRows.screen).  A block is about
-    _BLOCK_BYTES of float64 and at least _MIN_GEMM_ROWS rows
-    (_SqDistRows.gemm_rows), so blocks grow taller as they narrow.  Row r
-    keeps err[r]: every float64 entry the engine forms for a pair lies
-    within err of the pair's stored entry, read either way.  A GEMM need not
-    round (i, j) and (j, i) alike, so each block's leading square is made
-    symmetric from its upper half: every unordered pair then has one value.
-    Memory is about M^2 / 2 float32 entries, a quarter of the float64
-    matrix.  A void screen (float32 overflow) stores no block.
+    Stored as the row blocks D[lo:hi, lo:] of _SqDistRows.triangle, each
+    one float32 GEMM of its rows against the trailing points
+    (_SqDistRows.screen).  Row r keeps err[r]: every float64 entry the
+    engine forms for a pair lies within err of the pair's stored entry, read
+    either way.  A GEMM need not round (i, j) and (j, i) alike, so each
+    block's leading square is made symmetric from its upper half: every
+    unordered pair then has one value.  Memory is about M^2 / 2 float32
+    entries, a quarter of the float64 matrix.  A void screen (float32
+    overflow) stores no block.
 
     Raises:
         InstanceTooLarge: the blocks would not fit in physical memory.
+        NonFiniteInput: the squared distances could overflow.
     """
 
     def __init__(self, points: np.ndarray):
@@ -101,17 +97,14 @@ class _UpperTriangle:
         if self.source.screen_void:
             return
         m = points.shape[0]
-        bounds = [0]
-        while bounds[-1] < m:
-            lo = bounds[-1]
-            bounds.append(min(m, lo + _SqDistRows.gemm_rows(m - lo)))
+        grid = self.source.triangle()
         _SqDistRows.check_memory(
-            sum((hi - lo) * (m - lo) for lo, hi in zip(bounds, bounds[1:])),
+            sum((hi - lo) * (m - lo) for lo, hi in grid),
             f"the float32 upper triangle of a {m} x {m} distance matrix",
             np.float32,
         )
         self.err = np.empty(m)
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in grid:
             blk = np.empty((hi - lo, m - lo), np.float32)
             self.err[lo:hi] = self.source.screen(slice(lo, hi), lo, out=blk)[1]
             square = blk[:, : hi - lo]
@@ -158,6 +151,7 @@ def kmedian_local_search(points, k: int, rng: np.random.Generator) -> KMedianSol
         TooFewPoints: fewer points than centers.
         ValueError: k is not an integer >= 1.
         InstanceTooLarge: the triangle would not fit in physical memory.
+        NonFiniteInput: the squared distances could overflow.
 
     Warns:
         LocalSearchCapWarning: _MAX_ROUNDS ran out while the last round
@@ -291,7 +285,9 @@ def _swap_costs(
     when (M + 1) u <= 1/16.  The factor 1 + 2^-20 covers the float64
     summation of an exact price and the rounding of the bound and of
     S -/+ bound.  A float32 sum that overflows is infinite, and so is its
-    bound; at (M + 1) u > 1/16 every bound is infinite.
+    bound; at (M + 1) u > 1/16 every bound is infinite.  That is the bound's
+    own validity condition: it takes M >= 2^20 points, whose triangle needs
+    about 2 TiB, so only a machine with that much memory reaches it.
     """
     m, k = owner.shape
     a, b = d1.astype(np.float32), d2nd.astype(np.float32)
@@ -358,6 +354,7 @@ def kmedian_exhaustive(points, k: int) -> KMedianSolution:
         TooFewPoints: fewer points than centers.
         ValueError: k is not an integer >= 1.
         InstanceTooLarge: C(M, k) exceeds _MAX_SUBSETS.
+        NonFiniteInput: the squared distances could overflow.
     """
     points, _ = _points_of(points)
     k = _int_at_least(k, 1, "k")
@@ -419,20 +416,17 @@ def sigma_hat(points, solution: KMedianSolution, normalization: str = "paper") -
 
 
 def spherical_log_likelihood(
-    points,
-    solution: KMedianSolution,
-    sigma: float | None = None,
-    normalization: str = "paper",
+    points, solution: KMedianSolution, normalization: str = "paper"
 ) -> float:
-    """Log-likelihood of the points under the fitted spherical model.
+    """Log-likelihood of the points under the fitted spherical model, at the
+    maximum-likelihood sigma (sigma_hat).
 
     paper:    -[(M n / 2) ln(2 pi sigma) + objective / (2 sigma^2)]
     standard: -[(M n / 2) ln(2 pi sigma^2) + objective / (2 sigma^2)]
 
-    With the matching maximum-likelihood sigma the quadratic term equals
-    M n / 4 (paper) or M n / 2 (standard) exactly.  When every point sits on
-    its center the likelihood is unbounded: returns +inf with a
-    ZeroSigmaWarning.
+    At that sigma the quadratic term equals M n / 4 (paper) or M n / 2
+    (standard) exactly.  When every point sits on its center the likelihood
+    is unbounded: returns +inf with a ZeroSigmaWarning.
 
     Raises:
         InconsistentSigma: the plug-in sigma misses that identity.
@@ -440,31 +434,23 @@ def spherical_log_likelihood(
             solution assigns.
         NonFiniteInput: a coordinate is NaN or infinite.
     """
-    if normalization not in _NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {_NORMALIZATIONS}")
-    m, n = _fitted_points(points, solution).shape
-    cost = solution.objective
-    if sigma is None:
-        sigma = sigma_hat(points, solution, normalization)
-        if sigma > 0.0:
-            quad = cost / (2.0 * sigma * sigma)
-            expected = m * n / (4.0 if normalization == "paper" else 2.0)
-            if not abs(quad - expected) <= 1e-9 * expected:
-                raise InconsistentSigma(
-                    f"quadratic term {quad!r} differs from {expected!r} "
-                    "at the plug-in sigma"
-                )
+    sigma = sigma_hat(points, solution, normalization)
     if sigma == 0.0:
         warnings.warn("all points coincide with centers", ZeroSigmaWarning)
         return math.inf
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    m, n = _fitted_points(points, solution).shape
+    quad = solution.objective / (2.0 * sigma * sigma)
+    expected = m * n / (4.0 if normalization == "paper" else 2.0)
+    if not abs(quad - expected) <= 1e-9 * expected:
+        raise InconsistentSigma(
+            f"quadratic term {quad!r} differs from {expected!r} at the plug-in sigma"
+        )
     log_norm = (
         math.log(2.0 * math.pi * sigma)
         if normalization == "paper"
         else math.log(2.0 * math.pi * sigma * sigma)
     )
-    return -((m * n / 2.0) * log_norm + cost / (2.0 * sigma * sigma))
+    return -((m * n / 2.0) * log_norm + quad)
 
 
 @dataclass
@@ -496,7 +482,7 @@ def fit_spherical_mixture(
     points = np.asarray(points, dtype=float)
     solution = kmedian_local_search(points, k, rng)
     sig = sigma_hat(points, solution, normalization)
-    loglik = spherical_log_likelihood(points, solution, None, normalization)
+    loglik = spherical_log_likelihood(points, solution, normalization)
     counts = np.bincount(solution.assignment, minlength=k)
     return FitResult(
         solution=solution,

@@ -17,8 +17,10 @@ class MatchResult:
 
     ``confusion[a, b]`` counts points of matched predicted cluster a landing
     in true class b after reordering clusters by the optimal bijection, so
-    agreements sit on the diagonal.  ``mapping[a]`` is the true class matched
-    to predicted cluster a.
+    agreements sit on the diagonal; its classes are the labels that occur,
+    in ascending order, then empty ones while the clusters outnumber them.
+    ``mapping[a]`` is the label matched to predicted cluster a, an empty
+    class numbered on from the largest label.
     """
 
     exact_match: bool
@@ -46,21 +48,25 @@ def partition_compare(predicted: Partition, truth_labels) -> MatchResult:
         raise IndexMismatch(
             f"partition covers {covered.size} indices, labels have {m}"
         )
-    k_pred = predicted.k
-    k_true = int(truth.max()) + 1 if m else 0
+    # count over the labels that occur, so the matrix is k x k for k the
+    # larger of the cluster count and the number of distinct labels
+    ids, index = np.unique(truth, return_inverse=True)
+    k_pred, k_true = predicted.k, ids.size
     k = max(k_pred, k_true)
     contingency = np.zeros((k, k), dtype=int)
     for a, cluster in enumerate(predicted.clusters):
         if cluster.size:
-            contingency[a, :k_true] += np.bincount(truth[cluster], minlength=k_true)
+            contingency[a, :k_true] += np.bincount(index[cluster], minlength=k_true)
     mapping = _max_assignment(contingency)
     confusion = contingency[:, mapping]
     agreement = int(np.trace(confusion))
+    # padding column j >= k_true stands for the label max + 1 + (j - k_true)
+    label_of = np.append(ids, ids.max(initial=-1) + 1 + np.arange(k - k_true))
     return MatchResult(
         exact_match=bool(agreement == m),
         agreement=agreement,
         confusion=confusion,
-        mapping=mapping[:k_pred],
+        mapping=label_of[mapping[:k_pred]],
     )
 
 

@@ -1,12 +1,11 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
 prints them after the run, outside pytest's output capture, provides the
-malformed point sets every point-taking entry point must reject, and the
-k-median cost oracle."""
+malformed point sets every point-taking entry point must reject, squared
+distances between two point sets, and the k-median cost oracle."""
 
 import numpy as np
 import pytest
 
-from sepmix.classify import pairwise_sq_dists
 from sepmix.errors import DimensionMismatch, NonFiniteInput
 
 acceptance_lines: list[str] = []
@@ -39,6 +38,18 @@ def bad_points(request):
     return make(), error
 
 
+def sq_dists(a, b=None) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and of ``b`` (default
+    ``a``): the Gram expansion written as one expression, temporaries and
+    all, clipped at 0."""
+    b = a if b is None else b
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def kmedian_cost(points, centers) -> float:
     """Sum over points of the squared distance to the nearest center.
 
@@ -50,6 +61,6 @@ def kmedian_cost(points, centers) -> float:
     points = np.asarray(points, dtype=float)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     mean = points.mean(axis=0)
-    nearest = np.argmin(pairwise_sq_dists(points - mean, centers - mean), axis=1)
+    nearest = np.argmin(sq_dists(points - mean, centers - mean), axis=1)
     diff = points - centers[nearest]
     return float(np.einsum("ij,ij->", diff, diff))

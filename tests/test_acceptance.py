@@ -12,13 +12,8 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import kmedian_cost
-from sepmix.classify import (
-    ClassifierConfig,
-    classify_general,
-    classify_spherical,
-    pairwise_sq_dists,
-)
+from conftest import kmedian_cost, sq_dists
+from sepmix.classify import ClassifierConfig, classify_general, classify_spherical
 from sepmix.concentration import covariance_concentration_check
 from sepmix.experiment import (
     ExperimentConfig,
@@ -206,7 +201,7 @@ def test_criterion_03_spherical_warmup():
         # the least cross-component squared distance, label pair by label pair
         groups = [s.points[s.labels == a] for a in range(k)]
         least = min(
-            pairwise_sq_dists(groups[a], groups[b]).min()
+            sq_dists(groups[a], groups[b]).min()
             for a in range(k)
             for b in range(a + 1, k)
         )

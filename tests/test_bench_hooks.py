@@ -1,10 +1,14 @@
 """The benchmark reaches into sepmix by name; a refactor that renames or moves
 one of those names must fail here rather than in a traced bench run."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,6 +31,46 @@ def test_span_patches_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert spans.PATCHES and not missing
+
+
+def test_every_counted_span_fires_in_a_traced_run(tmp_path, monkeypatch):
+    # a counter reads its call's arguments by name, so renaming one breaks
+    # only a traced bench run; small calls through every counted span run
+    # each counter here
+    from sepmix import classify, cli, experiment, kmedian
+
+    spans = _load("spans", monkeypatch)
+    tracer = spans.Tracer()
+    params, samples = tmp_path / "params.json", tmp_path / "samples.csv"
+    gen = ["gen", "--plant-n", "8", "--plant-k", "2", "--count", "400", "--seed", "1",
+           "--out-params", str(params), "--out", str(samples)]
+    check = ["check-sep", "--params", str(params), "--t", "10", "--mode", "practical"]
+    peel = ["classify", "--samples", str(samples), "--k", "2", "--wmin", "0.5",
+            "--out", str(tmp_path / "partition.csv")]
+    concentric = experiment.ExperimentConfig.from_dict(
+        {
+            "scenario": "classify_general",
+            "trials": 1,
+            "master_seed": 3,
+            "sample_size": 200,
+            "source": {"kind": "concentric_spherical", "sigmas": [1.0, 10.0],
+                       "ambient_dim": 1_000_000},
+            "classifier": {"k": 2, "w_min": 0.5},
+        }
+    )
+    options = {"num_samples": 10_000, "sample_size": 10_000, "repeats": 1}
+    blobs = np.random.default_rng(4).normal(size=(200, 16))
+    blobs[100:, 0] += 40.0
+    with spans.Rebinding(tracer), contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(argv) for argv in (gen, check, peel)] == [0, 0, 0]
+        rng = np.random.default_rng(5)
+        for suite in experiment.SUITES:
+            experiment.run_validation_suite(suite, options, rng)
+        assert experiment.run_experiment(concentric).error_count == 0
+        classify.classify_spherical(blobs, 2, 5.0)
+        kmedian.fit_spherical_mixture(blobs, 2, np.random.default_rng(6))
+    counted = {name for _, _, name, counter in spans.PATCHES if counter is not None}
+    assert counted - {span.name for span in tracer.spans} == set()
 
 
 def test_workloads_import(monkeypatch):

@@ -6,6 +6,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from conftest import sq_dists
+
 from sepmix import classify as classify_module
 from sepmix.classify import (
     ClassifierConfig,
@@ -69,28 +71,15 @@ def test_pairwise_sq_dists_clips_negative_roundoff():
     assert np.all(d2 >= 0.0)
 
 
-def _one_line_sq_dists(a, b=None):
-    """The Gram expansion written as one expression, temporaries and all."""
-    b = a if b is None else b
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = aa if b is a else np.einsum("ij,ij->i", b, b)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 @pytest.mark.parametrize(
-    "rows, cols, n, offset",
-    [(1500, None, 4, 0.0), (1100, 1300, 3, 0.0), (700, None, 6, 1e6), (5, 2000, 2, 3e4)],
-    ids=["square", "rectangular", "far-offset", "wide"],
+    "rows, n, offset", [(1500, 4, 0.0), (700, 6, 1e6)], ids=["square", "far-offset"]
 )
-def test_pairwise_sq_dists_bytes_match_one_line_expansion(rows, cols, n, offset):
+def test_pairwise_sq_dists_bytes_match_one_line_expansion(rows, n, offset):
     # several row blocks each, so block seams are covered
     rng = np.random.default_rng(rows)
     a = rng.normal(size=(rows, n)) + offset
-    b = None if cols is None else rng.normal(size=(cols, n)) + offset
-    have = pairwise_sq_dists(a, b)
-    want = _one_line_sq_dists(a, b)
+    have = pairwise_sq_dists(a)
+    want = sq_dists(a)
     assert have.shape == want.shape
     assert have.tobytes() == want.tobytes()
 
@@ -207,6 +196,16 @@ def test_a_row_rounds_alike_whatever_rows_share_its_block(n):
             rows[j] = r
             got.append(src.block(rows)[j].tobytes())
         assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("m", [1, 17, 700, 5000])
+def test_triangle_grid_tiles_the_rows(m):
+    # block [lo, hi) takes gemm_rows(M - lo) rows, the last what is left
+    grid = _SqDistRows(np.zeros((m, 2))).triangle()
+    los = [lo for lo, _ in grid]
+    assert los[0] == 0 and [hi for _, hi in grid] == los[1:] + [m]
+    for lo, hi in grid:
+        assert hi == min(m, lo + _SqDistRows.gemm_rows(m - lo))
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +685,51 @@ def test_classify_sample_size_precondition():
     pts = np.random.default_rng(0).normal(size=(3, 3))
     with pytest.raises(ValueError):
         classify_general(pts, ClassifierConfig(k=4, w_min=0.25))
+
+
+def _two_blobs(scale, m):
+    """m points in 3 dims, the first half around the origin and the rest 60
+    units out along the first axis, all times ``scale``."""
+    pts = np.random.default_rng(0).normal(size=(m, 3))
+    pts[m // 2 :, 0] += 60.0
+    return pts * scale
+
+
+def test_classify_general_raises_when_points_remain_after_k_peels():
+    # one peel of two far blobs removes one of them
+    with pytest.raises(ResidualPointsAfterKPeels, match="1000 points remain after 1 peels"):
+        classify_general(_two_blobs(1.0, 2000), ClassifierConfig(k=1, w_min=0.5))
+
+
+_OVERFLOW_ENTRIES = {
+    "general": (lambda pts: classify_general(pts, ClassifierConfig(k=2, w_min=0.5)), 2000),
+    "spherical": (lambda pts: classify_spherical(pts, 2, 100.0), 200),
+    "local-search": (lambda pts: kmedian_local_search(pts, 2, np.random.default_rng(0)), 200),
+    "exhaustive": (lambda pts: kmedian_exhaustive(pts, 2), 12),
+}
+
+
+@pytest.mark.parametrize("scale", [1e152, 1e154], ids=["sums", "norms"])
+@pytest.mark.parametrize("entry", sorted(_OVERFLOW_ENTRIES))
+def test_points_whose_squared_distances_overflow_fail_at_the_boundary(entry, scale):
+    # at 1e152 every squared norm is finite but a sum of M of them is not;
+    # at 1e154 the squared norms themselves overflow
+    call, m = _OVERFLOW_ENTRIES[entry]
+    with pytest.raises(NonFiniteInput, match=f"squared distances of {m} points"):
+        call(_two_blobs(scale, m))
+
+
+@pytest.mark.parametrize("entry", sorted(_OVERFLOW_ENTRIES))
+def test_far_points_within_the_overflow_bound_still_classify(entry):
+    call, m = _OVERFLOW_ENTRIES[entry]
+    near, far = call(_two_blobs(1.0, m)), call(_two_blobs(1e150, m))
+    if entry in ("general", "spherical"):
+        truth = (np.arange(m) >= m // 2).astype(int)
+        assert partition_compare(far, truth).exact_match
+        assert partition_compare(near, truth).exact_match
+    else:
+        assert far.center_indices.tolist() == near.center_indices.tolist()
+        assert far.objective == pytest.approx(1e300 * near.objective, rel=1e-9)
 
 
 def test_classify_unseparated_data_errors():

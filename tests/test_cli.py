@@ -8,9 +8,10 @@ from sepmix.cli import build_parser, main
 pytestmark = pytest.mark.filterwarnings(
     "ignore::sepmix.errors.SampleBalanceWarning"
 )
-from sepmix.io import load_samples, save_params, save_samples
+from sepmix.errors import ZeroSigmaWarning
+from sepmix.io import load_params, load_samples, save_params, save_samples
 from sepmix.kmedian import _NORMALIZATIONS
-from sepmix.model import Mixture, make_gaussian
+from sepmix.model import Mixture, make_gaussian, sample_mixture
 from sepmix.scoring import partition_compare
 from sepmix.separation import _MODES
 from sepmix.classify import ClassifierConfig, Partition, classify_general
@@ -57,6 +58,19 @@ def test_gen_no_labels_header(tmp_path):
 def test_gen_without_source_exits(tmp_path):
     with pytest.raises(SystemExit):
         main(["gen", "--out", str(tmp_path / "x.csv")])
+
+
+def test_gen_samples_from_a_params_file(tmp_path):
+    # --params draws from the file's mixture what sample_mixture draws at
+    # the seed; nothing is planted first
+    params, _ = _gen(tmp_path, count=1)
+    out = tmp_path / "again.csv"
+    argv = ["gen", "--params", str(params), "--count", "50", "--seed", "9", "--out", str(out)]
+    assert main(argv) == 0
+    points, labels = load_samples(out)
+    want = sample_mixture(load_params(params), np.random.default_rng(9), 50, seed=9)
+    assert np.array_equal(points, want.points)
+    assert np.array_equal(labels, want.labels)
 
 
 def test_check_sep_planted_passes(tmp_path, capsys):
@@ -143,6 +157,20 @@ def test_classify_trace_is_peel_step_records(tmp_path):
                               "beta_prime", "removal_radius", "removed_count"]
 
 
+def test_classify_unlabeled_samples(tmp_path):
+    # a CSV without labels is peeled as a plain point matrix
+    _, samples = _gen(tmp_path, count=400, labels=False)
+    out = tmp_path / "partition.csv"
+    rc = main(["classify", "--samples", str(samples), "--k", "2",
+               "--wmin", "0.5", "--out", str(out)])
+    assert rc == 0
+    points, labels = load_samples(samples)
+    assert labels is None
+    want = classify_general(points, ClassifierConfig(k=2, w_min=0.5)).as_labels()
+    predicted = np.loadtxt(out, delimiter=",", skiprows=1, dtype=int)
+    assert predicted.tolist() == want.tolist()
+
+
 def test_classify_spherical_round_trip(tmp_path):
     _, samples = _gen(tmp_path, count=400, n=64, seed=3)
     out = tmp_path / "partition.csv"
@@ -172,6 +200,18 @@ def test_fit_json_contract(tmp_path, capsys):
     assert sum(doc["weights"]) == pytest.approx(1.0)
 
 
+def test_fit_oracle_on_coincident_points(tmp_path, capsys):
+    # both objectives are 0, and the ratio is then 1, not 0 / 0
+    path = tmp_path / "pts.csv"
+    save_samples(path, np.ones((5, 2)), None)
+    with pytest.warns(ZeroSigmaWarning):
+        rc = main(["fit", "--samples", str(path), "--k", "1", "--oracle"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["objective"] == doc["oracle_objective"] == 0.0
+    assert doc["oracle_ratio"] == 1.0
+
+
 def test_fit_writes_file_without_oracle(tmp_path):
     rng = np.random.default_rng(1)
     path = tmp_path / "pts.csv"
@@ -198,6 +238,19 @@ def test_validate_suite_report(tmp_path, capsys):
     assert doc["seed"] == 4
     assert doc["all_pass"] is True
     assert doc["suites"][0]["suite"] == "lemma5"
+
+
+def test_validate_without_out_prints_the_report(tmp_path, capsys):
+    cfg = tmp_path / "opts.json"
+    cfg.write_text(json.dumps(
+        {"t_values": [2.0], "dims": [8], "num_samples": 20_000}))
+    rc = main(["validate", "--suite", "lemma5", "--seed", "4", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == "lemma5: pass\n"
+    doc = json.loads(captured.out)
+    assert doc["seed"] == 4 and doc["all_pass"] is True
+    assert [r["suite"] for r in doc["suites"]] == ["lemma5"]
 
 
 @pytest.mark.parametrize(
@@ -251,6 +304,37 @@ def test_experiment_command(tmp_path, capsys):
     assert "2/2 exact matches" in capsys.readouterr().out
     assert (out_dir / "summary.csv").exists()
     assert (out_dir / "metadata.json").exists()
+
+
+def test_experiment_seed_overrides_master_seed(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "scenario": "fit", "trials": 2, "master_seed": 7, "sample_size": 50,
+        "source": {"kind": "plant", "n": 2, "k": 2, "t": 5.0},
+        "fit": {"k": 2},
+    }))
+    out_dir = tmp_path / "runs"
+    rc = main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir),
+               "--seed", "12"])
+    assert rc == 0
+    seeds = [json.loads((out_dir / f"trial_{i:04d}.json").read_text())["seed"]
+             for i in range(2)]
+    assert seeds == [12, 13]  # master_seed XOR trial
+
+
+@pytest.mark.parametrize("command", ["classify", "fit"])
+def test_label_beyond_int64_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "s.csv"
+    path.write_text("dim_0,label\n1.0,0\n2.0,99999999999999999999999\n")
+    argv = {
+        "classify": ["--k", "1", "--wmin", "1", "--out", str(tmp_path / "p.csv")],
+        "fit": ["--k", "1"],
+    }[command]
+    rc = main([command, "--samples", str(path), *argv])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ParseError: bad label '99999999999999999999999' (line 3, column 2)"
+    ]
 
 
 def test_library_error_exits_two(tmp_path, capsys):

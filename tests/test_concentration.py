@@ -15,6 +15,7 @@ from sepmix.concentration import (
     _bound,
 )
 from sepmix.errors import (
+    DimensionMismatch,
     GridTooCoarse,
     InvalidDelta,
     MissingMedianRadius,
@@ -688,6 +689,19 @@ _BAD_CHECKER_INPUTS = {
     "covariance-few": (
         lambda g, rng: covariance_concentration_check(g, 1, 0.1, 4, rng),
         TooFewSamples,
+    ),
+    # points and components of another dimension than the component's
+    "point_distance-short-z": (
+        lambda g, rng: point_distance_check(g, np.zeros(3), 2.0, 10_000, rng),
+        DimensionMismatch,
+    ),
+    "ball_growth-long-x": (
+        lambda g, rng: ball_growth_check(g, np.zeros(5), np.linspace(0, 5, 20), 10_000, rng),
+        DimensionMismatch,
+    ),
+    "cross_pair-mixed-dims": (
+        lambda g, rng: cross_pair_check(g, _spherical(3), 2.0, 10_000, rng),
+        DimensionMismatch,
     ),
 }
 

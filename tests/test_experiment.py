@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from sepmix import experiment
-from sepmix.classify import Partition
+from sepmix import experiment, scoring
+from sepmix.classify import ClassifierConfig, Partition, classify_general
 from sepmix.errors import IndexMismatch, SampleBalanceWarning
 from sepmix.experiment import (
     ExperimentConfig,
@@ -18,7 +18,7 @@ from sepmix.experiment import (
     guarantee_sample_floor,
 )
 from sepmix.io import save_params, save_samples
-from sepmix.model import Mixture, make_gaussian, sample_mixture, spherical_median_radius
+from sepmix.model import Mixture, make_gaussian, sample_mixture
 from sepmix.separation import SeparationConfig, plant_separated_mixture
 from sepmix.scoring import _max_assignment, partition_compare
 
@@ -107,6 +107,33 @@ def test_compare_accepts_integral_float_labels():
     match = partition_compare(_part([0, 1], [2]), [1.0, 1.0, 0.0])
     assert match.exact_match
     assert match.mapping.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("labels", [["a", "b", "b"], [True, False, False]], ids=["str", "bool"])
+def test_compare_refuses_non_numeric_labels(labels):
+    with pytest.raises(IndexMismatch, match="labels must be integers, got dtype"):
+        partition_compare(_part([0], [1, 2]), labels)
+
+
+def test_compare_counts_over_the_labels_that_occur(monkeypatch):
+    # labels [0, 0, 1000] make a 2 x 2 count matrix, not 1001 x 1001
+    shapes = []
+    solve = scoring._max_assignment
+    monkeypatch.setattr(
+        scoring, "_max_assignment", lambda counts: shapes.append(counts.shape) or solve(counts)
+    )
+    match = partition_compare(_part([0, 1], [2]), [0, 0, 1000])
+    assert shapes == [(2, 2)]
+    assert match.exact_match and match.confusion.tolist() == [[2, 0], [0, 1]]
+    assert match.mapping.tolist() == [0, 1000]
+
+
+def test_compare_numbers_empty_classes_on_from_the_largest_label():
+    # three clusters and the labels {2, 5}: the class no label fills is 6
+    match = partition_compare(_part([0], [1, 2], [3]), [5, 2, 2, 5])
+    assert match.agreement == 3 and match.confusion.shape == (3, 3)
+    assert match.mapping[1] == 2
+    assert sorted(match.mapping.tolist()) == [2, 5, 6]
 
 
 @st.composite
@@ -214,17 +241,42 @@ def _planted_files(tmp_path):
 
 
 def test_params_source_matches_the_same_mixture(tmp_path):
+    # the parameter file holds the mixture bit for bit, so each trial peels
+    # the sample the mixture itself draws at the trial's seed
     mixture, params, _ = _planted_files(tmp_path)
-    written = {}
-    for kind, source in (
-        ("mixture", {"kind": "mixture", "object": mixture}),
-        ("params", {"kind": "params", "path": str(params)}),
-    ):
-        out = tmp_path / kind
-        run_experiment(_plant_config(source=source, out_dir=str(out)))
-        written[kind] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert "sample_floor" in json.loads(written["params"]["metadata.json"])
-    assert written["params"] == written["mixture"]
+    out = tmp_path / "params"
+    config = _plant_config(source={"kind": "params", "path": str(params)}, out_dir=str(out))
+    result = run_experiment(config)
+    assert "sample_floor" in json.loads((out / "metadata.json").read_text())
+    classifier = ClassifierConfig(k=2, w_min=0.5, delta=0.05)
+    for report in result.reports:
+        rng = np.random.default_rng(report.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleBalanceWarning)
+            drawn = sample_mixture(mixture, rng, 600, seed=report.seed)
+        part = classify_general(drawn, classifier)
+        assert report.extras["peels"] == part.trace.records()
+        assert report.confusion == partition_compare(part, drawn.labels).confusion.tolist()
+
+
+def test_plant_shapes_take_a_spectrum_entry_and_a_list_per_component(monkeypatch):
+    # {"spectrum": [1, 4]} is the spectrum (1, 4), where [1, 4] alone would
+    # be an eigenvalue range; a list gives each component its own entry
+    planted = []
+    plant = experiment.plant_separated_mixture
+
+    def recorded(**kwargs):
+        planted.append(plant(**kwargs))
+        return planted[-1]
+
+    monkeypatch.setattr(experiment, "plant_separated_mixture", recorded)
+    source = {"kind": "plant", "n": 2, "k": 2, "t": 10.0, "mode": "practical",
+              "slack": 1.5, "shapes": [{"spectrum": [1.0, 4.0]}, [2.0, 3.0]]}
+    run_experiment(_plant_config(trials=1, source=source))
+    (mixture,) = planted
+    first, second = mixture.components
+    assert first.eigenvalues.tolist() == [1.0, 4.0]
+    assert ((second.eigenvalues > 2.0) & (second.eigenvalues < 3.0)).all()
 
 
 def test_samples_source_classifies_its_file(tmp_path):
@@ -274,21 +326,20 @@ def test_record_timing_opt_in(tmp_path):
     assert float(line.split(",")[4]) > 0.0
 
 
-def test_errors_recorded_without_aborting():
+def test_errors_recorded_without_aborting(tmp_path):
     # an unseparated two-blob source cannot be classified; every trial must
     # finish with an error string instead of raising
     g1 = make_gaussian(np.zeros(4), np.ones(4))
     g2 = make_gaussian(np.full(4, 2.0), np.ones(4))
-    for g in (g1, g2):
-        g.median_radius = spherical_median_radius(1.0, 4)
-    mix = Mixture(components=[g1, g2], weights=np.array([0.5, 0.5]))
+    params = tmp_path / "params.json"
+    save_params(params, Mixture(components=[g1, g2], weights=np.array([0.5, 0.5])))
     config = ExperimentConfig.from_dict(
         {
             "scenario": "classify_general",
             "trials": 3,
             "master_seed": 1,
             "sample_size": 400,
-            "source": {"kind": "mixture", "object": mix},
+            "source": {"kind": "params", "path": str(params)},
             "classifier": {"k": 2, "w_min": 0.5, "t": 10.0, "step_cap": 500},
         }
     )
@@ -472,6 +523,20 @@ def test_suite_lemma5_small_grid():
     assert report["suite"] == "lemma5"
     assert report["all_pass"]
     assert len(report["rows"]) == 2  # spherical and eccentric
+
+
+def test_suite_lemma6_rows():
+    # the center, a point 10 median radii out and a random point, each
+    # against the claim 1 - 2 e^-t
+    report = run_validation_suite("lemma6", {"num_samples": 10_000}, np.random.default_rng(2))
+    assert report["suite"] == "lemma6" and report["all_pass"]
+    rows = report["rows"]
+    assert [(r["n"], r["t"], r["z"]) for r in rows] == [
+        (16, 2.0, "center"), (32, 2.0, "10R"), (4, 1.0, "random")
+    ]
+    for r in rows:
+        assert r["claimed"] == pytest.approx(1.0 - 2.0 * math.exp(-r["t"]))
+        assert r["num_trials"] == 10_000 and r["passed"]
 
 
 def test_suite_lemma12_epsilon_value():

@@ -116,6 +116,31 @@ def test_load_samples_reports_first_bad_field_in_file_order(tmp_path):
     assert (err.value.line, err.value.column) == (4, 2)
 
 
+@pytest.mark.parametrize(
+    "label", ["99999999999999999999999", "9223372036854775808", "-9223372036854775809"]
+)
+def test_load_samples_label_beyond_int64(tmp_path, label):
+    # the block cast overflows; the label is reported like any bad field,
+    # in file order: after a bad coordinate on an earlier line, before one
+    # on a later line
+    path = tmp_path / "s.csv"
+    path.write_text(f"dim_0,label\n1.0,0\n2.0,{label}\noops,1\n")
+    with pytest.raises(ParseError, match=f"bad label '{label}'") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (3, 2)
+    path.write_text(f"dim_0,label\noops,0\n2.0,{label}\n")
+    with pytest.raises(ParseError, match="bad float 'oops'") as err:
+        load_samples(path)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+def test_load_samples_label_at_the_int64_limits(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("dim_0,label\n1.0,9223372036854775807\n2.0,-9223372036854775808\n")
+    _, labels = load_samples(path)
+    assert labels.tolist() == [2**63 - 1, -(2**63)]
+
+
 def _numbered_rows(count):
     return [f"{i}.5,{-i}.25,{i % 3}" for i in range(count)]
 
@@ -361,6 +386,20 @@ def test_load_partition_bad_value(tmp_path):
     with pytest.raises(ParseError) as err:
         load_partition(path)
     assert err.value.line == 3
+
+
+def test_load_partition_id_beyond_int64(tmp_path):
+    path = tmp_path / "part.csv"
+    path.write_text("cluster\n0\n99999999999999999999999\nx\n")
+    with pytest.raises(ParseError, match="bad cluster id '9{23}'") as err:
+        load_partition(path)
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
+def test_load_partition_skips_blank_lines(tmp_path):
+    path = tmp_path / "part.csv"
+    path.write_text("cluster\n0\n\n2\n\n1\n")
+    assert load_partition(path).tolist() == [0, 2, 1]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import types
 import warnings
 
 import numpy as np
@@ -88,6 +89,11 @@ def test_local_search_single_center_pair():
 def test_local_search_too_few_points():
     with pytest.raises(TooFewPoints):
         kmedian_local_search(np.zeros((2, 2)), 3, np.random.default_rng(0))
+
+
+def test_exhaustive_too_few_points():
+    with pytest.raises(TooFewPoints, match="2 points < k = 3"):
+        kmedian_exhaustive(np.zeros((2, 2)), 3)
 
 
 def test_local_search_assignment_consistent():
@@ -333,6 +339,17 @@ def test_screen_bound_covers_float32_sums():
         d1, d2nd, owner = sepmix.kmedian._nearest_centers(d2[:, current])
         screened, bound = sepmix.kmedian._swap_costs(tri, d1, d2nd, owner)
         assert np.all(np.abs(screened - _direct_swap_costs(d2, current)) <= bound)
+
+
+def test_swap_cost_bounds_are_void_from_two_to_the_twenty_points():
+    # (M + 1) u > 1/16 from M = 2^20 on, where the triangle would take
+    # 2 TiB; a stub with no blocks reaches the branch with vectors of MBs
+    for m, void in ((2**20 - 1, False), (2**20, True)):
+        stub = types.SimpleNamespace(los=[], blocks=[], err=np.zeros(m))
+        owner = np.ones((m, 1))
+        costs, bound = sepmix.kmedian._swap_costs(stub, np.ones(m), np.full(m, np.inf), owner)
+        assert costs.shape == bound.shape == (1, m)
+        assert np.isinf(bound).all() == void and np.isinf(bound).any() == void
 
 
 def test_local_search_on_a_void_screen_prices_every_swap(monkeypatch):
@@ -634,15 +651,6 @@ def test_likelihood_terms_check_points_against_solution(entry):
     bad[2, 1] = np.nan
     with pytest.raises(NonFiniteInput):
         entry(bad, sol)
-
-
-def test_log_likelihood_fixed_sigma_hand_value():
-    # one 1-D point sitting on its center, width pinned to 1
-    pts = _col([0.0])
-    sol = kmedian_exhaustive(pts, 1)
-    have = spherical_log_likelihood(pts, sol, sigma=1.0)
-    assert have == pytest.approx(-0.5 * math.log(2.0 * math.pi))
-    assert have == pytest.approx(-0.91894, abs=1e-5)
 
 
 def test_log_likelihood_zero_sigma_sentinel():

@@ -158,6 +158,20 @@ def test_covariance_fit_recovers_known_gaussian():
 # ---------------------------------------------------------------------------
 
 
+def test_sample_refuses_a_negative_count():
+    g = make_gaussian(np.zeros(2), [1.0, 1.0])
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample(g, np.random.default_rng(0), -1)
+    assert sample(g, np.random.default_rng(0), 0).shape == (0, 2)
+
+
+def test_median_radius_monte_carlo_needs_an_rng():
+    g = make_gaussian(np.zeros(2), [1.0, 4.0])
+    with pytest.raises(ValueError, match="Monte Carlo path needs an rng"):
+        median_radius(g, method="mc")
+    assert g.median_radius is None
+
+
 def test_median_radius_1d_monte_carlo():
     g = make_gaussian([0.0], [1.0])
     r, half = median_radius(g, np.random.default_rng(101), 1_000_000, method="mc")
@@ -420,6 +434,7 @@ _TIGHT = {"xtol": 2e-12, "rtol": 4.0 * np.finfo(float).eps}
         (lambda x: math.tanh(x - 0.3), 3.0, -2.0, _TIGHT),
         (lambda x: math.atan(1e6 * (x - 0.25)), -3.0, 3.0, _TIGHT),
         (lambda x: x - 1.0, 1.0, 2.0, _TIGHT),
+        (lambda x: x - 2.0, 1.0, 2.0, _TIGHT),
         (lambda x: x * x + 1.0, -1.0, 2.0, _TIGHT),
         (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, _TIGHT),
         (lambda x: math.nan if abs(x - 0.5) < 0.1 else x - 0.5, 0.0, 1.0, _TIGHT),
@@ -430,6 +445,7 @@ _TIGHT = {"xtol": 2e-12, "rtol": 4.0 * np.finfo(float).eps}
         "reversed-bracket",
         "steep",
         "root-at-a",
+        "root-at-b",
         "no-sign-change",
         "nan-at-b",
         "nan-inside",
@@ -681,6 +697,17 @@ def test_mixture_rejects_nan_weights(weights):
         Mixture(components=[a, b], weights=np.array(weights))
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [([], "needs at least one component"), ([1, 2], r"mixed dims \[1, 2\]")],
+    ids=["none", "mixed"],
+)
+def test_mixture_refuses_no_components_and_mixed_dims(dims, message):
+    comps = [make_gaussian(np.zeros(n), np.ones(n)) for n in dims]
+    with pytest.raises(DimensionMismatch, match=message):
+        Mixture(components=comps, weights=np.full(len(dims), 1.0 / max(len(dims), 1)))
+
+
 def test_mixture_w_min_default():
     mix = Mixture(
         components=[make_gaussian(np.zeros(1), [1.0]) for _ in range(3)],
@@ -693,6 +720,12 @@ def test_sample_mixture_single_component_labels():
     mix = Mixture(components=[make_gaussian(np.zeros(2), [1.0, 1.0])], weights=np.ones(1))
     out = sample_mixture(mix, np.random.default_rng(1), 64)
     assert np.array_equal(out.labels, np.zeros(64, dtype=int))
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_mixture_refuses_a_count_below_one(count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        sample_mixture(_two_component_mixture(), np.random.default_rng(0), count)
 
 
 def test_sample_mixture_balanced_counts():

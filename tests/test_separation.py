@@ -68,6 +68,11 @@ def test_config_rejects_scales_that_are_not_numbers(kwargs):
         SeparationConfig(**kwargs)
 
 
+def test_config_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        SeparationConfig(t=1.0, mode="bogus")
+
+
 def test_config_practical_mode_constants():
     cfg = SeparationConfig(t=1.0, mode="practical")
     assert (cfg.c1, cfg.c2) == (60.0, 30.0)
@@ -319,3 +324,40 @@ def test_plant_infeasible_when_k_exceeds_attempt_budget():
             config=SeparationConfig(t=5.0, mode="practical"),
             slack=0.5, rng=np.random.default_rng(0),
         )
+
+
+def _plant(**kwargs):
+    args = dict(n=4, k=2, shape_spec=(1.0, 1.0), slack=1.0,
+                config=SeparationConfig(t=5.0, mode="practical"),
+                rng=np.random.default_rng(0))
+    return plant_separated_mixture(**(args | kwargs))
+
+
+@pytest.mark.parametrize(
+    "shape_spec, message",
+    [
+        ((2.0, 1.0), r"bad eigenvalue range \(2.0, 1.0\)"),
+        ((0.0, 1.0), r"bad eigenvalue range \(0.0, 1.0\)"),
+        ([(1.0, 1.0)] * 3, "shape_spec has 3 entries for k=2"),
+    ],
+    ids=["reversed-range", "zero-range", "three-entries"],
+)
+def test_plant_rejects_malformed_shape_specs(shape_spec, message):
+    with pytest.raises(ValueError, match=message):
+        _plant(shape_spec=shape_spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (4, 2, "orthogonal placement failed verification"),
+        (1, 3, "no valid placement after 100 attempts"),
+    ],
+    ids=["orthogonal", "random-directions"],
+)
+def test_plant_reports_a_placement_that_never_verifies(n, k, message):
+    # eigenvalues of 1e306 overflow every margin to NaN, so neither the
+    # orthogonal placement nor any random one verifies
+    with pytest.raises(InfeasiblePlacement, match=message):
+        _plant(n=n, k=k, shape_spec=np.full(n, 1e306))
