@@ -25,8 +25,10 @@ than physical memory or of points whose squared distances could overflow,
 the per-row roundoff slack, and a float32 screen: row blocks formed in
 float32 from a centered copy of the points, each row with a certified bound
 on how far any float64 entry the engine forms for it may lie from its
-screened one.  A block, in either dtype, is one GEMM finished in
-place by _expand and clipped at 0, and the engine keeps nothing of it.  Both
+screened one.  A float64 block is one GEMM finished in place by _expand and
+clipped at 0.  A float32 block is one GEMM whose operands carry the squared
+norms, so each entry is finished inside its dot product and then clipped at
+0 in place.  The engine keeps nothing of either.  Both
 classifiers screen first and form a float64 block only where one of its
 rows may still win or tie.  So does the k-median search: it stores the
 screened upper triangle, prices swaps on it, and forms float64 rows, each in
@@ -250,8 +252,9 @@ def _expand(
     Given ``scale`` = -2, ``g`` holds a @ b.T and is scaled in place first.
     Scaling by -2 is exact, so both forms round as (aa + bb) - 2 (a @ b.T).
     The work goes one row block of about ``_BLOCK_BYTES`` at a time, so each
-    pass over a block runs in cache.  Every squared distance in the package
-    is finished here, in the dtype of ``g``.
+    pass over a block runs in cache.  Every float64 squared distance in the
+    package is finished here; the float32 screen finishes its entries inside
+    their GEMM (_SqDistRows.screen).
     """
     rows, cols = g.shape
     step = _block_rows(cols)
@@ -391,29 +394,41 @@ class _SqDistRows:
         screened entry, whichever of them was screened as the row.
 
         For rows formed on demand only.  A screened block is one float32
-        GEMM of rows of y, the points less their mean rounded to float32,
-        against the live columns held as a contiguous, transposed -2 y
-        operand, finished by _expand.  Rows of y are rounded as they are
-        screened, so only the operand is stored: O(M n) float32.  With
-        u = 2^-24, gamma_m = m u / (1 - m u) and |y|^2 the squared norms of
-        y taken in float64,
+        GEMM, clipped at 0 in place: rows [y_r, |y_r|^2, 1] of y, the points
+        less their mean rounded to float32, against the live columns held as
+        one contiguous (n + 2)-row operand [-2 y^T; 1; |y|^2 ^T], so each
+        entry is finished inside its dot product and no pass adds the norms.
+        Rows are rounded as they are screened, so only the column operand is
+        stored: O(M n) float32.  With u = 2^-24,
+        gamma_m = m u / (1 - m u), |y|^2 the squared norms of y taken in
+        float64 and N = |y_r|^2 + |y_c|^2,
 
             err[r] = 2 gamma_(n+4) (|y_r|^2 + max_j |y_j|^2)
                      + 2^-100 + slack[r] / 2.
 
-        Derivation.  A computed m-term dot product lies within
-        gamma_m |a| |b| of the exact one (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed. 2002, section 3.1), so the float32
-        norms and inner product, and the two float32 additions that finish
-        an entry, leave it within 2 gamma_(n+2) (|y_i|^2 + |y_j|^2) of
-        |y_i - y_j|^2, whichever of i and j is the row.  The translation
-        cancels in exact arithmetic, and rounding a centered coordinate to
-        float64 and then float32 moves it by at most u (1 + u) of itself,
-        which moves |y_i - y_j|^2 from the exact squared distance by at most
-        4 u (1 + 5 u) (|y_i|^2 + |y_j|^2); 2 gamma_(n+4) - 2 gamma_(n+2) >=
-        4 u (1 + (2 n + 6) u) covers that and the float64 rounding of err.
-        Clipping at 0 moves no screened entry away from a float64 one, which
-        is at least 0.
+        Derivation.  A computed m-term dot product, in any order of
+        summation, is sum a_i b_i (1 + theta_i) with |theta_i| <= gamma_m
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.
+        2002, section 3.1), and |theta_i| <= gamma_(m-1) for a term whose
+        product is exact, as a norm times 1 is: it meets only the m - 1
+        additions.  The
+        products y_ri (-2 y_ci) sum in absolute value to at most
+        2 |y_r| |y_c| <= N.  A float64 norm of a float32 vector (exact
+        products, n - 1 float64 additions) lies within n 2^-53 of |y|^2
+        relative, for n < 2^21 as a bound that is not void needs, so the two
+        norms, rounded to float32, lie within u1 = u + n 2^-53 relative of
+        |y_r|^2 and |y_c|^2, and sum to at most (1 + u1) N.  So an entry
+        lies within gamma_(n+2) N + gamma_(n+1) (1 + u1) N of the sum of its
+        terms, which lies within u1 N of |y_r - y_c|^2, whichever of r and c
+        is the row.  The translation cancels in exact arithmetic, and
+        rounding a centered coordinate to float64 and then float32 moves it
+        by at most u (1 + u) of itself, which moves |y_r - y_c|^2 from the
+        exact squared distance by at most 4 u (1 + 5 u) N.  These add up to
+        less than 2 gamma_(n+4) N: 2 gamma_(n+4) - gamma_(n+2) - gamma_(n+1)
+        >= 5 u (1 + (2 n + 5) u), which exceeds
+        u1 (1 + gamma_(n+1)) + 4 u (1 + 5 u) by more than 8 n u^2,
+        enough for the float64 rounding of err as well.  Clipping at 0 moves
+        no screened entry away from a float64 one, which is at least 0.
         Gradual underflow adds at most 2^-150 to a float32 product or
         conversion, so a few n 2^-150 to an entry, which 2^-100 covers.  A
         float64 entry lies within slack / 2 of the exact squared distance,
@@ -426,17 +441,23 @@ class _SqDistRows:
             width = self.norms.size if self.cols is None else self.cols.size
             shape = (self.norms[rows].size, width - lo)
             return np.zeros(shape, np.float32), self.err[rows]
+        n = self.points.shape[1]
         if self.yt is None:
-            m, n = self.points.shape
-            cols = np.arange(m) if self.cols is None else self.cols
-            self.yt = np.empty((n, cols.size), np.float32)
+            cols = np.arange(self.norms.size) if self.cols is None else self.cols
+            self.yt = np.empty((n + 2, cols.size), np.float32)
             step = _block_rows(n)
             for c in range(0, cols.size, step):
-                self.yt[:, c : c + step] = self._centered32(cols[c : c + step]).T
-            self.yt *= np.float32(-2.0)
-            self.yyt = self.yy[cols]
-        g = np.matmul(self._centered32(rows), self.yt[:, lo:], out=out)
-        return _expand(g, self.yy[rows], self.yyt[lo:]), self.err[rows]
+                self.yt[:n, c : c + step] = self._centered32(cols[c : c + step]).T
+            self.yt[:n] *= np.float32(-2.0)
+            self.yt[n] = 1.0
+            self.yt[n + 1] = self.yy[cols]
+        y = self._centered32(rows)
+        aug = np.empty((y.shape[0], n + 2), np.float32)
+        aug[:, :n] = y
+        aug[:, n] = self.yy[rows]
+        aug[:, n + 1] = 1.0
+        g = np.matmul(aug, self.yt[:, lo:], out=out)
+        return np.maximum(g, 0.0, out=g), self.err[rows]
 
     @property
     def screen_void(self) -> bool:

@@ -277,13 +277,13 @@ def ball_growth_check(
     radii = np.sort(np.asarray(radius_grid, dtype=float).reshape(-1))
     if radii.size < 2 or not np.all(np.isfinite(radii) & (radii >= 0)):
         raise ValueError("radius grid needs >= 2 finite nonnegative radii")
-    # counts[i] = #{dist <= radii[i]}: each draw is binned at the first
-    # radius it does not exceed, and the bins summed up to i
-    counts = np.zeros(radii.size + 1, dtype=np.int64)
+    # counts[i] = #{dist <= radii[i]}: each block of draws is sorted, and
+    # the grid searched in it, so no draw needs a search of its own
+    counts = np.zeros(radii.size, dtype=np.int64)
     for _, d2 in _sq_dist_draws(params, rng, num_samples, point=x):
-        bins = np.searchsorted(radii, np.sqrt(d2, out=d2), side="left")
-        counts += np.bincount(bins, minlength=radii.size + 1)
-    mass = counts.cumsum()[: radii.size] / num_samples
+        d2.sort()
+        counts += np.searchsorted(np.sqrt(d2, out=d2), radii, side="right")
+    mass = counts / num_samples
     se = np.sqrt(np.maximum(mass * (1.0 - mass), 0.0) / num_samples)
     bound = 2.0 / (math.sqrt(math.pi) * params.sigma_max)
 

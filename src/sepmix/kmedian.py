@@ -11,9 +11,13 @@ normalizer (2 pi sigma^2)^(-n/2) is available behind ``normalization =
 The local search prices its swaps on a float32 copy of the upper triangle of
 the squared-distance matrix, each price with a certified bound on its
 distance from the float64 one, and forms float64 rows only for the centers
-and for the swaps that can still win.  Its memory is that triangle, about
-M^2 / 2 float32 entries or a quarter of the float64 matrix, plus O(B M) for
-row blocks of B rows.
+and for the swaps that can still win.  The triangle's blocks are screened
+entries finished inside their float32 GEMM (classify._SqDistRows.screen),
+carved out of one allocation.  A round writes each block's two thresholded
+minima, min(d1, D) and min(d2nd, D), into reused buffers and sums them with
+float32 GEMMs against the 0/1 weights 1 - owner and owner.  Its memory is
+that triangle, about M^2 / 2 float32 entries or a quarter of the float64
+matrix, plus O(B M) for row blocks of B rows.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class _UpperTriangle:
 
     Stored as the row blocks D[lo:hi, lo:] of _SqDistRows.triangle, each
     one float32 GEMM of its rows against the trailing points
-    (_SqDistRows.screen).  Row r keeps err[r]: every float64 entry the
+    (_SqDistRows.screen), carved in order out of one float32 buffer, so the
+    triangle is one allocation.  Row r keeps err[r]: every float64 entry the
     engine forms for a pair lies within err of the pair's stored entry, read
     either way.  A GEMM need not round (i, j) and (j, i) alike, so each
     block's leading square is made symmetric from its upper half: every
@@ -98,17 +103,20 @@ class _UpperTriangle:
             return
         m = points.shape[0]
         grid = self.source.triangle()
+        sizes = [(hi - lo) * (m - lo) for lo, hi in grid]
         _SqDistRows.check_memory(
-            sum((hi - lo) * (m - lo) for lo, hi in grid),
+            sum(sizes),
             f"the float32 upper triangle of a {m} x {m} distance matrix",
             np.float32,
         )
+        parts = np.split(np.empty(sum(sizes), np.float32), np.cumsum(sizes)[:-1])
+        below = np.tri(max(hi - lo for lo, hi in grid), k=-1, dtype=bool)
         self.err = np.empty(m)
-        for lo, hi in grid:
-            blk = np.empty((hi - lo, m - lo), np.float32)
+        for (lo, hi), part in zip(grid, parts):
+            blk = part.reshape(hi - lo, m - lo)
             self.err[lo:hi] = self.source.screen(slice(lo, hi), lo, out=blk)[1]
             square = blk[:, : hi - lo]
-            np.copyto(square, square.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+            np.copyto(square, square.T, where=below[: hi - lo, : hi - lo])
             self.los.append(lo)
             self.blocks.append(blk)
 
@@ -256,13 +264,17 @@ def _swap_costs(
     """Screened swap costs, entry (i, c) for swapping out position i for
     candidate c, and a bound on how far each lies from its float64 price.
 
-    ``owner`` is the M x k indicator of each point's nearest center.  One
-    pass over the stored float32 blocks, so no M x M temporary is formed.  A
-    block's entry D[j, c] (j in the block's rows, c >= lo) prices point j
-    against candidate c; beyond the leading square, which holds both orders
-    of its pairs, the same entry as D[c, j] also prices point c against
-    candidate j.  Thresholds d1 and d2nd are rounded to float32, each block's
-    sums are float32, and the blocks' sums are accumulated in float64.
+    ``owner`` is the M x k indicator of each point's nearest center.  The
+    cost is sum_j (1 - owner_ji) min(d1_j, D_jc) + owner_ji min(d2nd_j, D_jc).
+    One pass over the stored float32 blocks, so no M x M temporary is
+    formed.  A block's entry D[j, c] (j in the block's rows, c >= lo) prices
+    point j against candidate c; beyond the leading square, which holds both
+    orders of its pairs, the same entry as D[c, j] also prices point c
+    against candidate j.  For each of the two roles, min(d1, D) and
+    min(d2nd, D) are written into the two halves of one float32 buffer made
+    once per call, and each half is summed by a float32 GEMM against the
+    weights 1 - owner or owner, into float32 costs.  Thresholds d1 and d2nd
+    are rounded to float32.
 
     With u = 2^-24, E = max err over the rows, S the screened cost and t_j
     the larger of d1_j and d2nd_j that is finite (d2nd is inf at k = 1),
@@ -274,43 +286,39 @@ def _swap_costs(
     entries move the exact-arithmetic cost by at most M E, and rounding the
     thresholds to float32 by at most u sum_j t_j (d1_j <= d2nd_j, and inf
     rounds to itself); the 2^-100 in err also covers rounding a subnormal
-    threshold.  The terms are nonnegative.  No float32 sum, or GEMM, adds
-    more than M of them, and forming min(d2nd, D) - min(d1, D) rounds once
-    more, so each block's float32 sums lie within
-    gamma_(M+1) = (M + 1) u / (1 - (M + 1) u) of their exact value, relative
-    to the sum of their terms (Higham 2002, section 3.1; owner's entries are
-    0 or 1, so its products are exact).
-    The float64 accumulation adds far less than that, so S lies within
-    2 gamma / (1 - 2 gamma) S < 3 (M + 1) u S of the exact sum of its terms
-    when (M + 1) u <= 1/16.  The factor 1 + 2^-20 covers the float64
-    summation of an exact price and the rounding of the bound and of
+    threshold.  The terms are nonnegative.  A product with weight 0 or 1 is
+    exact, and adding an exact 0 rounds nothing, so each cost is a float32
+    sum, in some order, of its M terms of weight 1, one per point, and lies
+    within gamma_M = M u / (1 - M u) of their exact sum, relative to that
+    sum (Higham 2002, section 3.1; the bound holds for any order).  So S
+    lies within gamma_M / (1 - gamma_M) S < 3 (M + 1) u S of the exact sum
+    of its terms when (M + 1) u <= 1/16.  The factor 1 + 2^-20 covers the
+    float64 summation of an exact price and the rounding of the bound and of
     S -/+ bound.  A float32 sum that overflows is infinite, and so is its
     bound; at (M + 1) u > 1/16 every bound is infinite.  That is the bound's
     own validity condition: it takes M >= 2^20 points, whose triangle needs
     about 2 TiB, so only a machine with that much memory reaches it.
     """
     m, k = owner.shape
-    a, b = d1.astype(np.float32), d2nd.astype(np.float32)
-    owner = owner.astype(np.float32)
-    kept = np.zeros(m)  # sum_j min(d1_j, D_jc), the cost when j keeps its center
-    lost = np.zeros((k, m))  # the correction for points whose center leaves
+    thresholds = np.stack([d1, d2nd]).astype(np.float32)
+    weights = np.stack([1.0 - owner, owner]).astype(np.float32)
+    costs = np.zeros((k, m), np.float32)
+    buf = np.empty(2 * max((blk.size for blk in tri.blocks), default=0), np.float32)
     with np.errstate(over="ignore"):
         for lo, blk in zip(tri.los, tri.blocks):
-            hi = lo + blk.shape[0]
-            # rows j in [lo, hi) against candidates c >= lo
-            kept_blk = np.minimum(a[lo:hi, None], blk)
-            kept[lo:] += kept_blk.sum(axis=0)
-            moved = np.minimum(b[lo:hi, None], blk)
-            moved -= kept_blk
-            lost[:, lo:] += owner[lo:hi].T @ moved
+            h, w = blk.shape
+            hi = lo + h
+            # rows j in [lo, hi) against candidates c >= lo, one GEMM of the
+            # two weights side by side against the two minima stacked
+            mins = buf[: 2 * blk.size].reshape(2, h, w)
+            np.minimum(thresholds[:, lo:hi, None], blk, out=mins)
+            side = weights[:, lo:hi].transpose(2, 0, 1).reshape(k, 2 * h)
+            costs[:, lo:] += side @ mins.reshape(2 * h, w)
             # points j >= hi against candidates c in [lo, hi), read transposed
-            tail = blk[:, hi - lo :]
-            kept_blk = np.minimum(a[None, hi:], tail)
-            kept[lo:hi] += kept_blk.sum(axis=1)
-            moved = np.minimum(b[None, hi:], tail)
-            moved -= kept_blk
-            lost[:, lo:hi] += (moved @ owner[hi:]).T
-    costs = kept + lost
+            mins = buf[: 2 * h * (w - h)].reshape(2, h, w - h)
+            np.minimum(thresholds[:, None, hi:], blk[:, h:], out=mins)
+            costs[:, lo:hi] += (mins @ weights[:, hi:]).sum(axis=0).T
+    costs = costs.astype(float)
     u = 2.0**-24
     if (m + 1) * u > 1.0 / 16.0:
         return costs, np.full_like(costs, np.inf)

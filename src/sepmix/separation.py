@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePlacement
+from .errors import InfeasiblePlacement, NonFiniteInput
 from .model import (
     Mixture,
     _int_at_least,
@@ -143,6 +143,22 @@ def _component_from_shape(n, shape, rng) -> tuple[np.ndarray, np.ndarray]:
     return lam, random_rotation(n, rng)
 
 
+def _check_scale(d: float) -> None:
+    """Refuse to place centers up to ``d`` from the origin when d, or the
+    squared distance separation_margin forms between two such centers (at
+    most (2 d)^2), is not a finite float64: an infinite margin would count
+    as separated and a NaN one would fail verification for no stated reason.
+
+    Raises:
+        NonFiniteInput: 4 d^2 exceeds the largest float64, or d is NaN.
+    """
+    if not 4.0 * d * d <= np.finfo(float).max:
+        raise NonFiniteInput(
+            f"centers up to {d:.6g} from the origin: their squared distances "
+            "would overflow float64"
+        )
+
+
 def plant_separated_mixture(
     n: int,
     k: int,
@@ -167,6 +183,12 @@ def plant_separated_mixture(
     When k - 1 > n orthogonal axes are unavailable; placement falls back to
     random unit directions with a verification loop and raises
     InfeasiblePlacement after 100 rejected attempts.
+
+    Raises:
+        NonFiniteInput: a required center distance, or a squared distance
+            between centers placed at it, would overflow float64 (for
+            example eigenvalues near 1e306), checked before any center is
+            placed at that distance.
     """
     if not 1.0 <= _real(slack, "slack") < math.inf:
         raise ValueError(f"slack must be finite and >= 1, got {slack}")
@@ -192,6 +214,10 @@ def plant_separated_mixture(
             need[i, j] = need[j, i] = math.sqrt(max(rhs, 0.0))
 
     pad = 1.0 + 1e-9  # keeps float roundoff from flipping a zero margin negative
+    # no center of the orthogonal placement, or of the first random one, lies
+    # farther from the origin than d_scale
+    d_scale = slack * float(need.max()) * pad
+    _check_scale(d_scale)
     if k - 1 <= n:
         # component 0 at the origin, the rest on distinct axes: the (0, i)
         # distance is D_i and the (i, j) distance is sqrt(D_i^2 + D_j^2), so
@@ -212,8 +238,8 @@ def plant_separated_mixture(
             )
         return mixture
     # random-direction fallback
-    d_scale = slack * float(need.max()) * pad
     for attempt in range(100):
+        _check_scale(d_scale)
         centers = np.zeros((k, n))
         for i in range(1, k):
             u = rng.standard_normal(n)

@@ -147,6 +147,26 @@ def test_screen_bounds_every_float64_entry(seed, m, n, scale, offset, kind):
                 assert np.all(np.abs(d2.T - screened) <= err[:, None])
 
 
+def test_screen_bound_holds_where_roundings_align():
+    # 500 float32 values in [1, 1.125), each raised to just under the
+    # midpoint above it, and their negatives: the mean is exactly 0 and
+    # every point loses almost u of itself to float32 in the same direction,
+    # so a cross pair's screened distance falls short of the exact one by
+    # almost 4 u N before the GEMM rounds at all.  The largest miss reaches
+    # about 0.78 of err (7.8 u N at n = 1), past what 2 gamma_(n+2) would
+    # allow, so the bound has little to spare here.
+    rng = np.random.default_rng(0)
+    y = 1.0 + rng.integers(0, 2**20, size=500) * 2.0**-23
+    z = y + 2.0**-24 * (1.0 - 2.0**-20)
+    src = _SqDistRows(np.concatenate([z, -z])[:, None])
+    rows = np.arange(1000)
+    screened, err = src.screen(rows)
+    d2 = src.block(rows)
+    miss = np.abs(d2 - screened)
+    assert np.all(miss <= err[:, None]) and np.all(miss.T <= err[:, None])
+    assert (miss / err[:, None]).max() > 0.7
+
+
 @pytest.mark.parametrize("scale", [1e20, 1e-30], ids=["overflow", "underflow"])
 @pytest.mark.parametrize("seed", range(4))
 def test_screen_outside_float32_range_changes_no_answer(scale, seed):

@@ -385,6 +385,32 @@ def test_growth_counts_match_sorted_distances(monkeypatch):
     assert np.array_equal(curve.mass, want)
 
 
+def test_growth_counts_draws_on_grid_radii_as_per_draw_binning(monkeypatch):
+    # Draws that land exactly on grid radii, radius 0 among them, count as
+    # #{dist <= r}: the same integers as binning each draw at the first
+    # radius it does not exceed and summing the bins.  The squares of
+    # multiples of 1/4 are exact, and so are their roots.
+    rng = np.random.default_rng(18)
+    grid = np.arange(41) * 0.25
+    grid[20] = grid[21]  # a repeated radius counts the same draws twice
+    blocks = [
+        np.concatenate([(rng.integers(0, 41, size=8000) * 0.25) ** 2, [0.0] * 50,
+                        rng.uniform(0.0, 100.0, size=1950)])
+        for _ in range(2)
+    ]
+    monkeypatch.setattr(
+        concentration,
+        "_sq_dist_draws",
+        lambda *args, **kwargs: ((i * 10_000, b.copy()) for i, b in enumerate(blocks)),
+    )
+    curve = ball_growth_check(_spherical(2), np.zeros(2), grid, 20_000, rng)
+    radii = np.sort(grid)
+    bins = np.searchsorted(radii, np.sqrt(np.concatenate(blocks)), side="left")
+    counts = np.bincount(bins, minlength=radii.size + 1).cumsum()[: radii.size]
+    assert counts[0] >= 100 and np.all(np.diff(counts)[np.diff(radii) > 0] > 0)
+    assert np.array_equal(curve.mass, counts / 20_000)
+
+
 # ---------------------------------------------------------------------------
 # covariance concentration
 # ---------------------------------------------------------------------------

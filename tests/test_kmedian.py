@@ -325,8 +325,9 @@ def test_screen_bound_covers_float32_sums():
     # A lattice closed under negation has mean exactly 0, so its float32
     # entries are the exact integer squared distances (all below 2^24), as
     # are d1 and d2nd.  With err zeroed only the float32 sums are left to
-    # cover; over 2000 points their rounding reached 1.74 u sum(d2nd), the
-    # bound's other term, on these draws, so the summation term is needed.
+    # cover; over 2000 points, each cost one float32 sum of 2000 terms,
+    # their rounding reached 4.7 u sum(d2nd), the bound's other term, on these
+    # draws, so the summation term is needed.
     rng = np.random.default_rng(63)
     half = rng.integers(-1000, 1001, size=(1000, 2)).astype(float)
     pts = np.vstack([half, -half])

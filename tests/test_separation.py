@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sepmix.errors import InfeasiblePlacement, MissingMedianRadius
+from sepmix.errors import InfeasiblePlacement, MissingMedianRadius, NonFiniteInput
 from sepmix.model import Mixture, make_gaussian, median_radius, random_rotation
 from sepmix.separation import (
     SeparationConfig,
@@ -347,17 +347,16 @@ def test_plant_rejects_malformed_shape_specs(shape_spec, message):
         _plant(shape_spec=shape_spec)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "n, k, message",
-    [
-        (4, 2, "orthogonal placement failed verification"),
-        (1, 3, "no valid placement after 100 attempts"),
-    ],
-    ids=["orthogonal", "random-directions"],
+    "spectrum, slack",
+    [(1e306, 1.0), (1e300, 1e3)],
+    ids=["margins-overflow", "distances-overflow"],
 )
-def test_plant_reports_a_placement_that_never_verifies(n, k, message):
-    # eigenvalues of 1e306 overflow every margin to NaN, so neither the
-    # orthogonal placement nor any random one verifies
-    with pytest.raises(InfeasiblePlacement, match=message):
-        _plant(n=n, k=k, shape_spec=np.full(n, 1e306))
+@pytest.mark.parametrize("n, k", [(4, 2), (1, 3)], ids=["orthogonal", "random-directions"])
+def test_plant_refuses_spectra_whose_margins_overflow(n, k, spectrum, slack):
+    # eigenvalues of 1e306 overflow the required distances themselves; at
+    # 1e300 with slack 1e3 the distances are finite (about 6e154) but their
+    # squares overflow, and an infinite margin would pass verification.
+    # Both fail at the boundary, before any center is placed.
+    with pytest.raises(NonFiniteInput, match="would overflow float64"):
+        _plant(n=n, k=k, shape_spec=np.full(n, spectrum), slack=slack)
