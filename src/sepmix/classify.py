@@ -561,7 +561,9 @@ def max_variance(points) -> tuple[float, np.ndarray]:
     m x m Gram matrix y y^T / m.  Both have the same nonzero spectrum, and a
     Gram eigenvector u maps to the direction y^T u / ||y^T u||.  Only the top
     pair is computed.  When all points coincide the variance is exactly 0 and
-    the direction is the first axis.
+    the direction is the first axis.  The product is formed by one symmetric
+    rank-k update, so it equals its transpose bit for bit, and its transpose
+    view goes to _top_eigenpair, which solves in it without a copy.
 
     Raises:
         EigenSolverFailed: LAPACK did not converge.
@@ -576,7 +578,7 @@ def max_variance(points) -> tuple[float, np.ndarray]:
     gram_side = m < n
     g = y @ y.T if gram_side else y.T @ y
     g /= m
-    w, v = _top_eigenpair(g)
+    w, v = _top_eigenpair(g.T)
     if gram_side:
         v = y.T @ v
         v /= np.linalg.norm(v)
@@ -599,7 +601,12 @@ def _coincident(points: np.ndarray, rows: np.ndarray) -> bool:
 
 
 def _top_eigenpair(g: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of the symmetric ``g`` (overwritten).
+    """Top eigenvalue and unit eigenvector of the symmetric ``g``.
+
+    ``g`` must be Fortran-contiguous: LAPACK then solves in it, and it is
+    overwritten.  scipy would solve a C-ordered ``g`` in a Fortran-ordered
+    copy, one more m x m array, and leave ``g`` as it was.  Only the lower
+    triangle is read, column by column.
 
     Raises:
         EigenSolverFailed: LAPACK did not converge.
@@ -628,15 +635,19 @@ def _gram_from_sq_dists(d2: np.ndarray) -> np.ndarray:
 
     Classical double-centering (Gower 1966): -1/2 J D J / m with
     J = I - 11^T / m, in O(m^2) instead of the O(m^2 n) product.  Overwrites
-    and returns the symmetric m x m matrix ``d2``.
+    the C-ordered m x m matrix ``d2``, which must equal its transpose bit for
+    bit, and returns its transpose, a Fortran-ordered view for
+    _top_eigenpair.  Entry (i, j) of that view is
+    ((d2[i, j] - r_i) - r_j + mean(r)) * (-1/2m), r the row means: the
+    column means are subtracted from ``d2`` first, and d2[j, i] = d2[i, j].
     """
     m = d2.shape[0]
     r = d2.mean(axis=1)
-    d2 -= r[:, None]
     d2 -= r[None, :]
+    d2 -= r[:, None]
     d2 += r.mean()
     d2 *= -0.5 / m
-    return d2
+    return d2.T
 
 
 def _ball_variance(points: np.ndarray, d2: np.ndarray | None, ball: np.ndarray) -> float:
@@ -647,6 +658,9 @@ def _ball_variance(points: np.ndarray, d2: np.ndarray | None, ball: np.ndarray) 
     max_variance, which solves the n x n covariance.  A smaller ball's Gram
     matrix is double-centered from its block of ``d2``, or, without ``d2``,
     from its own points' squared distances, formed by the same expansion.
+    Either block is C-ordered and equals its transpose bit for bit (the
+    expansion adds the norms in either order to a symmetric product), so its
+    Gram matrix is solved in place (_gram_from_sq_dists, _top_eigenpair).
     Coincident points give exactly 0 on both sides.
     """
     if ball.size >= points.shape[1]:

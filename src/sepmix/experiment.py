@@ -38,6 +38,7 @@ from .kmedian import _NORMALIZATIONS, fit_spherical_mixture
 from .model import (
     LabeledSampleSet,
     Mixture,
+    _concentric_pair,
     _draw_count,
     _int_at_least,
     _real,
@@ -77,10 +78,10 @@ class ExperimentConfig:
     ignored, among them the separation scale ``t`` and step cap older configs
     carry under ``classifier``, and ``source.radius_samples`` and
     ``source.estimate_radii``: median radii are computed exactly, without
-    draws.  What a constructor checks only while drawing (weights, shape
-    ranges, slack's range, a sample too small for k, the concentric pair's
-    arguments) and validate's option values fail per trial.  The plan is
-    made from the sections as they are at construction.
+    draws.  What is checked only while a plant is drawn (weights, shapes,
+    slack's range), a sample too small for k and validate's option values
+    fail per trial.  The plan is made from the sections as they are at
+    construction.
     """
 
     scenario: str
@@ -173,10 +174,10 @@ def _one_of(choices: tuple):
 
 
 def _made(part: str, build, **kwargs):
-    """build(**kwargs), a ValueError it raises prefixed with ``part``."""
+    """build(**kwargs), bad input it refuses raised as a ValueError on ``part``."""
     try:
         return build(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError, SepmixError) as exc:
         raise ValueError(f"{part}: {exc}") from None
 
 
@@ -241,6 +242,7 @@ def _read_source(config: ExperimentConfig):
             raise ValueError("source.sigmas must not be empty")
         pair = dict(sigmas=sigmas, weights=src.get("weights", [1.0 / count] * count))
         pair["ambient_dim"] = _key(config, "source.ambient_dim")
+        _made("source", _concentric_pair, **pair, count=config.sample_size)
         draw = partial(_draw_concentric, pair)
     elif kind == "samples":
         draw = partial(_draw_samples, load_samples(_key(config, "source.path")))

@@ -801,6 +801,27 @@ def spherical_median_radius(sigma: float, n: int) -> float:
     return sigma * math.sqrt(2.0 * float(gammaincinv(n / 2.0, 0.5)))
 
 
+def _concentric_pair(sigmas, weights, ambient_dim, count: int):
+    """A concentric pair's sigmas and weights as float vectors, once they and
+    ``ambient_dim`` are checked for an embedding of ``count`` points.
+
+    Raises:
+        DimensionMismatch: not one weight per sigma.
+        NonFiniteInput, NonPositiveEigenvalue: a sigma is NaN or infinite, or <= 0.
+        ValueError, TypeError: a value is not a number, ``Mixture`` would refuse
+            the weights, or ``ambient_dim`` is not an integer >= ``count``.
+    """
+    sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
+    weights = _weights(weights, sigmas.shape[0])
+    if not np.isfinite(sigmas).all():
+        raise NonFiniteInput("component sigmas contain NaN or an infinity")
+    if np.any(sigmas <= 0):
+        raise NonPositiveEigenvalue("component sigmas must be positive")
+    if _int_at_least(ambient_dim, 1, "ambient_dim") < count:
+        raise ValueError(f"embedding {count} points needs ambient_dim >= {count}")
+    return sigmas, weights
+
+
 def sample_concentric_spherical_embedded(
     sigmas,
     weights,
@@ -823,23 +844,9 @@ def sample_concentric_spherical_embedded(
     and every subset covariance spectrum has the same joint distribution as
     for X itself.
 
-    Every argument is checked before anything is drawn.
-
-    Raises:
-        DimensionMismatch: not one weight per sigma.
-        ValueError: weights that ``Mixture`` would refuse, or an
-            ``ambient_dim`` that is not an integer >= ``count``.
-        NonFiniteInput: a sigma is NaN or infinite.
-        NonPositiveEigenvalue: a sigma is <= 0.
+    Every argument is checked before anything is drawn (_concentric_pair).
     """
-    sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
-    weights = _weights(weights, sigmas.shape[0])
-    if not np.isfinite(sigmas).all():
-        raise NonFiniteInput("component sigmas contain NaN or an infinity")
-    if np.any(sigmas <= 0):
-        raise NonPositiveEigenvalue("component sigmas must be positive")
-    if _int_at_least(ambient_dim, 1, "ambient_dim") < count:
-        raise ValueError("embedding needs ambient_dim >= count")
+    sigmas, weights = _concentric_pair(sigmas, weights, ambient_dim, count)
     labels = _draw_labels(weights, rng, count)
     points = _bartlett_factor(rng, ambient_dim, count)
     points *= sigmas[labels][:, None]

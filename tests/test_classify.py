@@ -509,6 +509,113 @@ def test_gram_from_distances_matches_max_variance(ball_pts):
     assert beta == pytest.approx(max_variance(ball_pts)[0], rel=1e-10)
 
 
+def _copied_top_eigenpair(g, handed):
+    """The top eigenpair of a C-ordered ``g``, which scipy solves in a
+    Fortran-ordered copy.  A copy of ``g`` goes to ``handed``."""
+    assert g.flags.c_contiguous
+    handed.append(g.copy())
+    d = g.shape[0]
+    w, u = scipy.linalg.eigh(
+        g, subset_by_index=[d - 1, d - 1], driver="evr", overwrite_a=True,
+        check_finite=False,
+    )
+    return float(w[0]), u[:, 0]
+
+
+def _reference_max_variance(points, handed):
+    """max_variance's recipe with the C-ordered product."""
+    m, n = points.shape
+    if (points == points[0]).all():
+        return 0.0, None
+    y = points - points.mean(axis=0)
+    gram_side = m < n
+    g = y @ y.T if gram_side else y.T @ y
+    g /= m
+    w, v = _copied_top_eigenpair(g, handed)
+    if gram_side:
+        v = y.T @ v
+        v /= np.linalg.norm(v)
+    return w, v
+
+
+def _reference_ball_variance(points, d2, ball, handed):
+    """_ball_variance's recipe with a C-ordered Gram block, its row means
+    subtracted first."""
+    if ball.size >= points.shape[1]:
+        return _reference_max_variance(points[ball], handed)[0]
+    if (points[ball] == points[ball[0]]).all():
+        return 0.0
+    block = pairwise_sq_dists(points[ball]) if d2 is None else d2[np.ix_(ball, ball)]
+    assert np.array_equal(block, block.T)
+    m = ball.size
+    r = block.mean(axis=1)
+    block -= r[:, None]
+    block -= r[None, :]
+    block += r.mean()
+    block *= -0.5 / m
+    return _copied_top_eigenpair(block, handed)[0]
+
+
+def _solved_in_place(call):
+    """call()'s result, and a copy of every matrix it handed _top_eigenpair,
+    each checked to be Fortran-ordered, so that LAPACK solves in it."""
+    solve, handed = classify_module._top_eigenpair, []
+
+    def capture(g):
+        assert g.flags.f_contiguous
+        handed.append(g.copy())
+        return solve(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_top_eigenpair", capture)
+        return call(), handed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    m=st.integers(min_value=1, max_value=40),
+    n=st.sampled_from([1, 2, 3, 16, 64]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    kind=st.sampled_from(["gaussian", "lattice", "duplicates", "coincident"]),
+)
+@example(seed=0, m=40, n=64, scale=1.0, offset=1e6, kind="gaussian")
+@example(seed=84, m=30, n=64, scale=1.0, offset=0.0, kind="gaussian")
+@example(seed=1, m=2, n=16, scale=1e3, offset=1e3, kind="gaussian")
+@example(seed=2, m=1, n=3, scale=1.0, offset=0.0, kind="gaussian")
+def test_in_place_solves_match_the_copied_solve_bit_for_bit(
+    seed, m, n, scale, offset, kind
+):
+    # the Gram block and the covariance go to LAPACK Fortran-ordered, and it
+    # solves in them; they hold, entry for entry, the numbers of the
+    # reference's C-ordered blocks, which scipy copies, because every block
+    # of squared distances and every covariance product equals its transpose
+    # the ball of m points and the 12 others
+    pts = _screen_points(seed, m + 12, n, scale, offset, kind)
+    order = np.random.default_rng(seed).permutation(m + 12)
+    ball = order[:m]
+    if kind == "coincident":
+        pts[ball] = pts[ball[0]]
+    d2 = pairwise_sq_dists(pts)
+    assert np.array_equal(d2, d2.T)
+    for rows in (ball, order[m:]):
+        for source in (d2, None):
+            want_handed = []
+            want = _reference_ball_variance(pts, source, rows, want_handed)
+            beta, handed = _solved_in_place(lambda: _ball_variance(pts, source, rows))
+            assert beta == want
+            assert len(handed) == len(want_handed)
+            assert all(map(np.array_equal, handed, want_handed))
+    want_handed = []
+    want_beta, want_direction = _reference_max_variance(pts[ball], want_handed)
+    (beta, direction), handed = _solved_in_place(lambda: max_variance(pts[ball]))
+    assert beta == want_beta
+    if want_direction is not None:
+        assert np.array_equal(direction, want_direction)
+    assert all(map(np.array_equal, handed, want_handed))
+
+
 def test_max_variance_solver_failure_is_named(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")

@@ -415,6 +415,7 @@ def test_bad_experiment_config_exits_two(tmp_path, capsys):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+_PAIR = {"kind": "concentric_spherical", "sigmas": [1.0, 10.0], "ambient_dim": 400}
 _GENERAL = {"scenario": "classify_general", "trials": 1, "master_seed": 0,
             "sample_size": 200, "source": _PLANT, "classifier": {"k": 2, "w_min": 0.5}}
 
@@ -435,11 +436,24 @@ def _drop(doc, key):
         ),
         (_GENERAL | {"source": [_PLANT]}, "source must be an object"),
         (_GENERAL | {"validate": ["lemma5"]}, "validate must be an object"),
-        (
-            _GENERAL | {"source": {"kind": "concentric_spherical", "sigmas": [],
-                                   "ambient_dim": 400}},
-            "source.sigmas must not be empty",
-        ),
+        (_GENERAL | {"source": _PAIR | {"sigmas": []}}, "source.sigmas must not be empty"),
+        (_GENERAL | {"source": _PAIR | {"sigmas": [-1.0, 10.0]}},
+         "source: component sigmas must be positive"),
+        (_GENERAL | {"source": _PAIR | {"sigmas": [float("nan"), 10.0]}},
+         "source: component sigmas contain NaN"),
+        (_GENERAL | {"source": _PAIR | {"sigmas": ["ten", 10.0]}},
+         "source: could not convert string to float"),
+        (_GENERAL | {"source": _PAIR | {"sigmas": [{}, 10.0]}}, "source: float()"),
+        (_GENERAL | {"source": _PAIR | {"weights": [0.5, 0.6]}},
+         "source: weights sum to 1.1"),
+        (_GENERAL | {"source": _PAIR | {"weights": [1.5, -0.5]}},
+         "source: every weight must be > 0"),
+        (_GENERAL | {"source": _PAIR | {"weights": [1.0]}},
+         "source: 2 components but 1 weights"),
+        (_GENERAL | {"source": _PAIR | {"ambient_dim": 199}},
+         "source: embedding 200 points needs ambient_dim >= 200"),
+        (_GENERAL | {"source": _PAIR | {"ambient_dim": 400.0}},
+         "source: ambient_dim must be an integer"),
         (_GENERAL | {"source": _drop(_PLANT, "k")}, "source.k is required"),
         (_GENERAL | {"source": _drop(_PLANT, "n")}, "source.n is required"),
         (_GENERAL | {"source": _drop(_PLANT, "t")}, "source.t is required"),
@@ -481,6 +495,15 @@ def _drop(doc, key):
         "source-list",
         "validate-list",
         "sigmas-empty",
+        "sigmas-negative",
+        "sigmas-nan",
+        "sigmas-string",
+        "sigmas-object",
+        "weights-sum",
+        "weights-negative",
+        "weights-short",
+        "ambient_dim-below-sample_size",
+        "ambient_dim-float",
         "no-source-k",
         "no-source-n",
         "no-source-t",

@@ -368,3 +368,72 @@ def test_repeated_spectrum_check_holds_no_draw_block(call, limit, wide_repeated_
     rng = np.random.default_rng(4)
     peak = _traced_peak(lambda: call(*wide_repeated_pair, rng))
     assert peak <= limit, f"peak {peak / limit:.3f} x the bound"
+
+
+# A ball of m < n points takes its top eigenvalue from its m x m Gram matrix,
+# double-centered from the ball's squared distances: a block gathered from
+# the stored matrix, or formed from the ball's points when none is stored.
+# LAPACK solves in that block, so the solve adds only its O(m) workspace.  A
+# copy made for LAPACK would be a second block and lift either peak to two.
+@pytest.fixture
+def gram_side_peaks(monkeypatch):
+    """Run classify_general on a concentric pair of M = 600 points in 600
+    dimensions (threshold 225 < n) and return, per _ball_variance call, the
+    ball size m, the call's traced peak and its peak while the eigenproblem
+    is solved, both in bytes above the traced level at the call's start."""
+    import scipy.linalg  # noqa: F401  (its import is not the solve's memory)
+
+    ball_variance, solve = classify._ball_variance, classify._top_eigenpair
+    calls, call = [], {}
+
+    def traced_solve(g):
+        call["before"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = solve(g)
+        call["solve"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    def traced_ball(points, d2, ball):
+        assert ball.size < points.shape[1]
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        beta = ball_variance(points, d2, ball)
+        peak = max(call["before"], tracemalloc.get_traced_memory()[1])
+        calls.append((ball.size, peak - start, call.pop("solve") - start))
+        return beta
+
+    monkeypatch.setattr(classify, "_top_eigenpair", traced_solve)
+    monkeypatch.setattr(classify, "_ball_variance", traced_ball)
+
+    def run():
+        samples = model.sample_concentric_spherical_embedded(
+            [1.0, 10.0], [0.5, 0.5], 10**6, np.random.default_rng(9), 600
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            classify_general(samples.points, ClassifierConfig(k=2, w_min=0.5))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 4
+        return calls
+
+    return run
+
+
+def test_stored_ball_solves_its_gram_block_in_place(gram_side_peaks):
+    # the block gathered from the stored matrix is all the call holds
+    for m, peak, solve_peak in gram_side_peaks():
+        block = m * m * 8
+        assert peak <= 1.5 * block, f"m = {m}: peak {peak / block:.2f} blocks"
+        assert solve_peak <= 1.5 * block, f"m = {m}: {solve_peak / block:.2f} blocks"
+
+
+def test_on_demand_ball_solves_its_gram_block_in_place(monkeypatch, gram_side_peaks):
+    # no matrix is stored: forming the ball's squared distances holds its
+    # m x n points, more than one block, but the solve holds the Gram block
+    # alone
+    monkeypatch.setattr(classify, "_MATRIX_BUDGET", 0)
+    for m, _, solve_peak in gram_side_peaks():
+        block = m * m * 8
+        assert solve_peak <= 1.5 * block, f"m = {m}: {solve_peak / block:.2f} blocks"
